@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
 
-from .fields import Realization1D, Realization2D, evaluate_grid_2d
+from .fields import Realization1D, Realization2D, classify_grid_2d
 
 __all__ = [
     "Stencil",
@@ -54,6 +54,8 @@ ENV_PATTERN_PATH = "NODALCHECK_PATTERNS"
 CHECKSUM_B = 66
 CHECKSUM_I4 = 92
 CHECKSUM_I = 90
+
+_B_BIT, _I_BIT = 1, 2  # bits of PatternCollection.code_table
 
 
 class DegenerateSampleError(ValueError):
@@ -166,18 +168,27 @@ class PatternLibrary:
         return PatternLibrary(name=name, base_patterns=tuple(base_patterns),
                               closure=closure)
 
+    @cached_property
+    def _match_table(self) -> np.ndarray:
+        """(len(closure), 512) bool: closure pattern k matches stencil code c."""
+        codes = np.arange(512)
+        rows = [(codes & cmask) == want
+                for cmask, want in (_mask_bits(p.mask) for p in self.closure)]
+        return np.array(rows, dtype=bool).reshape(len(self.closure), 512)
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        table = self._match_table.any(axis=0)
+        table.flags.writeable = False
+        return table
+
     def forbidden_table(self) -> np.ndarray:
-        return _forbidden_table(self.closure)
+        """512-entry bool table: code -> contains some pattern of the closure."""
+        return self._table
 
-
-def _forbidden_table(patterns) -> np.ndarray:
-    """512-entry bool table: code -> contains some pattern of `patterns`."""
-    table = np.zeros(512, dtype=bool)
-    codes = np.arange(512)
-    for p in patterns:
-        cmask, want = _mask_bits(p.mask)
-        table |= (codes & cmask) == want
-    return table
+    def pattern_ids(self, code: int) -> list:
+        """Ids of the closure patterns matched by a 9-bit stencil code."""
+        return [self.closure[k].id for k in np.flatnonzero(self._match_table[:, code])]
 
 
 @dataclass(frozen=True)
@@ -188,11 +199,19 @@ class PatternCollection:
     I4: PatternLibrary
     I5: PatternLibrary
 
-    @property
+    @cached_property
     def I(self) -> PatternLibrary:
         return PatternLibrary.build(
             "I", self.I4.base_patterns + self.I5.base_patterns
         )
+
+    @cached_property
+    def code_table(self) -> np.ndarray:
+        """512-entry uint8 table over stencil codes: bit 0 B-, bit 1 I-forbidden."""
+        table = (self.B.forbidden_table() * _B_BIT
+                 | self.I.forbidden_table() * _I_BIT).astype(np.uint8)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -353,44 +372,92 @@ def forbidden_in_stencil(values, lib: PatternLibrary) -> list:
 # ---------------------------------------------------------------------------
 # Dyadic sweeps over squares
 
-
-def _sign_array(values: np.ndarray, zero_tol: float) -> tuple:
-    signs = np.zeros(values.shape, dtype=np.int8)
-    signs[values > zero_tol] = 1
-    signs[values < -zero_tol] = -1
-    return signs, int(np.count_nonzero(signs == 0))
-
-
-def _codes_2d(positive: np.ndarray, x0, y0, h: int, nx: int, ny: int) -> np.ndarray:
-    """9-bit stencil codes for subsquares with corners (x0 + 2h*i, y0 + 2h*j).
-
-    ``positive`` is a boolean array over the fine grid; row-major bit
-    order matches the pattern masks (rows = first axis).
-    """
-    codes = np.zeros((nx, ny), dtype=np.int16)
-    bit = 0
-    for a in range(3):
-        for b in range(3):
-            sl = positive[
-                x0 + a * h : x0 + a * h + 2 * h * (nx - 1) + 1 : 2 * h,
-                y0 + b * h : y0 + b * h + 2 * h * (ny - 1) + 1 : 2 * h,
-            ]
-            codes |= sl.astype(np.int16) << bit
-            bit += 1
-    return codes
-
-
-def _pattern_ids_for_code(code: int, lib: PatternLibrary) -> list:
-    values = [1 if code & (1 << i) else -1 for i in range(9)]
-    return [p.id for p in lib.closure if p.matches(values)]
-
+# the own stencil of a subsquare and its four half-side shifts, as steps
+# of the level's code array
+_I_STENCILS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
 _MAX_VIOLATIONS = 200
 
 
-def _square_outcome(r: Realization2D, corner, delta: float, D: int, lib: PatternLibrary,
-                    zero_tol: float, shifts: bool, collect_all: bool) -> ValidationOutcome:
-    """Shared dyadic sweep for b_admissible / i_admissible on a single square."""
+def _level_codes(positive: np.ndarray, h: int) -> np.ndarray:
+    """9-bit stencil codes at every stencil corner of ``positive[::h, ::h]``.
+
+    Entry (a, b) encodes the 3x3 block with corner (a, b) of the
+    subsampled grid: bit 3r + c is set iff point (a + r, b + c) is
+    positive, the row-major order of the pattern masks.  Built
+    separably, 3-bit codes along the second axis first.
+    """
+    p = positive[::h, ::h].view(np.uint8)
+    rows = p[:, 2:] << 1
+    rows |= p[:, 1:-1]
+    rows <<= 1
+    rows |= p[:, :-2]
+    codes = rows[2:].astype(np.uint16)
+    codes <<= 3
+    codes |= rows[1:-1]
+    codes <<= 3
+    codes |= rows[:-2]
+    return codes
+
+
+def _matched(hits: np.ndarray, codes: np.ndarray, lib: PatternLibrary,
+             first: int, n: int) -> list:
+    """``((first + i, first + j), n, pattern_id)`` per hit (i, j) and matched pattern."""
+    return [((first + int(i), first + int(j)), n, pid)
+            for i, j in zip(*np.nonzero(hits))
+            for pid in lib.pattern_ids(int(codes[i, j]))]
+
+
+def _sweep(positive: np.ndarray, nsq: int, ring: int, margin: int, D: int,
+           coll: PatternCollection, collect_all: bool) -> list:
+    """Forbidden-pattern matches of a block of grid squares, levels 0..D.
+
+    ``positive`` covers a window holding nsq x nsq grid squares of
+    2^(D+1) fine steps each, ``margin`` fine steps in from its edges.
+    Squares in the outer ``ring`` layers are checked for B-admissibility
+    (own stencils), the others for I-admissibility (own stencils plus the
+    four half-side shifts, which need half a subsquare of window around
+    them).  Returns ``((i, j), n, pattern_id)`` per match, (i, j) the
+    level-n subsquare, and stops after the first level with a match
+    unless ``collect_all`` is set.
+
+    Each level computes one code array and one table lookup; own stencils
+    sit at its even/even entries, the x- and y-shifts at the odd/even and
+    even/odd entries between two subsquares, which share them.
+    """
+    found = []
+    for n in range(D + 1):
+        h = 1 << (D - n)
+        codes = _level_codes(positive, h)
+        flags = coll.code_table[codes]
+        if flags.any():
+            m, nside, lo = margin // h, nsq << n, ring << n
+            hi = nside - lo  # subsquares [lo, hi)^2 are I-checked
+            own = slice(m, m + 2 * nside - 1, 2)
+            b_hits = (flags[own, own] & _B_BIT).astype(bool)
+            b_hits[lo:hi, lo:hi] = False
+            found += _matched(b_hits, codes[own, own], coll.B, 0, n)
+            for dr, dc in _I_STENCILS if hi > lo else ():
+                rows = slice(m + 2 * lo + dr, m + 2 * hi - 1 + dr, 2)
+                cols = slice(m + 2 * lo + dc, m + 2 * hi - 1 + dc, 2)
+                found += _matched(flags[rows, cols] & _I_BIT,
+                                  codes[rows, cols], coll.I, lo, n)
+        if found and not collect_all:
+            break
+    return found
+
+
+def _verdict(D: int, violations: list) -> ValidationOutcome:
+    if violations:
+        return ValidationOutcome(NOT_CERTIFIED, D,
+                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]))
+    return ValidationOutcome(CERTIFIED, D)
+
+
+def _square_outcome(r: Realization2D, corner, delta: float, D: int,
+                    coll: PatternCollection, zero_tol: float, shifts: bool,
+                    collect_all: bool) -> ValidationOutcome:
+    """Dyadic sweep of one square: B-checked, or I-checked with ``shifts``."""
     L = r.coeffs.L
     cx, cy = float(corner[0]), float(corner[1])
     pad = 0.5 * delta if shifts else 0.0
@@ -404,29 +471,11 @@ def _square_outcome(r: Realization2D, corner, delta: float, D: int, lib: Pattern
     step = delta / unit
     xs = cx - margin * step + np.arange(total + 1) * step
     ys = cy - margin * step + np.arange(total + 1) * step
-    signs, zeros = _sign_array(evaluate_grid_2d(r, xs, ys), zero_tol)
+    positive, zeros = classify_grid_2d(r, xs, ys, zero_tol)
     if zeros:
         return ValidationOutcome(DEGENERATE, D, zero_flag_count=zeros)
-    positive = signs > 0
-    table = lib.forbidden_table()
-    offsets = [(0, 0)]
-    violations = []
-    for n in range(D + 1):
-        h = 1 << (D - n)
-        nside = 1 << n
-        if shifts:
-            offsets = [(0, 0), (h, 0), (-h, 0), (0, h), (0, -h)]
-        for ox, oy in offsets:
-            codes = _codes_2d(positive, margin + ox, margin + oy, h, nside, nside)
-            bad = np.argwhere(table[codes])
-            for i, j in bad:
-                for pid in _pattern_ids_for_code(int(codes[i, j]), lib):
-                    violations.append(((int(i), int(j)), n, pid))
-        if violations and not collect_all:
-            break
-    if violations:
-        return ValidationOutcome(NOT_CERTIFIED, D, tuple(sorted(violations)[:_MAX_VIOLATIONS]))
-    return ValidationOutcome(CERTIFIED, D)
+    ring = 0 if shifts else 1
+    return _verdict(D, _sweep(positive, 1, ring, margin, D, coll, collect_all))
 
 
 def b_admissible(r: Realization2D, square, D: int, zero_tol: float = 0.0,
@@ -434,28 +483,19 @@ def b_admissible(r: Realization2D, square, D: int, zero_tol: float = 0.0,
                  patterns: PatternCollection | None = None) -> ValidationOutcome:
     """Depth-truncated B-admissibility of one square (corner, side length)."""
     corner, delta = square
-    lib = (patterns or default_patterns()).B
-    return _square_outcome(r, corner, float(delta), D, lib, zero_tol,
+    return _square_outcome(r, corner, float(delta), D,
+                           patterns or default_patterns(), zero_tol,
                            shifts=False, collect_all=collect_all)
-
-
-def _stencil_values(r: Realization2D, corner, delta: float) -> list:
-    cx, cy = float(corner[0]), float(corner[1])
-    xs = cx + np.array([0.0, 0.5, 1.0]) * delta
-    ys = cy + np.array([0.0, 0.5, 1.0]) * delta
-    vals = evaluate_grid_2d(r, xs, ys)
-    return [vals[a, b] for a in range(3) for b in range(3)]
 
 
 def _single_square_admissible(r, square, lib) -> bool:
     corner, delta = square
-    vals = _stencil_values(r, corner, float(delta))
-    signs = []
-    for v in vals:
-        if v == 0.0:
-            raise DegenerateSampleError("zero sample at a stencil point")
-        signs.append(1 if v > 0 else -1)
-    return not forbidden_in_stencil(signs, lib)
+    pts = np.array([0.0, 0.5, 1.0]) * float(delta)
+    positive, zeros = classify_grid_2d(r, float(corner[0]) + pts,
+                                       float(corner[1]) + pts, 0.0)
+    if zeros:
+        raise DegenerateSampleError("zero sample at a stencil point")
+    return not lib.forbidden_table()[_level_codes(positive, 1)[0, 0]]
 
 
 def i4_admissible(r: Realization2D, square,
@@ -481,8 +521,8 @@ def i_admissible(r: Realization2D, square, D: int, zero_tol: float = 0.0,
     the domain.
     """
     corner, delta = square
-    lib = (patterns or default_patterns()).I
-    return _square_outcome(r, corner, float(delta), D, lib, zero_tol,
+    return _square_outcome(r, corner, float(delta), D,
+                           patterns or default_patterns(), zero_tol,
                            shifts=True, collect_all=collect_all)
 
 
@@ -539,50 +579,11 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     """
     if M < 3:
         raise ValueError("M must be at least 3 so that interior squares exist")
-    coll = patterns or default_patterns()
-    L = r.coeffs.L
-    unit = 1 << (D + 1)
-    G = M * unit
-    xs = np.arange(G + 1) * (L / G)
-    signs, zeros = _sign_array(evaluate_grid_2d(r, xs, xs), zero_tol)
+    G = M << (D + 1)
+    xs = np.arange(G + 1) * (r.coeffs.L / G)
+    positive, zeros = classify_grid_2d(r, xs, xs, zero_tol)
     if zeros:
         return ValidationOutcome(DEGENERATE, D, zero_flag_count=zeros)
-    positive = signs > 0
-    table_b = coll.B.forbidden_table()
-    lib_i = coll.I
-    table_i = lib_i.forbidden_table()
-
-    violations = []
-    for n in range(D + 1):
-        h = 1 << (D - n)
-        nside = M * (1 << n)
-        codes = _codes_2d(positive, 0, 0, h, nside, nside)
-        parent = np.arange(nside) // (1 << n)
-        on_edge = (parent == 0) | (parent == M - 1)
-        boundary = on_edge[:, None] | on_edge[None, :]
-
-        bad_b = np.argwhere(table_b[codes] & boundary)
-        for i, j in bad_b:
-            sq = (int(parent[i]), int(parent[j]))
-            for pid in _pattern_ids_for_code(int(codes[i, j]), coll.B):
-                violations.append((sq, n, pid))
-
-        interior = ~boundary
-        for ox, oy in ((0, 0), (h, 0), (-h, 0), (0, h), (0, -h)):
-            # shifted stencils fall off the grid only at the outermost
-            # subsquares, which are never interior; restrict the index
-            # range accordingly instead of padding
-            i0, i1 = (1 if ox < 0 else 0), (nside - 1 if ox > 0 else nside)
-            j0, j1 = (1 if oy < 0 else 0), (nside - 1 if oy > 0 else nside)
-            codes_s = _codes_2d(positive, i0 * 2 * h + ox, j0 * 2 * h + oy,
-                                h, i1 - i0, j1 - j0)
-            bad_i = np.argwhere(table_i[codes_s] & interior[i0:i1, j0:j1])
-            for i, j in bad_i:
-                sq = (int(parent[i0 + i]), int(parent[j0 + j]))
-                for pid in _pattern_ids_for_code(int(codes_s[i, j]), lib_i):
-                    violations.append((sq, n, pid))
-        if violations and not collect_all:
-            break
-    if violations:
-        return ValidationOutcome(NOT_CERTIFIED, D, tuple(sorted(violations)[:_MAX_VIOLATIONS]))
-    return ValidationOutcome(CERTIFIED, D)
+    found = _sweep(positive, M, 1, 0, D, patterns or default_patterns(),
+                   collect_all)
+    return _verdict(D, [((i >> n, j >> n), n, pid) for (i, j), n, pid in found])

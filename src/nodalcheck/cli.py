@@ -80,7 +80,7 @@ def _cmd_eval(args):
 
 def _cmd_grid(args):
     r = _load_realization(args)
-    grid = sign_grid(r, args.M, args.zero_tol)
+    grid = sign_grid(r, args.M, _zero_tol(args, r))
     text = grid.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -96,7 +96,7 @@ def _cmd_betti(args):
             grid = SignGrid.from_json(fh.read())
     else:
         r = _load_realization(args)
-        grid = sign_grid(r, args.M, args.zero_tol)
+        grid = sign_grid(r, args.M, _zero_tol(args, r))
     plus, minus = betti_pair(grid)
     _emit({"plus": plus.as_list(), "minus": minus.as_list(),
            "zero_count": grid.zero_count})
@@ -105,10 +105,11 @@ def _cmd_betti(args):
 
 def _cmd_validate(args):
     r = _load_realization(args)
+    zero_tol = _zero_tol(args, r)
     if r.dim == 1:
-        outcome = admissibility.validate_1d(r, args.M, args.D, args.zero_tol)
+        outcome = admissibility.validate_1d(r, args.M, args.D, zero_tol)
     else:
-        outcome = admissibility.validate_2d(r, args.M, args.D, args.zero_tol)
+        outcome = admissibility.validate_2d(r, args.M, args.D, zero_tol)
     _emit({
         "status": outcome.status,
         "max_depth_checked": outcome.max_depth_checked,
@@ -181,6 +182,19 @@ def _cmd_experiment(args):
     return EXIT_OK
 
 
+def _add_zero_tol(p):
+    p.add_argument("--zero-tol", type=float, default=None,
+                   help="zero-flag tolerance: samples with |u| <= ZERO_TOL "
+                        "are flagged (default 1e-12*sqrt(A0), as in "
+                        "experiments; 0 flags exact zeros only)")
+
+
+def _zero_tol(args, r) -> float:
+    if args.zero_tol is None:
+        return experiments.default_zero_tol(r.coeffs)
+    return args.zero_tol
+
+
 def _add_field_source(p, need_dim=True):
     p.add_argument("--coeffs", help="coefficient JSON file")
     p.add_argument("--realization", help="realization JSON file")
@@ -196,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Validated homology computation for nodal domains of "
                     "random periodic fields.")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (results are identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="draw a random realization as JSON")
@@ -218,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="sample a sign grid")
     _add_field_source(p)
     p.add_argument("--M", required=True, type=int)
-    p.add_argument("--zero-tol", type=float, default=0.0)
+    _add_zero_tol(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_grid)
 
@@ -226,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_source(p)
     p.add_argument("--grid", help="sign grid JSON file")
     p.add_argument("--M", type=int)
-    p.add_argument("--zero-tol", type=float, default=0.0)
+    _add_zero_tol(p)
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("validate",
@@ -234,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_source(p)
     p.add_argument("--M", required=True, type=int)
     p.add_argument("--D", type=int, default=experiments.DEFAULT_DEPTH)
-    p.add_argument("--zero-tol", type=float, default=0.0)
+    _add_zero_tol(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("bound", help="closed-form probability lower bound")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Realization1D, Realization2D, evaluate_grid_2d
+from .fields import Realization1D, Realization2D, classify_grid_2d
 
 __all__ = ["SignGrid", "CubicalSet", "sign_grid", "cubical_approx", "negate"]
 
@@ -99,13 +99,15 @@ def sign_grid(r, M: int, zero_tol: float = 0.0) -> SignGrid:
     xs = np.arange(M + 1) * (L / M)
     if isinstance(r, Realization1D):
         vals = r(xs)
+        signs = np.zeros(vals.shape, dtype=np.int8)
+        signs[vals > zero_tol] = PLUS
+        signs[vals < -zero_tol] = MINUS
     elif isinstance(r, Realization2D):
-        vals = evaluate_grid_2d(r, xs, xs)
+        flagged = np.empty((M + 1, M + 1), dtype=bool)
+        positive, _ = classify_grid_2d(r, xs, xs, zero_tol, flagged)
+        signs = np.where(flagged, ZERO_FLAGGED, np.where(positive, PLUS, MINUS))
     else:
         raise TypeError("r must be a realization")
-    signs = np.zeros(vals.shape, dtype=np.int8)
-    signs[vals > zero_tol] = PLUS
-    signs[vals < -zero_tol] = MINUS
     return SignGrid(dim=r.dim, M=M, signs=signs)
 
 

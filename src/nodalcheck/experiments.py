@@ -90,8 +90,6 @@ class TrialRecord:
     index: int
     seed: int
     per_M: dict  # M -> {certified, degenerate, match, unresolved}
-    zero_count: int = 0
-    min_gap: float = math.inf
 
     def __post_init__(self):
         for M, flags in self.per_M.items():

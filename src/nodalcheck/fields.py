@@ -30,6 +30,7 @@ __all__ = [
     "derive_seed",
     "draw_realization",
     "evaluate",
+    "classify_grid_2d",
     "spectral_moments",
     "covariance",
     "coeffs_to_json",
@@ -267,47 +268,85 @@ def _eval_1d(r: Realization1D, x: np.ndarray):
     return out if out.shape else float(out)
 
 
+def _trig_block(coeffs, x) -> np.ndarray:
+    """A(x) = [cos | sin](2 pi k x / L), k = 0..K, along a new last axis."""
+    k = np.arange(coeffs.K + 1)
+    x = np.asarray(x, dtype=float)
+    phase = 2.0 * np.pi * np.multiply.outer(x, k) / coeffs.L
+    return np.concatenate((np.cos(phase), np.sin(phase)), axis=-1)
+
+
+def _weight_block(r: Realization2D) -> np.ndarray:
+    """W = [[a g0, a g1], [a g2, a g3]], so that u(x1, x2) = A(x1) W A(x2)^T."""
+    ag = r.coeffs.a[:, :, None] * r.g
+    return np.block([[ag[:, :, 0], ag[:, :, 1]], [ag[:, :, 2], ag[:, :, 3]]])
+
+
 def _eval_2d(r: Realization2D, x1, x2):
-    coeffs = r.coeffs
-    K = coeffs.K
-    k = np.arange(K + 1)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    p1 = 2.0 * np.pi * np.multiply.outer(x1, k) / coeffs.L
-    p2 = 2.0 * np.pi * np.multiply.outer(x2, k) / coeffs.L
-    c1, s1 = np.cos(p1), np.sin(p1)  # (..., K+1)
-    c2, s2 = np.cos(p2), np.sin(p2)
-    a = coeffs.a
-    out = (
-        np.einsum("...k,kl,...l->...", c1, a * r.g[:, :, 0], c2)
-        + np.einsum("...k,kl,...l->...", c1, a * r.g[:, :, 1], s2)
-        + np.einsum("...k,kl,...l->...", s1, a * r.g[:, :, 2], c2)
-        + np.einsum("...k,kl,...l->...", s1, a * r.g[:, :, 3], s2)
-    )
+    out = np.sum((_trig_block(r.coeffs, x1) @ _weight_block(r))
+                 * _trig_block(r.coeffs, x2), axis=-1)
     return out if out.shape else float(out)
+
+
+# Rows of x1 per band of the tensor-grid evaluation: the float scratch is
+# _BAND_ROWS * len(x2) values (2 MB for a 4097-point axis), small enough to
+# stay in cache while it is classified.
+_BAND_ROWS = 64
+
+
+def _grid_bands(r: Realization2D, x1, x2):
+    """Yield ``(rows, u[rows, :])`` on the tensor grid x1 (x) x2, band by band.
+
+    One block product [C1 S1] W [C2 S2]^T per band.  The yielded values
+    live in one scratch buffer that the next band overwrites.
+    """
+    left = _trig_block(r.coeffs, x1) @ _weight_block(r)
+    right = _trig_block(r.coeffs, x2).T
+    n = len(left)
+    buf = np.empty((min(n, _BAND_ROWS), right.shape[1]))
+    for start in range(0, n, _BAND_ROWS):
+        stop = min(start + _BAND_ROWS, n)
+        yield slice(start, stop), np.matmul(left[start:stop], right,
+                                            out=buf[: stop - start])
 
 
 def evaluate_grid_2d(r: Realization2D, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Evaluate a 2D realization on the tensor grid x1 (x) x2.
 
-    Uses the separable structure of the series: four small matrix
-    products instead of len(x1)*len(x2) independent sums.  Returns an
-    array of shape (len(x1), len(x2)).
+    Uses the separable structure of the series, the block product
+    [C1 S1] W [C2 S2]^T, instead of len(x1)*len(x2) independent sums.
+    Returns an array of shape (len(x1), len(x2)).
     """
-    coeffs = r.coeffs
-    K = coeffs.K
-    k = np.arange(K + 1)
-    p1 = 2.0 * np.pi * np.outer(x1, k) / coeffs.L  # (n1, K+1)
-    p2 = 2.0 * np.pi * np.outer(x2, k) / coeffs.L
-    c1, s1 = np.cos(p1), np.sin(p1)
-    c2, s2 = np.cos(p2), np.sin(p2)
-    a = coeffs.a
-    return (
-        c1 @ (a * r.g[:, :, 0]) @ c2.T
-        + c1 @ (a * r.g[:, :, 1]) @ s2.T
-        + s1 @ (a * r.g[:, :, 2]) @ c2.T
-        + s1 @ (a * r.g[:, :, 3]) @ s2.T
-    )
+    out = np.empty((len(x1), len(x2)))
+    for rows, values in _grid_bands(r, x1, x2):
+        out[rows] = values
+    return out
+
+
+def classify_grid_2d(r: Realization2D, x1, x2, zero_tol: float,
+                     flagged: np.ndarray | None = None) -> tuple:
+    """Sign classes of a 2D realization on the tensor grid x1 (x) x2.
+
+    Returns ``(positive, zeros)``: the boolean grid of u > zero_tol and
+    the number of zero-flagged points, where neither u > zero_tol nor
+    u < -zero_tol holds (so NaN is flagged).  If ``flagged`` is given, a
+    boolean array of the grid's shape, it receives the zero-flag mask.
+    The values are those of :func:`evaluate_grid_2d`, classified band by
+    band, so no float grid of the full size is ever formed.
+    """
+    if zero_tol < 0:
+        raise ValueError("zero_tol must be nonnegative")
+    positive = np.empty((len(x1), len(x2)), dtype=bool)
+    negative = np.empty((min(len(x1), _BAND_ROWS), len(x2)), dtype=bool)
+    zeros = 0
+    for rows, values in _grid_bands(r, x1, x2):
+        pos, neg = positive[rows], negative[: len(values)]
+        np.greater(values, zero_tol, out=pos)
+        np.less(values, -zero_tol, out=neg)
+        zeros += neg.size - np.count_nonzero(pos) - np.count_nonzero(neg)
+        if flagged is not None:
+            np.logical_not(pos | neg, out=flagged[rows])
+    return positive, zeros
 
 
 def spectral_moments(coeffs):

@@ -2,10 +2,11 @@
 
 Connectivity is through shared faces of any dimension (two cells
 touching only at a corner are connected), which matches the topology of
-the union of closed cells.  beta_0 comes from a union-find over row
-runs of the cell mask; in 2D, beta_1 = beta_0 - chi with
-chi = V - E + F counted on the face closure.  Planar cubical sets have
-no torsion and no H_2, so the Betti pair determines the homology.
+the union of closed cells.  beta_0 comes from 8-neighbour component
+labelling of the cell mask (``scipy.ndimage.label``); in 2D,
+beta_1 = beta_0 - chi with chi = V - E + F counted on the face closure.
+Planar cubical sets have no torsion and no H_2, so the Betti pair
+determines the homology.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .cubical import CubicalSet, cubical_approx, sign_grid
 
 __all__ = [
     "CubicalComplex",
     "BettiVector",
-    "UnionFind",
     "close_faces",
     "betti",
     "betti_pair",
@@ -28,59 +29,14 @@ __all__ = [
 ]
 
 
-class UnionFind:
-    """Union-find with path compression; tracks the component count."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.count = size
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-            self.count -= 1
+# 8-neighbour connectivity: cells touching only at a corner are connected
+_EIGHT_NEIGHBOURS = np.ones((3, 3), dtype=bool)
 
 
 def connected_components(mask: np.ndarray) -> int:
-    """Number of 8-connected components of a 2D boolean mask (union-find on row runs)."""
-    mask = np.asarray(mask, dtype=bool)
-    runs = []  # (row, start, stop) per run, in scan order
-    row_first = []  # index of first run of each row
-    for i in range(mask.shape[0]):
-        row_first.append(len(runs))
-        row = mask[i]
-        d = np.diff(row.astype(np.int8))
-        starts = list(np.flatnonzero(d == 1) + 1)
-        stops = list(np.flatnonzero(d == -1) + 1)
-        if row[0]:
-            starts.insert(0, 0)
-        if row[-1]:
-            stops.append(row.size)
-        runs.extend((i, a, b) for a, b in zip(starts, stops))
-    row_first.append(len(runs))
-
-    uf = UnionFind(len(runs))
-    for i in range(1, mask.shape[0]):
-        prev = range(row_first[i - 1], row_first[i])
-        cur = range(row_first[i], row_first[i + 1])
-        for rc in cur:
-            _, a, b = runs[rc]
-            for rp in prev:
-                _, c, d_ = runs[rp]
-                # diagonal contact counts, so runs interact when the
-                # intervals [a, b) and [c-1, d+1) overlap
-                if c - 1 < b and a < d_ + 1:
-                    uf.union(rc, rp)
-    return uf.count if runs else 0
+    """Number of 8-connected components of a 2D boolean mask."""
+    return int(ndimage.label(np.asarray(mask, dtype=bool),
+                             structure=_EIGHT_NEIGHBOURS)[1])
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
-"""Independent brute-force homology oracle used only by the tests.
+"""Independent oracles used only by the tests.
 
-Works on the face closure of a 2D cell mask drawn on a fine pixel
-canvas: each unit cell becomes a 2x2 pixel block plus shared boundary
-pixels, so the canvas is the actual point set of the closed cubical
-set.  beta_0 is 8-connected flood fill on the canvas (closed sets touch
-through corners); beta_1 counts bounded complement regions by
-4-connected flood fill from the canvas border (open complement does not
-pass through corners).
+The brute-force homology oracle works on the face closure of a 2D cell
+mask drawn on a fine pixel canvas: each unit cell becomes a 2x2 pixel
+block plus shared boundary pixels, so the canvas is the actual point set
+of the closed cubical set.  beta_0 is 8-connected flood fill on the
+canvas (closed sets touch through corners); beta_1 counts bounded
+complement regions by 4-connected flood fill from the canvas border
+(open complement does not pass through corners).
+
+The second half keeps the slow, straightforward formulations of the 2D
+evaluator, the dyadic sweeps and the component count, which the library
+replaced with fused code; the equivalence tests compare against them.
 """
 
 from collections import deque
@@ -62,3 +66,207 @@ def betti_bruteforce(cells: np.ndarray) -> tuple:
     comp = ~np.pad(canvas, 1)
     total = _flood_count(comp, diagonal=False)
     return b0, total - 1
+
+
+# ---------------------------------------------------------------------------
+# Slow reference paths
+
+
+def eval_2d_einsum(r, x1, x2):
+    """Pointwise 2D evaluation as four einsum contractions."""
+    coeffs = r.coeffs
+    k = np.arange(coeffs.K + 1)
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    p1 = 2.0 * np.pi * np.multiply.outer(x1, k) / coeffs.L
+    p2 = 2.0 * np.pi * np.multiply.outer(x2, k) / coeffs.L
+    c1, s1 = np.cos(p1), np.sin(p1)
+    c2, s2 = np.cos(p2), np.sin(p2)
+    a = coeffs.a
+    out = (
+        np.einsum("...k,kl,...l->...", c1, a * r.g[:, :, 0], c2)
+        + np.einsum("...k,kl,...l->...", c1, a * r.g[:, :, 1], s2)
+        + np.einsum("...k,kl,...l->...", s1, a * r.g[:, :, 2], c2)
+        + np.einsum("...k,kl,...l->...", s1, a * r.g[:, :, 3], s2)
+    )
+    return out if out.shape else float(out)
+
+
+def evaluate_grid_2d(r, x1, x2):
+    """Tensor-grid evaluation as four matrix products and three full adds."""
+    coeffs = r.coeffs
+    k = np.arange(coeffs.K + 1)
+    p1 = 2.0 * np.pi * np.outer(x1, k) / coeffs.L
+    p2 = 2.0 * np.pi * np.outer(x2, k) / coeffs.L
+    c1, s1 = np.cos(p1), np.sin(p1)
+    c2, s2 = np.cos(p2), np.sin(p2)
+    a = coeffs.a
+    return (
+        c1 @ (a * r.g[:, :, 0]) @ c2.T
+        + c1 @ (a * r.g[:, :, 1]) @ s2.T
+        + s1 @ (a * r.g[:, :, 2]) @ c2.T
+        + s1 @ (a * r.g[:, :, 3]) @ s2.T
+    )
+
+
+def sign_array(values, zero_tol):
+    """int8 signs (+1, -1, 0 for zero-flagged) and the zero-flag count."""
+    signs = np.zeros(values.shape, dtype=np.int8)
+    signs[values > zero_tol] = 1
+    signs[values < -zero_tol] = -1
+    return signs, int(np.count_nonzero(signs == 0))
+
+
+def codes_2d(positive, x0, y0, h, nx, ny):
+    """9-bit stencil codes for subsquares with corners (x0 + 2h*i, y0 + 2h*j)."""
+    codes = np.zeros((nx, ny), dtype=np.int16)
+    bit = 0
+    for a in range(3):
+        for b in range(3):
+            sl = positive[
+                x0 + a * h : x0 + a * h + 2 * h * (nx - 1) + 1 : 2 * h,
+                y0 + b * h : y0 + b * h + 2 * h * (ny - 1) + 1 : 2 * h,
+            ]
+            codes |= sl.astype(np.int16) << bit
+            bit += 1
+    return codes
+
+
+def _pattern_ids_for_code(code, lib):
+    values = [1 if code & (1 << i) else -1 for i in range(9)]
+    return [p.id for p in lib.closure if p.matches(values)]
+
+
+_MAX_VIOLATIONS = 200
+
+
+def square_outcome(r, square, D, lib, zero_tol, shifts, collect_all):
+    """Single-square dyadic sweep: B (shifts=False) or I (shifts=True)."""
+    from nodalcheck.admissibility import ValidationOutcome
+
+    corner, delta = square
+    cx, cy = float(corner[0]), float(corner[1])
+    unit = 1 << (D + 1)
+    margin = unit // 2 if shifts else 0
+    total = unit + 2 * margin
+    step = delta / unit
+    xs = cx - margin * step + np.arange(total + 1) * step
+    ys = cy - margin * step + np.arange(total + 1) * step
+    signs, zeros = sign_array(evaluate_grid_2d(r, xs, ys), zero_tol)
+    if zeros:
+        return ValidationOutcome("Degenerate", D, zero_flag_count=zeros)
+    positive = signs > 0
+    table = lib.forbidden_table()
+    offsets = [(0, 0)]
+    violations = []
+    for n in range(D + 1):
+        h = 1 << (D - n)
+        nside = 1 << n
+        if shifts:
+            offsets = [(0, 0), (h, 0), (-h, 0), (0, h), (0, -h)]
+        for ox, oy in offsets:
+            codes = codes_2d(positive, margin + ox, margin + oy, h, nside, nside)
+            for i, j in np.argwhere(table[codes]):
+                for pid in _pattern_ids_for_code(int(codes[i, j]), lib):
+                    violations.append(((int(i), int(j)), n, pid))
+        if violations and not collect_all:
+            break
+    if violations:
+        return ValidationOutcome("NotCertified", D,
+                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]))
+    return ValidationOutcome("Certified", D)
+
+
+def validate_2d(r, M, D, zero_tol, collect_all, coll):
+    """Whole-grid sweep with one code array per stencil offset and level."""
+    from nodalcheck.admissibility import ValidationOutcome
+
+    L = r.coeffs.L
+    unit = 1 << (D + 1)
+    G = M * unit
+    xs = np.arange(G + 1) * (L / G)
+    signs, zeros = sign_array(evaluate_grid_2d(r, xs, xs), zero_tol)
+    if zeros:
+        return ValidationOutcome("Degenerate", D, zero_flag_count=zeros)
+    positive = signs > 0
+    table_b = coll.B.forbidden_table()
+    lib_i = coll.I
+    table_i = lib_i.forbidden_table()
+    violations = []
+    for n in range(D + 1):
+        h = 1 << (D - n)
+        nside = M * (1 << n)
+        codes = codes_2d(positive, 0, 0, h, nside, nside)
+        parent = np.arange(nside) // (1 << n)
+        on_edge = (parent == 0) | (parent == M - 1)
+        boundary = on_edge[:, None] | on_edge[None, :]
+        for i, j in np.argwhere(table_b[codes] & boundary):
+            sq = (int(parent[i]), int(parent[j]))
+            for pid in _pattern_ids_for_code(int(codes[i, j]), coll.B):
+                violations.append((sq, n, pid))
+        interior = ~boundary
+        for ox, oy in ((0, 0), (h, 0), (-h, 0), (0, h), (0, -h)):
+            i0, i1 = (1 if ox < 0 else 0), (nside - 1 if ox > 0 else nside)
+            j0, j1 = (1 if oy < 0 else 0), (nside - 1 if oy > 0 else nside)
+            codes_s = codes_2d(positive, i0 * 2 * h + ox, j0 * 2 * h + oy,
+                               h, i1 - i0, j1 - j0)
+            for i, j in np.argwhere(table_i[codes_s] & interior[i0:i1, j0:j1]):
+                sq = (int(parent[i0 + i]), int(parent[j0 + j]))
+                for pid in _pattern_ids_for_code(int(codes_s[i, j]), lib_i):
+                    violations.append((sq, n, pid))
+        if violations and not collect_all:
+            break
+    if violations:
+        return ValidationOutcome("NotCertified", D,
+                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]))
+    return ValidationOutcome("Certified", D)
+
+
+class UnionFind:
+    """Union-find with path compression; tracks the component count."""
+
+    def __init__(self, size):
+        self.parent = list(range(size))
+        self.count = size
+
+    def find(self, i):
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[rj] = ri
+            self.count -= 1
+
+
+def connected_components_runs(mask):
+    """8-connected component count by union-find over row runs."""
+    mask = np.asarray(mask, dtype=bool)
+    runs = []
+    row_first = []
+    for i in range(mask.shape[0]):
+        row_first.append(len(runs))
+        row = mask[i]
+        d = np.diff(row.astype(np.int8))
+        starts = list(np.flatnonzero(d == 1) + 1)
+        stops = list(np.flatnonzero(d == -1) + 1)
+        if row[0]:
+            starts.insert(0, 0)
+        if row[-1]:
+            stops.append(row.size)
+        runs.extend((i, a, b) for a, b in zip(starts, stops))
+    row_first.append(len(runs))
+    uf = UnionFind(len(runs))
+    for i in range(1, mask.shape[0]):
+        for rc in range(row_first[i], row_first[i + 1]):
+            _, a, b = runs[rc]
+            for rp in range(row_first[i - 1], row_first[i]):
+                _, c, d_ = runs[rp]
+                if c - 1 < b and a < d_ + 1:
+                    uf.union(rc, rp)
+    return uf.count if runs else 0

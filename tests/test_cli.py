@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
+from nodalcheck.admissibility import validate_1d
 from nodalcheck.cli import (EXIT_ERROR, EXIT_NOT_CERTIFIED, EXIT_OK,
                             build_parser, main)
+from nodalcheck.cubical import sign_grid
+from nodalcheck.experiments import default_zero_tol
+from nodalcheck.fields import Realization1D, realization_to_json, trig_coeffs
 
 
 def run(capsys, *argv):
@@ -163,7 +168,50 @@ class TestParser:
                      "orthant", "patterns", "experiment"):
             assert name in help_text
 
-    def test_threads_accepted(self, capsys):
-        code, _ = run(capsys, "--threads", "4", "bound", "--dim", "1",
-                      "--N", "3", "--M", "20")
+    def test_threads_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "4", "bound", "--dim", "1", "--N", "3",
+                  "--M", "20"])
+        assert exc.value.code == 2
+
+
+class TestZeroTol:
+    """Without --zero-tol, grid/betti/validate flag |u| <= 1e-12 sqrt(A0)."""
+
+    @pytest.fixture
+    def near_zero(self, tmp_path):
+        # u(0) = g[2] + g[4] = 2^-50: flagged by the default tolerance,
+        # positive for --zero-tol 0
+        coeffs = trig_coeffs(1, 2)
+        g = np.array([0.0, 0.3, 1.0, 0.7, -1.0 + 2.0**-50])
+        r = Realization1D(coeffs=coeffs, g=g, seed=0)
+        path = tmp_path / "r.json"
+        path.write_text(realization_to_json(r))
+        return r, str(path)
+
+    def test_default_is_default_zero_tol(self, capsys, near_zero):
+        r, path = near_zero
+        tol = default_zero_tol(r.coeffs)
+        code, out = run(capsys, "grid", "--realization", path, "--M", "8")
         assert code == EXIT_OK
+        assert json.loads(out) == json.loads(sign_grid(r, 8, tol).to_json())
+        assert json.loads(out)["rows"][0][0] == "0"
+        code, out = run(capsys, "validate", "--realization", path,
+                        "--M", "8", "--D", "2")
+        want = validate_1d(r, 8, 2, tol)
+        assert want.status == "Degenerate"
+        assert json.loads(out)["zero_flag_count"] == want.zero_flag_count
+        code, out = run(capsys, "betti", "--realization", path, "--M", "8")
+        assert json.loads(out)["zero_count"] == sign_grid(r, 8, tol).zero_count
+
+    def test_zero_means_exact_zeros_only(self, capsys, near_zero):
+        _, path = near_zero
+        code, out = run(capsys, "grid", "--realization", path, "--M", "8",
+                        "--zero-tol", "0")
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"][0][0] == "+"
+
+    def test_help_names_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["validate", "--help"])
+        assert "1e-12*sqrt(A0)" in capsys.readouterr().out

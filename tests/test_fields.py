@@ -104,7 +104,7 @@ class TestEvaluate:
     def test_grid_matches_pointwise(self):
         c = trig_coeffs(2, 3)
         r = draw_realization(c, 11)
-        xs = np.linspace(0, c.L, 7)
+        xs = np.linspace(0, c.L, 150)  # several evaluation bands
         ys = np.linspace(0, c.L, 5)
         grid = evaluate_grid_2d(r, xs, ys)
         for i, x in enumerate(xs):
