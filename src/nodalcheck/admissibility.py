@@ -5,7 +5,9 @@ midpoints, center).  A stencil of strict signs is encoded as a 9-bit
 integer (bit i set iff position i is positive, row-major), and each
 pattern library is compiled to a 512-entry lookup table, so dyadic
 sweeps over millions of subsquares reduce to strided slicing plus a
-table lookup.
+table lookup.  Subsquares on which a Taylor bound proves the field
+sign-definite hold only the uniform codes 0 and 511, which no pattern
+may forbid, so the whole-grid check evaluates and sweeps only the rest.
 
 Admissibility in the source definitions quantifies over all dyadic
 levels; a machine checks finitely many, so ``Certified`` here always
@@ -21,10 +23,10 @@ from importlib import resources
 
 import numpy as np
 
-from .fields import Realization1D, Realization2D, classify_grid_2d
+from .fields import (Realization1D, Realization2D, classify_grid_2d,
+                     sign_definite_2d, window_classifier_2d)
 
 __all__ = [
-    "Stencil",
     "SignPattern",
     "PatternLibrary",
     "PatternCollection",
@@ -35,7 +37,6 @@ __all__ = [
     "load_patterns",
     "default_patterns",
     "count_surviving",
-    "forbidden_in_stencil",
     "b_admissible",
     "i4_admissible",
     "i5_admissible",
@@ -60,21 +61,6 @@ _B_BIT, _I_BIT = 1, 2  # bits of PatternCollection.code_table
 
 class DegenerateSampleError(ValueError):
     """A sample needed by an admissibility check is zero-flagged."""
-
-
-@dataclass(frozen=True)
-class Stencil:
-    """Signs at a Line3 (3 collinear points) or Grid3x3 (row-major 9 points) stencil."""
-
-    kind: str
-    values: tuple
-
-    def __post_init__(self):
-        expected = {"Line3": 3, "Grid3x3": 9}
-        if self.kind not in expected:
-            raise ValueError("kind must be Line3 or Grid3x3")
-        if len(self.values) != expected[self.kind]:
-            raise ValueError(f"{self.kind} stencil needs {expected[self.kind]} values")
 
 
 # the dihedral group of the square acting on row-major 3x3 positions
@@ -350,25 +336,6 @@ def count_surviving(lib: PatternLibrary) -> int:
     return int(512 - np.count_nonzero(lib.forbidden_table()))
 
 
-def _stencil_code(values) -> int:
-    code = 0
-    for i, v in enumerate(values):
-        if v == 0:
-            raise DegenerateSampleError("zero-flagged sample in stencil")
-        if v > 0:
-            code |= 1 << i
-    return code
-
-
-def forbidden_in_stencil(values, lib: PatternLibrary) -> list:
-    """Ids of every closed-library pattern matched by the 9 stencil signs."""
-    if len(values) != 9:
-        raise ValueError("a Grid3x3 stencil has 9 values")
-    _stencil_code(values)  # raises on zero-flagged input
-    signs = [1 if v > 0 else -1 for v in values]
-    return [p.id for p in lib.closure if p.matches(signs)]
-
-
 # ---------------------------------------------------------------------------
 # Dyadic sweeps over squares
 
@@ -380,68 +347,78 @@ _MAX_VIOLATIONS = 200
 
 
 def _level_codes(positive: np.ndarray, h: int) -> np.ndarray:
-    """9-bit stencil codes at every stencil corner of ``positive[::h, ::h]``.
+    """9-bit stencil codes at every stencil corner of ``positive[..., ::h, ::h]``.
 
-    Entry (a, b) encodes the 3x3 block with corner (a, b) of the
+    Entry (..., a, b) encodes the 3x3 block with corner (a, b) of the
     subsampled grid: bit 3r + c is set iff point (a + r, b + c) is
-    positive, the row-major order of the pattern masks.  Built
-    separably, 3-bit codes along the second axis first.
+    positive, the row-major order of the pattern masks.  Leading axes,
+    if any, are carried along.  Built separably, 3-bit codes along the
+    last axis first.
     """
-    p = positive[::h, ::h].view(np.uint8)
-    rows = p[:, 2:] << 1
-    rows |= p[:, 1:-1]
+    p = positive[..., ::h, ::h].view(np.uint8)
+    rows = p[..., 2:] << 1
+    rows |= p[..., 1:-1]
     rows <<= 1
-    rows |= p[:, :-2]
-    codes = rows[2:].astype(np.uint16)
+    rows |= p[..., :-2]
+    codes = rows[..., 2:, :].astype(np.uint16)
     codes <<= 3
-    codes |= rows[1:-1]
+    codes |= rows[..., 1:-1, :]
     codes <<= 3
-    codes |= rows[:-2]
+    codes |= rows[..., :-2, :]
     return codes
 
 
 def _matched(hits: np.ndarray, codes: np.ndarray, lib: PatternLibrary,
              first: int, n: int) -> list:
-    """``((first + i, first + j), n, pattern_id)`` per hit (i, j) and matched pattern."""
-    return [((first + int(i), first + int(j)), n, pid)
-            for i, j in zip(*np.nonzero(hits))
-            for pid in lib.pattern_ids(int(codes[i, j]))]
+    """``((*w, first + i, first + j), n, pattern_id)`` per hit (*w, i, j) and match."""
+    found = []
+    for at in zip(*np.nonzero(hits)):
+        *w, i, j = map(int, at)
+        found += [((*w, first + i, first + j), n, pid)
+                  for pid in lib.pattern_ids(int(codes[at]))]
+    return found
 
 
 def _sweep(positive: np.ndarray, nsq: int, ring: int, margin: int, D: int,
-           coll: PatternCollection, collect_all: bool) -> list:
-    """Forbidden-pattern matches of a block of grid squares, levels 0..D.
+           coll: PatternCollection, collect_all: bool,
+           last: int | None = None) -> list:
+    """Forbidden-pattern matches of a block of grid squares, levels 0..last.
 
     ``positive`` covers a window holding nsq x nsq grid squares of
-    2^(D+1) fine steps each, ``margin`` fine steps in from its edges.
-    Squares in the outer ``ring`` layers are checked for B-admissibility
-    (own stencils), the others for I-admissibility (own stencils plus the
-    four half-side shifts, which need half a subsquare of window around
-    them).  Returns ``((i, j), n, pattern_id)`` per match, (i, j) the
-    level-n subsquare, and stops after the first level with a match
-    unless ``collect_all`` is set.
+    2^(D+1) fine steps each, ``margin`` fine steps in from its edges;
+    leading axes, if any, stack such windows.  Squares in the outer
+    ``ring`` layers are checked for B-admissibility (own stencils), the
+    others for I-admissibility (own stencils plus the four half-side
+    shifts; those reach half a square out, so the margin is either 0,
+    when they stay inside the block, or half a square).  Returns ``((*w, i, j), n, pattern_id)`` per match, w the
+    window and (i, j) the level-n subsquare, and stops after the first
+    level with a match unless ``collect_all`` is set.  ``last`` defaults
+    to D, the deepest level.
 
     Each level computes one code array and one table lookup; own stencils
     sit at its even/even entries, the x- and y-shifts at the odd/even and
-    even/odd entries between two subsquares, which share them.
+    even/odd entries between two subsquares, which share them.  The array
+    reaches into the margin only as far as the level's shifts do.
     """
     found = []
-    for n in range(D + 1):
+    for n in range((D if last is None else last) + 1):
         h = 1 << (D - n)
-        codes = _level_codes(positive, h)
-        flags = coll.code_table[codes]
+        crop = margin - min(margin, h)
+        codes = _level_codes(positive[..., crop:positive.shape[-2] - crop,
+                                      crop:positive.shape[-1] - crop], h)
+        flags = np.take(coll.code_table, codes)
         if flags.any():
-            m, nside, lo = margin // h, nsq << n, ring << n
+            m, nside, lo = (margin - crop) // h, nsq << n, ring << n
             hi = nside - lo  # subsquares [lo, hi)^2 are I-checked
             own = slice(m, m + 2 * nside - 1, 2)
-            b_hits = (flags[own, own] & _B_BIT).astype(bool)
-            b_hits[lo:hi, lo:hi] = False
-            found += _matched(b_hits, codes[own, own], coll.B, 0, n)
+            b_hits = (flags[..., own, own] & _B_BIT).astype(bool)
+            b_hits[..., lo:hi, lo:hi] = False
+            found += _matched(b_hits, codes[..., own, own], coll.B, 0, n)
             for dr, dc in _I_STENCILS if hi > lo else ():
                 rows = slice(m + 2 * lo + dr, m + 2 * hi - 1 + dr, 2)
                 cols = slice(m + 2 * lo + dc, m + 2 * hi - 1 + dc, 2)
-                found += _matched(flags[rows, cols] & _I_BIT,
-                                  codes[rows, cols], coll.I, lo, n)
+                found += _matched(flags[..., rows, cols] & _I_BIT,
+                                  codes[..., rows, cols], coll.I, lo, n)
         if found and not collect_all:
             break
     return found
@@ -566,6 +543,59 @@ def boundary_square_count(M: int) -> int:
     return M * M - (M - 2) * (M - 2)
 
 
+# Pruning unit: the subsquares of level n0, _PRUNE_STEPS fine steps wide
+# (the grid squares themselves when those are narrower).  Windows are
+# evaluated and swept in stacks of at most _WINDOWS.
+_PRUNE_STEPS = 8
+_WINDOWS = 1024
+
+
+def _windows(own: np.ndarray, a: np.ndarray, b: np.ndarray,
+             level: np.ndarray, per_square: int):
+    """Yield ``(positive, a, b, ring, margin)``: stacks of windows for ``_sweep``.
+
+    The windows are level-n0 subsquares (a, b), S = own.shape[-1] - 1
+    fine steps wide, ``per_square`` of them across a grid square.
+    ``own`` holds the evaluated closed blocks of the subsquares (a, b)
+    with ``level`` 0; every other block is constant, the sign of
+    ``level``.  B windows are the evaluated subsquares of boundary grid
+    squares, their blocks alone.  I windows are the subsquares of
+    interior grid squares not sign-definite on their halo (|level| < 2),
+    with S/2 margins that are read from the neighbouring blocks.
+    """
+    Q, S = len(level), own.shape[-1] - 1
+
+    def interior(t):
+        return (t >= per_square) & (t < Q - per_square)
+
+    edge = np.flatnonzero(~(interior(a) & interior(b)))
+    for k in range(0, len(edge), _WINDOWS):
+        sel = edge[k:k + _WINDOWS]
+        yield own[sel], a[sel], b[sel], 1, 0
+
+    # S x S blocks, the closing row and column left to the next block:
+    # the evaluated ones, then all-negative and all-positive.  A row of a
+    # block is read as one unsigned integer of S bytes, so that the
+    # mosaics below are gathered and transposed S points at a time.
+    blocks = np.concatenate((own[:, :S, :S], np.zeros((1, S, S), dtype=bool),
+                             np.ones((1, S, S), dtype=bool)))
+    block_rows = blocks.view(f"u{S}")[..., 0]
+    index = np.where(level > 0, len(own) + 1, len(own))
+    index[a, b] = np.arange(len(own))
+    inner = interior(np.arange(Q))
+    ia, ib = np.nonzero((np.abs(level) < 2) & inner[:, None] & inner)
+    near = np.arange(-1, 2)
+    window = slice(S // 2, S // 2 + 2 * S + 1)
+    for k in range(0, len(ia), _WINDOWS):
+        wa, wb = ia[k:k + _WINDOWS], ib[k:k + _WINDOWS]
+        # the 3S x 3S mosaic of the block and its eight neighbours
+        rows = block_rows[index[wa[:, None, None] + near[:, None],
+                                wb[:, None, None] + near]]
+        mosaic = np.ascontiguousarray(rows.transpose(0, 1, 3, 2)).view(bool)
+        mosaic = mosaic.reshape(-1, 3 * S, 3 * S)
+        yield mosaic[:, window, window], wa, wb, 0, S // 2
+
+
 def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
                 collect_all: bool = False,
                 patterns: PatternCollection | None = None) -> ValidationOutcome:
@@ -573,17 +603,71 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
 
     Boundary-touching grid squares must be B-admissible and interior
     squares I-admissible (with their four half-shifts), all samples
-    nonzero, down to depth D.  The sweep is vectorized over the global
-    fine grid of M * 2^(D+1) steps per axis and stops at the first
-    violating level unless ``collect_all`` is set.
+    nonzero, down to depth D, on the fine grid of G = M * 2^(D+1) steps
+    per axis.  The sweep stops at the first violating level unless
+    ``collect_all`` is set.
+
+    No full fine grid is formed.  With S = min(8, 2^(D+1)), levels
+    below n0 = D + 1 - log2(S) are swept on the grid of every S-th fine
+    point.  A Taylor bound at the centre of each level-n0 subsquare
+    (S fine steps wide) proves most of them sign-definite on the closed
+    subsquare, and most of those also on its S/2 halo, which the
+    half-side shifts reach.  Fine points are evaluated only in the
+    subsquares not proven on their own square, which gives the exact
+    zero-flag count.  Levels n0..D are swept on windows around the
+    subsquares not proven with their halo; the others and their
+    descendants hold only the uniform stencils, which no pattern may
+    forbid.  The outcome is the one the full sweep gives.
     """
     if M < 3:
         raise ValueError("M must be at least 3 so that interior squares exist")
-    G = M << (D + 1)
-    xs = np.arange(G + 1) * (r.coeffs.L / G)
-    positive, zeros = classify_grid_2d(r, xs, xs, zero_tol)
+    if D < 0:
+        raise ValueError("depth D must be nonnegative")
+    coll = patterns or default_patterns()
+    if coll.code_table[0] or coll.code_table[511]:
+        raise ValueError("a pattern forbids a uniform stencil, so sign-definite "
+                         "subsquares cannot be skipped")
+    unit = 1 << (D + 1)
+    S = min(_PRUNE_STEPS, unit)
+    n0 = D + 2 - S.bit_length()
+    G = M * unit
+    step = r.coeffs.L / G
+    xs = np.arange(G + 1) * step
+    # |level| 1: sign-definite on the closed subsquare, 2: with its halo
+    level = sign_definite_2d(r, xs[S // 2::S], xs[S // 2::S],
+                             (S / 2 * step, S * step), zero_tol)
+    a, b = np.nonzero(level == 0)
+    classify = window_classifier_2d(r, xs, xs, S + 1, zero_tol)
+    own = np.empty((len(a), S + 1, S + 1), dtype=bool)
+    zeros = 0
+    for k in range(0, len(a), _WINDOWS):
+        sel = slice(k, k + _WINDOWS)
+        own[sel], flagged = classify(a[sel] * S, b[sel] * S)
+        # count each fine point once: the closing row and column of a
+        # block belong to the next block, except at the far edge
+        flagged[a[sel] < len(level) - 1, S] = False
+        flagged[b[sel] < len(level) - 1, :, S] = False
+        zeros += int(np.count_nonzero(flagged))
     if zeros:
         return ValidationOutcome(DEGENERATE, D, zero_flag_count=zeros)
-    found = _sweep(positive, M, 1, 0, D, patterns or default_patterns(),
-                   collect_all)
-    return _verdict(D, [((i >> n, j >> n), n, pid) for (i, j), n, pid in found])
+
+    found = []
+    if n0:
+        coarse, _ = classify_grid_2d(r, xs[::S], xs[::S], zero_tol)
+        found = [((i >> n, j >> n), n, pid) for (i, j), n, pid
+                 in _sweep(coarse, M, 1, 0, n0 - 1, coll, collect_all)]
+    if found and not collect_all:
+        return _verdict(D, found)
+    depth = S.bit_length() - 2  # window levels 0..depth are n0..D
+    deepest = depth
+    for positive, wa, wb, ring, margin in _windows(own, a, b, level,
+                                                  1 << n0):
+        found += [((int(wa[w]) >> n0, int(wb[w]) >> n0), n0 + n, pid)
+                  for (w, _, _), n, pid in _sweep(positive, 1, ring, margin,
+                                                  depth, coll, collect_all,
+                                                  deepest)]
+        if found and not collect_all:
+            # later stacks need only the first violating level so far
+            deepest = min(n for _, n, _ in found) - n0
+            found = [v for v in found if v[1] == n0 + deepest]
+    return _verdict(D, found)

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "CoeffSeq1D",
@@ -31,6 +32,8 @@ __all__ = [
     "draw_realization",
     "evaluate",
     "classify_grid_2d",
+    "window_classifier_2d",
+    "sign_definite_2d",
     "spectral_moments",
     "covariance",
     "coeffs_to_json",
@@ -276,10 +279,46 @@ def _trig_block(coeffs, x) -> np.ndarray:
     return np.concatenate((np.cos(phase), np.sin(phase)), axis=-1)
 
 
+def _frequencies(coeffs) -> np.ndarray:
+    """The angular frequency 2 pi k / L of each column of A(x)."""
+    return np.tile(2.0 * np.pi * np.arange(coeffs.K + 1) / coeffs.L, 2)
+
+
+def _trig_derivative(coeffs, A: np.ndarray) -> np.ndarray:
+    """dA/dx = (2 pi k / L) [-sin | cos](2 pi k x / L), from A(x) = [cos | sin]."""
+    cos, sin = np.split(A, 2, axis=-1)
+    return np.concatenate((-sin, cos), axis=-1) * _frequencies(coeffs)
+
+
 def _weight_block(r: Realization2D) -> np.ndarray:
     """W = [[a g0, a g1], [a g2, a g3]], so that u(x1, x2) = A(x1) W A(x2)^T."""
     ag = r.coeffs.a[:, :, None] * r.g
     return np.block([[ag[:, :, 0], ag[:, :, 1]], [ag[:, :, 2], ag[:, :, 3]]])
+
+
+def _hessian_bounds(r: Realization2D) -> tuple:
+    """(H11, H12, H22): bounds on |d2u/dx1^2|, |d2u/dx1dx2|, |d2u/dx2^2| everywhere.
+
+    Entry (p, q) of W multiplies a product of two trig functions of
+    frequencies omega k_p and omega k_q (omega = 2 pi / L), so
+    H11 = sum (omega k_p)^2 |W_pq|, H12 = sum omega^2 k_p k_q |W_pq| and
+    H22 = sum (omega k_q)^2 |W_pq|.
+    """
+    w, omega = np.abs(_weight_block(r)), _frequencies(r.coeffs)
+    return (float(omega**2 @ w.sum(axis=1)), float(omega @ w @ omega),
+            float(w.sum(axis=0) @ omega**2))
+
+
+# Each computed value of u is a sum of 2(K+1) products of entries of W
+# with trig values whose phases reach 2 pi K, so its rounding error is a
+# small multiple of (K+1) * 1e-16 * sum |W|.  The bound below leaves a
+# factor of about 1e3 on top of that.
+_ROUNDING = 1e-12
+
+
+def _rounding_bound(r: Realization2D) -> float:
+    """Bound on the rounding error of any value of u computed in this module."""
+    return _ROUNDING * (r.coeffs.K + 1) * float(np.abs(_weight_block(r)).sum())
 
 
 def _eval_2d(r: Realization2D, x1, x2):
@@ -347,6 +386,78 @@ def classify_grid_2d(r: Realization2D, x1, x2, zero_tol: float,
         if flagged is not None:
             np.logical_not(pos | neg, out=flagged[rows])
     return positive, zeros
+
+
+def window_classifier_2d(r: Realization2D, x1, x2, size: int, zero_tol: float):
+    """Sign classes of a 2D realization on stacks of windows of the grid x1 (x) x2.
+
+    Returns ``classify(i, j) -> (positive, flagged)``.  Window w is the
+    size x size tensor grid ``x1[i[w]:i[w] + size] (x) x2[j[w]:j[w] + size]``;
+    both results are (n, size, size) booleans with the zero-flag rule of
+    :func:`classify_grid_2d`.  The factors A(x1) W and A(x2)^T are formed
+    once; each window is the block product of a run of rows of the one
+    and of columns of the other.
+    """
+    if zero_tol < 0:
+        raise ValueError("zero_tol must be nonnegative")
+    left = _trig_block(r.coeffs, x1) @ _weight_block(r)
+    right = np.ascontiguousarray(_trig_block(r.coeffs, x2).T)
+    # runs[i] = left[i:i + size] and columns[j] = right[:, j:j + size], as views
+    runs = sliding_window_view(left, size, axis=0).transpose(0, 2, 1)
+    columns = sliding_window_view(right, size, axis=1).transpose(1, 0, 2)
+
+    def classify(i, j):
+        values = np.matmul(runs[i], columns[j])
+        positive = values > zero_tol
+        flagged = values < -zero_tol
+        flagged |= positive
+        return positive, np.logical_not(flagged, out=flagged)
+
+    return classify
+
+
+def _jet_bands(r: Realization2D, x1, x2):
+    """Yield ``(rows, u, du/dx1, du/dx2)`` on the tensor grid x1 (x) x2, band by band."""
+    W = _weight_block(r)
+    A1, A2 = _trig_block(r.coeffs, x1), _trig_block(r.coeffs, x2)
+    left, dleft = A1 @ W, _trig_derivative(r.coeffs, A1) @ W
+    right, dright = A2.T, _trig_derivative(r.coeffs, A2).T
+    for start in range(0, len(left), _BAND_ROWS):
+        rows = slice(start, start + _BAND_ROWS)
+        yield rows, left[rows] @ right, dleft[rows] @ right, left[rows] @ dright
+
+
+def sign_definite_2d(r: Realization2D, x1, x2, radii, zero_tol: float) -> np.ndarray:
+    """How far u provably keeps its sign around each point of the grid x1 (x) x2.
+
+    Entry (i, j) of the int8 result is s * m, where m counts the
+    ``radii`` rho for which every value of u within sup-distance rho of
+    c = (x1[i], x2[j]), as this module computes it, exceeds ``zero_tol``
+    in magnitude, and s is the sign of u(c).  0 means undecided at
+    every radius; a NaN value is never decided.
+
+    The proof is the second-order Taylor bound
+    |u(c + d) - u(c)| <= (|du/dx1(c)| + |du/dx2(c)|) rho
+    + rho^2 (H11 + 2 H12 + H22) / 2 for |d|_inf <= rho, with the global
+    bounds of :func:`_hessian_bounds`, plus twice the rounding bound:
+    once for u(c) and once for the value at c + d.
+    """
+    if zero_tol < 0:
+        raise ValueError("zero_tol must be nonnegative")
+    H11, H12, H22 = _hessian_bounds(r)
+    curvature = 0.5 * (H11 + 2.0 * H12 + H22)
+    slack = zero_tol + 2.0 * _rounding_bound(r)
+    out = np.zeros((len(x1), len(x2)), dtype=np.int8)
+    for rows, u, d1, d2 in _jet_bands(r, x1, x2):
+        grad = np.abs(d1, out=d1)
+        grad += np.abs(d2, out=d2)
+        excess = np.abs(u) - slack
+        band = out[rows]
+        for rho in radii:
+            # written as "exceeds", so NaN on either side stays undecided
+            band += excess > grad * rho + curvature * rho * rho
+        np.negative(band, out=band, where=u < 0)
+    return out
 
 
 def spectral_moments(coeffs):

@@ -270,3 +270,18 @@ def connected_components_runs(mask):
                 if c - 1 < b and a < d_ + 1:
                     uf.union(rc, rp)
     return uf.count if runs else 0
+
+
+def validate_2d_dense(r, M, D, zero_tol, collect_all, coll):
+    """The dense whole-grid path: classify every fine point, then one sweep."""
+    from nodalcheck.admissibility import (ValidationOutcome, _sweep,
+                                          _verdict)
+    from nodalcheck.fields import classify_grid_2d
+
+    G = M << (D + 1)
+    xs = np.arange(G + 1) * (r.coeffs.L / G)
+    positive, zeros = classify_grid_2d(r, xs, xs, zero_tol)
+    if zeros:
+        return ValidationOutcome("Degenerate", D, zero_flag_count=zeros)
+    found = _sweep(positive, M, 1, 0, D, coll, collect_all)
+    return _verdict(D, [((i >> n, j >> n), n, pid) for (i, j), n, pid in found])

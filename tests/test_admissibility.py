@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from nodalcheck import admissibility as adm
 from nodalcheck.admissibility import (CERTIFIED, DEGENERATE, NOT_CERTIFIED,
-                                      DegenerateSampleError, PatternLibrary,
-                                      SignPattern, Stencil, ValidationOutcome,
-                                      b_admissible, boundary_square_count,
-                                      count_surviving, default_patterns,
-                                      double_crossover, forbidden_in_stencil,
+                                      DegenerateSampleError, PatternCollection,
+                                      PatternLibrary, SignPattern,
+                                      ValidationOutcome, b_admissible,
+                                      boundary_square_count, count_surviving,
+                                      default_patterns, double_crossover,
                                       i4_admissible, i5_admissible,
                                       i_admissible, interval_admissible,
                                       load_patterns, validate_1d, validate_2d)
@@ -115,31 +115,43 @@ class TestPatternLoading:
         assert all(canon <= m for m in p.orbit())
 
 
+def stencil_code(values) -> int:
+    """9-bit code of a row-major 3x3 sign stencil: bit i set iff values[i] > 0."""
+    return sum(1 << i for i, v in enumerate(values) if v > 0)
+
+
 class TestForbiddenInStencil:
+    """Pattern matches of single stencils, by their 9-bit codes."""
+
     def test_all_plus_clean(self):
-        vals = [1] * 9
         for lib in (COLL.B, COLL.I4, COLL.I5):
-            assert forbidden_in_stencil(vals, lib) == []
+            assert lib.pattern_ids(stencil_code([1] * 9)) == []
+            assert lib.pattern_ids(stencil_code([-1] * 9)) == []
 
     def test_five_point(self):
         vals = [1, 1, 1, 1, -1, 1, 1, 1, 1]  # corners +, center -
-        hits = forbidden_in_stencil(vals, COLL.I5)
+        hits = COLL.I5.pattern_ids(stencil_code(vals))
         assert hits  # matches the corner/center pattern
 
     def test_checkerboard_corners(self):
         vals = [1, 1, -1, 1, 1, 1, -1, 1, 1]  # corners +,-,-,+ cyclic
-        assert forbidden_in_stencil(vals, COLL.B)
+        assert COLL.B.pattern_ids(stencil_code(vals))
 
     def test_zero_flag_degenerate(self):
+        # an all-zero field puts zero-flagged samples on every stencil point
+        r = constant_2d(0.0)
         with pytest.raises(DegenerateSampleError):
-            forbidden_in_stencil([1, 0, 1, 1, 1, 1, 1, 1, 1], COLL.B)
+            i4_admissible(r, ((1.0, 1.0), 0.5))
 
-    def test_stencil_type(self):
-        assert Stencil(kind="Line3", values=(1, -1, 1)).kind == "Line3"
-        with pytest.raises(ValueError):
-            Stencil(kind="Line3", values=(1, -1))
-        with pytest.raises(ValueError):
-            Stencil(kind="Grid3x3", values=(1,) * 8)
+    def test_stencil_code_layout(self):
+        """The sweep's codes put point (r, c) of a stencil at bit 3r + c."""
+        for code in (0, 1, 0b100000000, 0b010101010, 511, 0b110010011):
+            positive = np.array([[bool(code >> (3 * r + c) & 1)
+                                  for c in range(3)] for r in range(3)])
+            assert adm._level_codes(positive, 1)[0, 0] == code
+            signs = [1 if code >> i & 1 else -1 for i in range(9)]
+            assert COLL.B.pattern_ids(code) == [
+                p.id for p in COLL.B.closure if p.matches(signs)]
 
 
 class TestSquareAdmissibility:
@@ -287,6 +299,36 @@ class TestValidate2D:
     def test_m_too_small(self):
         with pytest.raises(ValueError):
             validate_2d(constant_2d(), M=2, D=2)
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth"):
+            validate_2d(constant_2d(), M=4, D=-1)
+
+    def test_uniform_stencil_pattern_rejected(self):
+        """Skipping sign-definite subsquares is sound only while codes 0
+        and 511 are admissible; a library forbidding one is refused."""
+        assert not COLL.code_table[0] and not COLL.code_table[511]
+        plus = SignPattern(mask=(1,) * 9, id="all-plus")
+        # built by hand, so the checksums of load_patterns do not apply
+        coll = PatternCollection(B=PatternLibrary.build("B", (plus,)),
+                                 I4=COLL.I4, I5=COLL.I5)
+        assert coll.code_table[511] and coll.code_table[0]  # polarity closure
+        with pytest.raises(ValueError, match="uniform stencil"):
+            validate_2d(constant_2d(), M=4, D=2, patterns=coll)
+
+    def test_memory_bounded(self):
+        """No fine-grid-sized array: at M = 64, D = 6 the dense sweep's
+        positive grid, uint16 codes and flags alone take 4 * 8193^2 B,
+        about 270 MB."""
+        import tracemalloc
+        r = draw_realization(trig_coeffs(2, 3), 2)
+        tracemalloc.start()
+        try:
+            validate_2d(r, M=64, D=6, zero_tol=1e-12, collect_all=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
     def test_boundary_count(self):
         for M in (3, 5, 12):

@@ -1,17 +1,22 @@
-"""The fused 2D path against the slow reference paths kept in oracles.py.
+"""The fast 2D paths against the slow reference paths kept in oracles.py.
 
 The library evaluates the field as one banded block product, classifies
 signs band by band, and sweeps each dyadic level through one stencil-code
-array.  Every outcome must equal the straightforward formulation's, field
-for field, on many seeds, at the experiment's zero tolerance and at 0.
+array; ``validate_2d`` further skips the subsquares a Taylor bound proves
+sign-definite.  Every outcome must equal the straightforward
+formulation's, and the pruned one the dense whole-grid sweep's, field for
+field, on many seeds, at the experiment's zero tolerance and at 0.
 """
 
 import numpy as np
 import pytest
 
 import oracles
-from nodalcheck.admissibility import (b_admissible, default_patterns,
-                                      i_admissible, validate_2d)
+from nodalcheck import admissibility as adm
+from nodalcheck.admissibility import (PatternCollection, PatternLibrary,
+                                      SignPattern, b_admissible,
+                                      default_patterns, i_admissible,
+                                      validate_2d)
 from nodalcheck.cubical import sign_grid
 from nodalcheck.experiments import default_zero_tol
 from nodalcheck.fields import (Realization2D, draw_realization,
@@ -23,6 +28,8 @@ from test_homology import cosine_2d
 COLL = default_patterns()
 SEEDS = range(200)
 SIZES = ((3, 2), (5, 3), (8, 4), (3, 4), (8, 1), (5, 0))  # (M, D)
+# depths at which the sweep is pruned below level D - 2 (D >= 3)
+PRUNED_SIZES = ((3, 3), (5, 4), (8, 5), (4, 6), (6, 3), (3, 5))
 
 
 def _realizations():
@@ -50,6 +57,87 @@ def test_validate_2d_matches_oracle():
                 want = oracles.validate_2d(r, M, D, zero_tol, collect_all,
                                            COLL)
                 assert got == want, (seed, M, D, zero_tol, collect_all)
+
+
+def test_pruned_matches_dense():
+    for k, (seed, r) in enumerate(_realizations()):
+        M, D = PRUNED_SIZES[k % len(PRUNED_SIZES)]
+        for zero_tol in _tolerances(r):
+            for collect_all in (False, True):
+                got = validate_2d(r, M, D, zero_tol, collect_all)
+                want = oracles.validate_2d_dense(r, M, D, zero_tol,
+                                                 collect_all, COLL)
+                assert got == want, (seed, M, D, zero_tol, collect_all)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pruned_matches_dense_at_benchmark_size(seed):
+    """M = 32, D = 6: the criterion-6 size, 4097^2 fine points."""
+    r = draw_realization(trig_coeffs(2, 3), 1000 + seed)
+    zero_tol = default_zero_tol(r.coeffs)
+    for collect_all in (False, True):
+        got = validate_2d(r, 32, 6, zero_tol, collect_all)
+        want = oracles.validate_2d_dense(r, 32, 6, zero_tol, collect_all,
+                                         COLL)
+        assert got == want, (seed, collect_all)
+
+
+def test_pruned_matches_dense_with_halo_patterns():
+    """With the shipped library no I-forbidden stencil has two uniform rows
+    or columns, so a subsquare whose own block is sign-definite never
+    violates.  A hand-built library forbidding such a stencil (two rows of
+    +, a sign change in the third) makes those subsquares' half-side
+    shifts matter, which only the halo radius of the bound covers."""
+    notch = SignPattern(mask=(1, 1, 1, 1, 1, 1, 1, 1, -1), id="notch")
+    coll = PatternCollection(
+        B=COLL.B, I4=PatternLibrary.build("I4", COLL.I4.base_patterns + (notch,)),
+        I5=COLL.I5)
+    for seed in range(10):
+        r = draw_realization(trig_coeffs(2, 3), seed)
+        zero_tol = default_zero_tol(r.coeffs)
+        for collect_all in (False, True):
+            got = validate_2d(r, 4, 6, zero_tol, collect_all, patterns=coll)
+            want = oracles.validate_2d_dense(r, 4, 6, zero_tol, collect_all,
+                                             coll)
+            assert got == want, (seed, collect_all)
+
+
+def test_first_violating_level_across_window_stacks():
+    """Boundary windows are swept before interior ones.  Boundary square
+    (4, 3) first violates at level 2, interior squares at level 0, so
+    without collect_all only level 0 may be reported."""
+    r = draw_realization(trig_coeffs(2, 2), 201)
+    zero_tol = default_zero_tol(r.coeffs)
+    every = validate_2d(r, 5, 2, zero_tol, collect_all=True)
+    assert ((4, 3), 2) in {(sq, n) for sq, n, _ in every.violations}
+    got = validate_2d(r, 5, 2, zero_tol)
+    assert {n for _, n, _ in got.violations} == {0}
+    assert got == oracles.validate_2d_dense(r, 5, 2, zero_tol, False, COLL)
+
+
+def test_pruning_engages(monkeypatch):
+    """At a fine step of L/512, random fields leave most level-n0
+    subsquares unevaluated, so the equivalence above is not met by
+    evaluating everything."""
+    evaluated = []
+    window_classifier_2d = adm.window_classifier_2d
+
+    def counting(*args):
+        classify = window_classifier_2d(*args)
+
+        def count(i, j):
+            evaluated.append(len(i))
+            return classify(i, j)
+        return count
+
+    monkeypatch.setattr(adm, "window_classifier_2d", counting)
+    for seed in range(10):
+        r = draw_realization(trig_coeffs(2, 2 + seed % 3), seed)
+        for M, D in ((8, 6), (16, 4)):
+            evaluated.clear()
+            validate_2d(r, M, D, default_zero_tol(r.coeffs))
+            subsquares = (M << (D - 2)) ** 2  # S = 8 fine steps wide
+            assert 0 < sum(evaluated) < subsquares / 2, (seed, M, D)
 
 
 def test_square_checks_match_oracle():

@@ -12,7 +12,8 @@ from nodalcheck.fields import (CoeffSeq1D, CoeffSeq2D, Realization1D,
                                coeffs_to_json, covariance, derive_seed,
                                draw_realization, evaluate, evaluate_grid_2d,
                                realization_from_json, realization_to_json,
-                               spectral_moments, trig_coeffs)
+                               sign_definite_2d, spectral_moments,
+                               trig_coeffs, window_classifier_2d)
 
 
 def cosine_1d(L=1.0):
@@ -110,6 +111,99 @@ class TestEvaluate:
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 assert grid[i, j] == pytest.approx(r((x, y)), rel=1e-12)
+
+
+def jets(r, x1, x2):
+    """u, du/dx1 and du/dx2 at the point (x1, x2)."""
+    ((_, u, d1, d2),) = fields._jet_bands(r, np.array([x1]), np.array([x2]))
+    return u[0, 0], d1[0, 0], d2[0, 0]
+
+
+def nan_2d():
+    return Realization2D(coeffs=trig_coeffs(2, 2), g=np.full((3, 3, 4), np.nan),
+                         seed=0)
+
+
+class TestTaylorBound:
+    """The derivative block and the global Hessian bounds behind pruning."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 10**6), st.floats(0.05, 0.95),
+           st.floats(0.05, 0.95))
+    def test_derivative_matches_finite_differences(self, N, seed, f1, f2):
+        r = draw_realization(trig_coeffs(2, N), seed)
+        L = r.coeffs.L
+        x1, x2, h = f1 * L, f2 * L, 1e-5 * L
+        u, d1, d2 = jets(r, x1, x2)
+        fd1 = (r((x1 + h, x2)) - r((x1 - h, x2))) / (2 * h)
+        fd2 = (r((x1, x2 + h)) - r((x1, x2 - h))) / (2 * h)
+        H11, H12, H22 = fields._hessian_bounds(r)
+        tol = 1e-6 * (H11 + H12 + H22)  # h^2 times a third-derivative scale
+        assert u == pytest.approx(r((x1, x2)), abs=1e-12)
+        assert abs(d1 - fd1) <= tol and abs(d2 - fd2) <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 10**6), st.floats(0, 1),
+           st.floats(0, 1), st.floats(-1, 1), st.floats(-1, 1),
+           st.floats(1e-4, 0.5))
+    def test_taylor_remainder_bound(self, N, seed, f1, f2, s1, s2, w):
+        r = draw_realization(trig_coeffs(2, N), seed)
+        L = r.coeffs.L
+        c1, c2 = w + f1 * (L - 2 * w), w + f2 * (L - 2 * w)
+        d1, d2 = s1 * w, s2 * w  # |d|_inf <= w, c + d inside [0, L]^2
+        u, g1, g2 = jets(r, c1, c2)
+        H11, H12, H22 = fields._hessian_bounds(r)
+        remainder = r((c1 + d1, c2 + d2)) - u - g1 * d1 - g2 * d2
+        bound = 0.5 * w * w * (H11 + 2 * H12 + H22)
+        assert abs(remainder) <= bound + 2 * fields._rounding_bound(r)
+
+    def test_rounding_margin(self):
+        """u = 1 with zero gradient and Hessian: decided only when 1 exceeds
+        zero_tol by more than twice the rounding bound."""
+        g = np.zeros((3, 3, 4))
+        g[0, 0, 0] = 1.0
+        c = CoeffSeq2D(L=2 * np.pi, a=np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        r = Realization2D(coeffs=c, g=g, seed=0)
+        xs = np.linspace(0, c.L, 5)
+        eps = fields._rounding_bound(r)
+        assert (sign_definite_2d(r, xs, xs, (0.5,), 1 - 3 * eps) == 1).all()
+        assert not sign_definite_2d(r, xs, xs, (0.5,), 1 - eps).any()
+
+    def test_nan_field_never_decided(self):
+        r = nan_2d()
+        xs = np.linspace(0, r.coeffs.L, 70)  # two bands
+        level = sign_definite_2d(r, xs, xs, (0.0, 1e-3, 0.1), 0.0)
+        assert level.shape == (70, 70) and not level.any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decided_points_keep_their_sign(self, seed):
+        """Every fine point within the radius of a decided centre is
+        classified with the centre's sign and is not zero-flagged."""
+        r = draw_realization(trig_coeffs(2, 3), seed)
+        G, S = 512, 8
+        xs = np.arange(G + 1) * (r.coeffs.L / G)
+        radii = (S / 2 * r.coeffs.L / G, S * r.coeffs.L / G)
+        level = sign_definite_2d(r, xs[S:-S:S], xs[S:-S:S], radii, 1e-3)
+        assert (level == 0).any() and (np.abs(level) == 2).any()
+        for m in (1, 2):
+            a, b = np.nonzero(np.abs(level) >= m)
+            classify = window_classifier_2d(r, xs, xs, m * S + 1, 1e-3)
+            half = m * S // 2
+            positive, flagged = classify(S + a * S - half, S + b * S - half)
+            assert not flagged.any()
+            sign = (level[a, b] > 0)[:, None, None]
+            assert np.array_equal(positive, np.broadcast_to(sign, positive.shape))
+
+    def test_window_classifier_matches_grid(self):
+        r = draw_realization(trig_coeffs(2, 4), 3)
+        xs = np.linspace(0, r.coeffs.L, 40)
+        i, j = np.array([0, 5, 5, 37]), np.array([3, 0, 20, 37])
+        positive, flagged = window_classifier_2d(r, xs, xs, 3, 0.5)(i, j)
+        values = evaluate_grid_2d(r, xs, xs)
+        for w in range(len(i)):
+            block = values[i[w]:i[w] + 3, j[w]:j[w] + 3]
+            assert np.array_equal(positive[w], block > 0.5)
+            assert np.array_equal(flagged[w], np.abs(block) <= 0.5)
 
 
 class TestMoments:
