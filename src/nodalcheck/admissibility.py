@@ -24,7 +24,8 @@ from importlib import resources
 import numpy as np
 
 from .fields import (Realization1D, Realization2D, classify_grid_2d,
-                     sign_definite_2d, window_classifier_2d)
+                     evaluate_grid_1d, sign_definite_2d,
+                     window_classifier_2d)
 
 __all__ = [
     "SignPattern",
@@ -234,6 +235,16 @@ def _crossover_mask(v: np.ndarray, h: int) -> np.ndarray:
     return up | dn
 
 
+def _double_crossovers(v: np.ndarray, D: int) -> list:
+    """(k, n) of every dyadic subinterval with a double crossover, levels 0..D.
+
+    ``v`` samples u at 2^(D+1) equal steps per level-0 interval, so
+    subinterval k of level n spans v[k 2h : (k + 1) 2h + 1], h = 2^(D-n).
+    """
+    return [(int(k), n) for n in range(D + 1)
+            for k in np.flatnonzero(_crossover_mask(v, 1 << (D - n)))]
+
+
 def interval_admissible(r: Realization1D, interval, D: int) -> ValidationOutcome:
     """Depth-truncated admissibility of one interval for a 1D realization.
 
@@ -248,12 +259,8 @@ def interval_admissible(r: Realization1D, interval, D: int) -> ValidationOutcome
         raise ValueError("depth D must be nonnegative")
     n_fine = 1 << (D + 1)
     xs = alpha + (beta - alpha) * np.arange(n_fine + 1) / n_fine
-    v = r(xs)
-    violations = []
-    for n in range(D + 1):
-        h = 1 << (D - n)
-        hits = np.flatnonzero(_crossover_mask(v, h))
-        violations.extend((int(k), n, "double-crossover") for k in hits)
+    violations = [(k, n, "double-crossover")
+                  for k, n in _double_crossovers(r(xs), D)]
     if violations:
         return ValidationOutcome(NOT_CERTIFIED, D, tuple(sorted(violations)))
     return ValidationOutcome(CERTIFIED, D)
@@ -514,28 +521,26 @@ def validate_1d(r: Realization1D, M: int, D: int, zero_tol: float = 0.0) -> Vali
     subinterval (depth <= D) of any grid interval carries a double
     crossover; by the 1D validation criterion this certifies that the
     homology of the cubical approximation is correct, up to the depth
-    truncation recorded in the outcome.
+    truncation recorded in the outcome.  A grid sample is zero-flagged
+    when neither u > zero_tol nor u < -zero_tol holds (so NaN is flagged),
+    as in 2D.  The M 2^(D+1) + 1 fine samples come from one inverse FFT.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    L = r.coeffs.L
+    if D < 0:
+        raise ValueError("depth D must be nonnegative")
+    if zero_tol < 0:
+        raise ValueError("zero_tol must be nonnegative")
     unit = 1 << (D + 1)
-    n_fine = M * unit
-    v = r(np.arange(n_fine + 1) * (L / n_fine))
+    v = evaluate_grid_1d(r, M * unit)
     grid_vals = v[::unit]
-    zero_flags = int(np.count_nonzero(np.abs(grid_vals) <= zero_tol))
+    signed = (grid_vals > zero_tol) | (grid_vals < -zero_tol)
+    zero_flags = grid_vals.size - int(np.count_nonzero(signed))
     if zero_flags:
         return ValidationOutcome(DEGENERATE, D, zero_flag_count=zero_flags)
-    violations = []
-    for n in range(D + 1):
-        h = 1 << (D - n)
-        hits = np.flatnonzero(_crossover_mask(v, h))
-        for k in hits:
-            start = int(k) * 2 * h  # fine index of the subinterval's left end
-            violations.append((start // unit, n, "double-crossover"))
-    if violations:
-        return ValidationOutcome(NOT_CERTIFIED, D, tuple(sorted(violations)[:_MAX_VIOLATIONS]))
-    return ValidationOutcome(CERTIFIED, D)
+    # subinterval k of level n lies in grid interval k >> n
+    return _verdict(D, [(k >> n, n, "double-crossover")
+                        for k, n in _double_crossovers(v, D)])
 
 
 def boundary_square_count(M: int) -> int:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Realization1D, Realization2D, classify_grid_2d
+from .fields import (Realization1D, Realization2D, classify_grid_2d,
+                     evaluate_grid_1d)
 
 __all__ = ["SignGrid", "CubicalSet", "sign_grid", "cubical_approx", "negate"]
 
@@ -88,21 +89,22 @@ class CubicalSet:
 def sign_grid(r, M: int, zero_tol: float = 0.0) -> SignGrid:
     """Sample the sign of a realization at the M-discretization of [0, L]^dim.
 
-    Values in (-zero_tol, zero_tol) inclusive are zero-flagged; with the
-    strict default only exact floating-point zeros are flagged.
+    A sample is zero-flagged when neither u > zero_tol nor u < -zero_tol
+    holds: values in [-zero_tol, zero_tol], and NaN.  With the strict
+    default only exact floating-point zeros are flagged.  1D grids come
+    from one inverse FFT (:func:`~nodalcheck.fields.evaluate_grid_1d`).
     """
     if M < 1:
         raise ValueError("M must be at least 1")
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
-    L = r.coeffs.L
-    xs = np.arange(M + 1) * (L / M)
     if isinstance(r, Realization1D):
-        vals = r(xs)
+        vals = evaluate_grid_1d(r, M)
         signs = np.zeros(vals.shape, dtype=np.int8)
         signs[vals > zero_tol] = PLUS
         signs[vals < -zero_tol] = MINUS
     elif isinstance(r, Realization2D):
+        xs = np.arange(M + 1) * (r.coeffs.L / M)
         flagged = np.empty((M + 1, M + 1), dtype=bool)
         positive, _ = classify_grid_2d(r, xs, xs, zero_tol, flagged)
         signs = np.where(flagged, ZERO_FLAGGED, np.where(positive, PLUS, MINUS))

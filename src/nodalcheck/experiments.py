@@ -22,8 +22,8 @@ from .admissibility import (CERTIFIED, DEGENERATE, default_patterns,
                             validate_1d, validate_2d)
 from .bounds import bound_1d_periodic, bound_2d_periodic
 from .cubical import sign_grid
-from .fields import (derive_seed, draw_realization, spectral_moments,
-                     trig_coeffs)
+from .fields import (derive_seed, draw_realization, evaluate_grid_1d,
+                     spectral_moments, trig_coeffs)
 from .homology import (betti_pair, default_reference_M, homology_match,
                        reference_betti)
 from .orthant import PATTERNS, asymptotic_functional, prop41_limit
@@ -138,7 +138,7 @@ def _find_zeros(r, N: int) -> np.ndarray:
     L = r.coeffs.L
     n_grid = 50 * N
     xs = np.arange(n_grid + 1) * (L / n_grid)
-    v = r(xs)
+    v = evaluate_grid_1d(r, n_grid)
     idx = np.flatnonzero(np.signbit(v[:-1]) != np.signbit(v[1:]))
     if idx.size == 0:
         return np.empty(0)

@@ -31,6 +31,7 @@ __all__ = [
     "derive_seed",
     "draw_realization",
     "evaluate",
+    "evaluate_grid_1d",
     "classify_grid_2d",
     "window_classifier_2d",
     "sign_definite_2d",
@@ -271,12 +272,41 @@ def _eval_1d(r: Realization1D, x: np.ndarray):
     return out if out.shape else float(out)
 
 
+def evaluate_grid_1d(r: Realization1D, n: int) -> np.ndarray:
+    """Evaluate a 1D realization at the n + 1 grid points j L / n, j = 0..n.
+
+    u is a trigonometric polynomial of degree K, so its values on a
+    periodic grid are the inverse DFT of its coefficients: one inverse
+    real FFT with X_0 = size a_0 g_0 and X_k = size/2 a_k (g_2k - i g_2k-1).
+    The transform runs at size = n m, m = ceil((2K + 1) / n), so that every
+    frequency k <= K lies below the Nyquist one; every m-th value is kept,
+    and v[n] = v[0] by periodicity.  The values agree with :func:`evaluate`
+    at those points to rounding level, at O(n log n) cost instead of
+    2(K + 1) trig calls per point.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    a, g = r.coeffs.a, r.g
+    m = -(-(2 * a.size - 1) // n)
+    size = n * m
+    X = 0.5 * size * a * (g[0::2] - 1j * np.append(0.0, g[1::2]))
+    X[0] = size * a[0] * g[0]
+    v = np.fft.irfft(X, size)[::m]
+    return np.append(v, v[0])
+
+
 def _trig_block(coeffs, x) -> np.ndarray:
     """A(x) = [cos | sin](2 pi k x / L), k = 0..K, along a new last axis."""
     k = np.arange(coeffs.K + 1)
     x = np.asarray(x, dtype=float)
     phase = 2.0 * np.pi * np.multiply.outer(x, k) / coeffs.L
     return np.concatenate((np.cos(phase), np.sin(phase)), axis=-1)
+
+
+def _trig_blocks(coeffs, x1, x2) -> tuple:
+    """(A(x1), A(x2)), built once when the two axes hold the same values."""
+    A1 = _trig_block(coeffs, x1)
+    return A1, A1 if np.array_equal(x1, x2) else _trig_block(coeffs, x2)
 
 
 def _frequencies(coeffs) -> np.ndarray:
@@ -339,8 +369,8 @@ def _grid_bands(r: Realization2D, x1, x2):
     One block product [C1 S1] W [C2 S2]^T per band.  The yielded values
     live in one scratch buffer that the next band overwrites.
     """
-    left = _trig_block(r.coeffs, x1) @ _weight_block(r)
-    right = _trig_block(r.coeffs, x2).T
+    A1, A2 = _trig_blocks(r.coeffs, x1, x2)
+    left, right = A1 @ _weight_block(r), A2.T
     n = len(left)
     buf = np.empty((min(n, _BAND_ROWS), right.shape[1]))
     for start in range(0, n, _BAND_ROWS):
@@ -400,8 +430,8 @@ def window_classifier_2d(r: Realization2D, x1, x2, size: int, zero_tol: float):
     """
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
-    left = _trig_block(r.coeffs, x1) @ _weight_block(r)
-    right = np.ascontiguousarray(_trig_block(r.coeffs, x2).T)
+    A1, A2 = _trig_blocks(r.coeffs, x1, x2)
+    left, right = A1 @ _weight_block(r), np.ascontiguousarray(A2.T)
     # runs[i] = left[i:i + size] and columns[j] = right[:, j:j + size], as views
     runs = sliding_window_view(left, size, axis=0).transpose(0, 2, 1)
     columns = sliding_window_view(right, size, axis=1).transpose(1, 0, 2)
@@ -419,7 +449,7 @@ def window_classifier_2d(r: Realization2D, x1, x2, size: int, zero_tol: float):
 def _jet_bands(r: Realization2D, x1, x2):
     """Yield ``(rows, u, du/dx1, du/dx2)`` on the tensor grid x1 (x) x2, band by band."""
     W = _weight_block(r)
-    A1, A2 = _trig_block(r.coeffs, x1), _trig_block(r.coeffs, x2)
+    A1, A2 = _trig_blocks(r.coeffs, x1, x2)
     left, dleft = A1 @ W, _trig_derivative(r.coeffs, A1) @ W
     right, dright = A2.T, _trig_derivative(r.coeffs, A2).T
     for start in range(0, len(left), _BAND_ROWS):

@@ -8,9 +8,10 @@ canvas (closed sets touch through corners); beta_1 counts bounded
 complement regions by 4-connected flood fill from the canvas border
 (open complement does not pass through corners).
 
-The second half keeps the slow, straightforward formulations of the 2D
-evaluator, the dyadic sweeps and the component count, which the library
-replaced with fused code; the equivalence tests compare against them.
+The second half keeps the slow, straightforward formulations of the 1D
+and 2D grid evaluators, the dyadic sweeps and the component count, which
+the library replaced with fused code; the equivalence tests compare
+against them.
 """
 
 from collections import deque
@@ -92,6 +93,11 @@ def eval_2d_einsum(r, x1, x2):
     return out if out.shape else float(out)
 
 
+def evaluate_grid_1d(r, n):
+    """Pointwise 1D evaluation at the grid points j L / n, j = 0..n."""
+    return r(np.arange(n + 1) * (r.coeffs.L / n))
+
+
 def evaluate_grid_2d(r, x1, x2):
     """Tensor-grid evaluation as four matrix products and three full adds."""
     coeffs = r.coeffs
@@ -138,6 +144,27 @@ def _pattern_ids_for_code(code, lib):
 
 
 _MAX_VIOLATIONS = 200
+
+
+def validate_1d(r, M, D, zero_tol):
+    """Whole-grid 1D check on pointwise values, one crossover pass per level."""
+    from nodalcheck.admissibility import ValidationOutcome, _crossover_mask
+
+    unit = 1 << (D + 1)
+    v = evaluate_grid_1d(r, M * unit)
+    _, zeros = sign_array(v[::unit], zero_tol)
+    if zeros:
+        return ValidationOutcome("Degenerate", D, zero_flag_count=zeros)
+    violations = []
+    for n in range(D + 1):
+        h = 1 << (D - n)
+        for k in np.flatnonzero(_crossover_mask(v, h)):
+            start = int(k) * 2 * h  # fine index of the subinterval's left end
+            violations.append((start // unit, n, "double-crossover"))
+    if violations:
+        return ValidationOutcome("NotCertified", D,
+                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]))
+    return ValidationOutcome("Certified", D)
 
 
 def square_outcome(r, square, D, lib, zero_tol, shifts, collect_all):

@@ -13,8 +13,10 @@ from nodalcheck.admissibility import (CERTIFIED, DEGENERATE, NOT_CERTIFIED,
                                       i4_admissible, i5_admissible,
                                       i_admissible, interval_admissible,
                                       load_patterns, validate_1d, validate_2d)
-from nodalcheck.fields import (CoeffSeq2D, Realization2D, draw_realization,
-                               evaluate_grid_2d, trig_coeffs)
+from nodalcheck.cubical import sign_grid
+from nodalcheck.fields import (CoeffSeq2D, Realization1D, Realization2D,
+                               draw_realization, evaluate_grid_2d,
+                               trig_coeffs)
 
 from test_cubical import constant_1d
 from test_fields import cosine_1d
@@ -263,8 +265,10 @@ class TestValidate1D:
         from nodalcheck.cubical import sign_grid
         from nodalcheck.homology import betti_pair, homology_match, \
             reference_betti
+        # the zeros L/4 and 3L/4 lie on neither the 63- nor the 126-point grid
         assert homology_match(betti_pair(sign_grid(r, 3)),
-                              reference_betti(r, 64))
+                              reference_betti(r, 63))
+        assert reference_betti(r, 64, zero_tol=1e-12) is None
 
     def test_cosine_m1_crossover(self):
         out = validate_1d(cosine_1d(), M=1, D=2)
@@ -279,6 +283,23 @@ class TestValidate1D:
         out = validate_1d(cosine_1d(), M=4, D=3, zero_tol=1e-12)
         assert out.status == DEGENERATE
         assert out.zero_flag_count == 2
+
+    def test_nan_degenerate(self):
+        """NaN is zero-flagged, as by sign_grid and in 2D."""
+        r = Realization1D(coeffs=cosine_1d().coeffs, g=np.full(5, np.nan),
+                          seed=0)
+        out = validate_1d(r, M=6, D=2)
+        assert out.status == DEGENERATE
+        assert out.zero_flag_count == 7
+        assert sign_grid(r, 6).zero_count == 7
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth"):
+            validate_1d(cosine_1d(), M=10, D=-1)
+
+    def test_negative_zero_tol_rejected(self):
+        with pytest.raises(ValueError, match="zero_tol"):
+            validate_1d(cosine_1d(), M=10, D=2, zero_tol=-1e-9)
 
 
 class TestValidate2D:

@@ -1,25 +1,31 @@
-"""The fast 2D paths against the slow reference paths kept in oracles.py.
+"""The fast paths against the slow reference paths kept in oracles.py.
 
-The library evaluates the field as one banded block product, classifies
-signs band by band, and sweeps each dyadic level through one stencil-code
-array; ``validate_2d`` further skips the subsquares a Taylor bound proves
-sign-definite.  Every outcome must equal the straightforward
-formulation's, and the pruned one the dense whole-grid sweep's, field for
-field, on many seeds, at the experiment's zero tolerance and at 0.
+In 2D the library evaluates the field as one banded block product,
+classifies signs band by band, and sweeps each dyadic level through one
+stencil-code array; ``validate_2d`` further skips the subsquares a Taylor
+bound proves sign-definite.  In 1D it evaluates every equispaced grid
+with one inverse FFT instead of pointwise sums.  Every outcome must equal
+the straightforward formulation's, and the pruned one the dense
+whole-grid sweep's, field for field, on many seeds, at the experiment's
+zero tolerance and at 0.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nodalcheck import admissibility as adm
+from nodalcheck import experiments
 from nodalcheck.admissibility import (PatternCollection, PatternLibrary,
                                       SignPattern, b_admissible,
                                       default_patterns, i_admissible,
-                                      validate_2d)
+                                      validate_1d, validate_2d)
 from nodalcheck.cubical import sign_grid
 from nodalcheck.experiments import default_zero_tol
-from nodalcheck.fields import (Realization2D, draw_realization,
+from nodalcheck.fields import (CoeffSeq1D, Realization1D, Realization2D,
+                               draw_realization, evaluate_grid_1d,
                                evaluate_grid_2d, trig_coeffs)
 from nodalcheck.homology import connected_components
 
@@ -200,3 +206,70 @@ def test_connected_components_matches_union_find(seed):
     mask = rng.random((int(rng.integers(1, 40)), int(rng.integers(1, 40))))
     mask = mask < rng.uniform(0.2, 0.7)
     assert connected_components(mask) == oracles.connected_components_runs(mask)
+
+
+def _realizations_1d():
+    """Degree 2..12 random fields by seed, plus fields with planted zero flags."""
+    for seed in SEEDS:
+        yield seed, draw_realization(trig_coeffs(1, 2 + seed % 11), seed)
+    coeffs = trig_coeffs(1, 3)
+    for label, value in (("zero", 0.0), ("nan", np.nan)):
+        yield label, Realization1D(coeffs=coeffs, g=np.full(7, value), seed=0)
+
+
+def test_validate_1d_matches_oracle():
+    """M runs from 1 to past 2K, so the fine grids of few points use the
+    zero-padded transform; every depth 0..6 is checked."""
+    padded = 0
+    for k, (seed, r) in enumerate(_realizations_1d()):
+        K = r.coeffs.K
+        M = 1 + k % (2 * K + 3)
+        for D in range(7):
+            padded += M << (D + 1) <= 2 * K
+            for zero_tol in _tolerances(r):
+                got = validate_1d(r, M, D, zero_tol)
+                want = oracles.validate_1d(r, M, D, zero_tol)
+                assert got == want, (seed, M, D, zero_tol)
+    assert padded > 50
+
+
+def test_sign_grid_1d_matches_oracle():
+    for seed, r in _realizations_1d():
+        K = r.coeffs.K
+        for M in (1, 2, K, 2 * K, 2 * K + 1, 97, 256):
+            values = oracles.evaluate_grid_1d(r, M)
+            for zero_tol in _tolerances(r):
+                want, _ = oracles.sign_array(values, zero_tol)
+                got = sign_grid(r, M, zero_tol).signs
+                assert np.array_equal(got, want), (seed, M, zero_tol)
+
+
+def test_find_zeros_matches_oracle(monkeypatch):
+    """The bisection is pointwise either way, so zeros bracketed alike are
+    found at identical positions."""
+    cases = [(N, draw_realization(trig_coeffs(1, N), seed))
+             for N in (2, 5, 10, 50) for seed in range(25)]
+    got = [experiments._find_zeros(r, N) for N, r in cases]
+    monkeypatch.setattr(experiments, "evaluate_grid_1d",
+                        oracles.evaluate_grid_1d)
+    for (N, r), zeros in zip(cases, got):
+        want = experiments._find_zeros(r, N)
+        assert np.array_equal(zeros, want), (N, r.seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.integers(1, 16), L=st.floats(0.1, 100.0),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_grid_1d_matches_pointwise(K, L, seed, data):
+    """Rounding-level agreement on every grid of up to 4K steps, with a_0
+    nonzero so that the constant term is exercised too."""
+    n = data.draw(st.integers(1, 4 * K))
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 2.0, K + 1)
+    r = Realization1D(coeffs=CoeffSeq1D(L=L, a=a),
+                      g=rng.standard_normal(2 * K + 1), seed=seed)
+    v = evaluate_grid_1d(r, n)
+    assert v.shape == (n + 1,) and v[n] == v[0]
+    scale = np.abs(a) @ (np.abs(r.g[0::2]) + np.abs(np.append(0.0, r.g[1::2])))
+    assert np.abs(v - oracles.evaluate_grid_1d(r, n)).max() \
+        <= 1e-12 * (K + 1) * scale

@@ -10,7 +10,8 @@ from nodalcheck import fields
 from nodalcheck.fields import (CoeffSeq1D, CoeffSeq2D, Realization1D,
                                Realization2D, coeffs_from_json,
                                coeffs_to_json, covariance, derive_seed,
-                               draw_realization, evaluate, evaluate_grid_2d,
+                               draw_realization, evaluate,
+                               evaluate_grid_1d, evaluate_grid_2d,
                                realization_from_json, realization_to_json,
                                sign_definite_2d, spectral_moments,
                                trig_coeffs, window_classifier_2d)
@@ -101,6 +102,14 @@ class TestEvaluate:
             r(1.5)
         with pytest.raises(ValueError):
             r(-0.1)
+
+    def test_grid_1d_exact_values(self):
+        """The inverse FFT returns the true values of cos(2 pi x) at the
+        quarter periods, where cos(pi / 2) returns 6.1e-17."""
+        assert evaluate_grid_1d(cosine_1d(), 4).tolist() == [1, 0, -1, 0, 1]
+        assert cosine_1d()(0.25) != 0.0
+        with pytest.raises(ValueError):
+            evaluate_grid_1d(cosine_1d(), 0)
 
     def test_grid_matches_pointwise(self):
         c = trig_coeffs(2, 3)
