@@ -200,6 +200,23 @@ class PatternCollection:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def proven_blocks_admissible(self) -> bool:
+        """Whether no I-forbidden code has two adjacent rows or columns of one sign.
+
+        Every half-side shift of a subsquare keeps two adjacent rows (or
+        columns) of its stencil inside the subsquare.  When this holds, a
+        subsquare sign-definite on its closed square therefore holds no
+        I-violation at any depth, whatever lies around it.
+        """
+        bits = (np.arange(512)[:, None] >> np.arange(9)) & 1
+        stencils = bits.reshape(512, 3, 3)
+        pairs = (stencils[:, :2], stencils[:, 1:],
+                 stencils[:, :, :2], stencils[:, :, 1:])
+        uniform = np.any([p.min(axis=(1, 2)) == p.max(axis=(1, 2))
+                          for p in pairs], axis=0)
+        return not np.any(self.code_table[uniform] & _I_BIT)
+
 
 @dataclass(frozen=True)
 class ValidationOutcome:
@@ -225,24 +242,23 @@ def double_crossover(v_left: float, v_mid: float, v_right: float) -> bool:
     return False
 
 
-def _crossover_mask(v: np.ndarray, h: int) -> np.ndarray:
-    """Vectorized double-crossover test on triples (v[i], v[i+h], v[i+2h]), i = 0, 2h, 4h, ..."""
-    left = v[: v.size - 2 * h : 2 * h]
-    mid = v[h : v.size - h : 2 * h]
-    right = v[2 * h :: 2 * h]
-    up = (left >= 0) & (mid <= 0) & (right >= 0)
-    dn = (left <= 0) & (mid >= 0) & (right <= 0)
-    return up | dn
-
-
 def _double_crossovers(v: np.ndarray, D: int) -> list:
     """(k, n) of every dyadic subinterval with a double crossover, levels 0..D.
 
     ``v`` samples u at 2^(D+1) equal steps per level-0 interval, so
-    subinterval k of level n spans v[k 2h : (k + 1) 2h + 1], h = 2^(D-n).
+    subinterval k of level n spans v[k 2h : (k + 1) 2h + 1], h = 2^(D-n):
+    ends v[2kh] and v[2(k+1)h], midpoint v[(2k+1)h].  A double crossover
+    is ends >= 0 around a midpoint <= 0, or the reverse.
     """
-    return [(int(k), n) for n in range(D + 1)
-            for k in np.flatnonzero(_crossover_mask(v, 1 << (D - n)))]
+    nonneg, nonpos = v >= 0, v <= 0
+    found = []
+    for n in range(D + 1):
+        h = 1 << (D - n)
+        ends_up, ends_dn = nonneg[:: 2 * h], nonpos[:: 2 * h]
+        hits = ends_up[:-1] & nonpos[h :: 2 * h] & ends_up[1:]
+        hits |= ends_dn[:-1] & nonneg[h :: 2 * h] & ends_dn[1:]
+        found += [(int(k), n) for k in np.flatnonzero(hits)]
+    return found
 
 
 def interval_admissible(r: Realization1D, interval, D: int) -> ValidationOutcome:
@@ -556,7 +572,7 @@ _WINDOWS = 1024
 
 
 def _windows(own: np.ndarray, a: np.ndarray, b: np.ndarray,
-             level: np.ndarray, per_square: int):
+             level: np.ndarray, per_square: int, proven: int):
     """Yield ``(positive, a, b, ring, margin)``: stacks of windows for ``_sweep``.
 
     The windows are level-n0 subsquares (a, b), S = own.shape[-1] - 1
@@ -565,8 +581,8 @@ def _windows(own: np.ndarray, a: np.ndarray, b: np.ndarray,
     with ``level`` 0; every other block is constant, the sign of
     ``level``.  B windows are the evaluated subsquares of boundary grid
     squares, their blocks alone.  I windows are the subsquares of
-    interior grid squares not sign-definite on their halo (|level| < 2),
-    with S/2 margins that are read from the neighbouring blocks.
+    interior grid squares with |level| < ``proven``, with S/2 margins
+    that are read from the neighbouring blocks.
     """
     Q, S = len(level), own.shape[-1] - 1
 
@@ -588,7 +604,7 @@ def _windows(own: np.ndarray, a: np.ndarray, b: np.ndarray,
     index = np.where(level > 0, len(own) + 1, len(own))
     index[a, b] = np.arange(len(own))
     inner = interior(np.arange(Q))
-    ia, ib = np.nonzero((np.abs(level) < 2) & inner[:, None] & inner)
+    ia, ib = np.nonzero((np.abs(level) < proven) & inner[:, None] & inner)
     near = np.arange(-1, 2)
     window = slice(S // 2, S // 2 + 2 * S + 1)
     for k in range(0, len(ia), _WINDOWS):
@@ -616,13 +632,16 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     below n0 = D + 1 - log2(S) are swept on the grid of every S-th fine
     point.  A Taylor bound at the centre of each level-n0 subsquare
     (S fine steps wide) proves most of them sign-definite on the closed
-    subsquare, and most of those also on its S/2 halo, which the
-    half-side shifts reach.  Fine points are evaluated only in the
-    subsquares not proven on their own square, which gives the exact
-    zero-flag count.  Levels n0..D are swept on windows around the
-    subsquares not proven with their halo; the others and their
-    descendants hold only the uniform stencils, which no pattern may
-    forbid.  The outcome is the one the full sweep gives.
+    subsquare.  Fine points are evaluated only in the subsquares not
+    proven there, which gives the exact zero-flag count.  Levels n0..D
+    are swept on windows around the unproven subsquares.  Every
+    half-side shift keeps two adjacent rows or columns of its stencil
+    inside the subsquare, so a proven subsquare and its descendants hold
+    only the uniform stencils and stencils with two uniform rows or
+    columns.  When the library forbids one of the latter
+    (``PatternCollection.proven_blocks_admissible`` is false), interior
+    subsquares are proven only if the bound also covers their S/2 halo,
+    which the shifts reach.  The outcome is the one the full sweep gives.
     """
     if M < 3:
         raise ValueError("M must be at least 3 so that interior squares exist")
@@ -638,9 +657,12 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     G = M * unit
     step = r.coeffs.L / G
     xs = np.arange(G + 1) * step
-    # |level| 1: sign-definite on the closed subsquare, 2: with its halo
-    level = sign_definite_2d(r, xs[S // 2::S], xs[S // 2::S],
-                             (S / 2 * step, S * step), zero_tol)
+    # |level| 1: sign-definite on the closed subsquare, 2: with its halo,
+    # which matters only to a library forbidding two uniform rows
+    radii = (S / 2 * step, S * step)[:1 if coll.proven_blocks_admissible
+                                     else 2]
+    level = sign_definite_2d(r, xs[S // 2::S], xs[S // 2::S], radii,
+                             zero_tol)
     a, b = np.nonzero(level == 0)
     classify = window_classifier_2d(r, xs, xs, S + 1, zero_tol)
     own = np.empty((len(a), S + 1, S + 1), dtype=bool)
@@ -666,7 +688,7 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     depth = S.bit_length() - 2  # window levels 0..depth are n0..D
     deepest = depth
     for positive, wa, wb, ring, margin in _windows(own, a, b, level,
-                                                  1 << n0):
+                                                  1 << n0, len(radii)):
         found += [((int(wa[w]) >> n0, int(wb[w]) >> n0), n0 + n, pid)
                   for (w, _, _), n, pid in _sweep(positive, 1, ring, margin,
                                                   depth, coll, collect_all,

@@ -184,8 +184,9 @@ def _cmd_experiment(args):
 
 def _add_zero_tol(p):
     p.add_argument("--zero-tol", type=float, default=None,
-                   help="zero-flag tolerance: samples with |u| <= ZERO_TOL "
-                        "are flagged (default 1e-12*sqrt(A0), as in "
+                   help="zero-flag tolerance: a sample is flagged when "
+                        "neither u > ZERO_TOL nor u < -ZERO_TOL holds, so "
+                        "NaN is flagged (default 1e-12*sqrt(A0), as in "
                         "experiments; 0 flags exact zeros only)")
 
 

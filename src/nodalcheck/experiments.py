@@ -134,7 +134,14 @@ def _metadata(D: int, zero_tol: float) -> dict:
 
 
 def _find_zeros(r, N: int) -> np.ndarray:
-    """Zeros of a 1D realization on [0, L): sign-change bracketing + bisection."""
+    """Zeros of a 1D realization on [0, L): sign-change bracketing + bisection.
+
+    The bracketing grid of 50 N steps is one inverse FFT
+    (:func:`~nodalcheck.fields.evaluate_grid_1d`); each bisection step
+    evaluates u pointwise at every bracket's midpoint, at the cost of one
+    complex exponential and K products per point.  Brackets shrink to
+    (L / 50 N) 2^-steps <= 1e-12, and each zero is the final midpoint.
+    """
     L = r.coeffs.L
     n_grid = 50 * N
     xs = np.arange(n_grid + 1) * (L / n_grid)

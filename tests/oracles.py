@@ -9,7 +9,7 @@ complement regions by 4-connected flood fill from the canvas border
 (open complement does not pass through corners).
 
 The second half keeps the slow, straightforward formulations of the 1D
-and 2D grid evaluators, the dyadic sweeps and the component count, which
+and 2D evaluators, the dyadic sweeps and the component count, which
 the library replaced with fused code; the equivalence tests compare
 against them.
 """
@@ -93,9 +93,21 @@ def eval_2d_einsum(r, x1, x2):
     return out if out.shape else float(out)
 
 
+def eval_1d_trig(r, x):
+    """Pointwise 1D evaluation as cosine and sine sums, 2(K + 1) trig calls per point."""
+    coeffs = r.coeffs
+    k = np.arange(coeffs.K + 1)
+    phase = 2.0 * np.pi * np.multiply.outer(x, k) / coeffs.L  # (..., K+1)
+    gc = coeffs.a * r.g[2 * k]
+    gs = np.zeros_like(gc)
+    gs[1:] = coeffs.a[1:] * r.g[2 * k[1:] - 1]
+    out = np.cos(phase) @ gc + np.sin(phase) @ gs
+    return out if out.shape else float(out)
+
+
 def evaluate_grid_1d(r, n):
-    """Pointwise 1D evaluation at the grid points j L / n, j = 0..n."""
-    return r(np.arange(n + 1) * (r.coeffs.L / n))
+    """Trig-sum evaluation at the grid points j L / n, j = 0..n."""
+    return eval_1d_trig(r, np.arange(n + 1) * (r.coeffs.L / n))
 
 
 def evaluate_grid_2d(r, x1, x2):
@@ -146,9 +158,19 @@ def _pattern_ids_for_code(code, lib):
 _MAX_VIOLATIONS = 200
 
 
+def crossover_mask(v, h):
+    """Double-crossover test on triples (v[i], v[i+h], v[i+2h]), i = 0, 2h, 4h, ..."""
+    left = v[: v.size - 2 * h : 2 * h]
+    mid = v[h : v.size - h : 2 * h]
+    right = v[2 * h :: 2 * h]
+    up = (left >= 0) & (mid <= 0) & (right >= 0)
+    dn = (left <= 0) & (mid >= 0) & (right <= 0)
+    return up | dn
+
+
 def validate_1d(r, M, D, zero_tol):
     """Whole-grid 1D check on pointwise values, one crossover pass per level."""
-    from nodalcheck.admissibility import ValidationOutcome, _crossover_mask
+    from nodalcheck.admissibility import ValidationOutcome
 
     unit = 1 << (D + 1)
     v = evaluate_grid_1d(r, M * unit)
@@ -158,7 +180,7 @@ def validate_1d(r, M, D, zero_tol):
     violations = []
     for n in range(D + 1):
         h = 1 << (D - n)
-        for k in np.flatnonzero(_crossover_mask(v, h)):
+        for k in np.flatnonzero(crossover_mask(v, h)):
             start = int(k) * 2 * h  # fine index of the subinterval's left end
             violations.append((start // unit, n, "double-crossover"))
     if violations:

@@ -86,6 +86,16 @@ class TestRoundTrips:
         payload = json.loads(out)
         assert payload["plus"][0] + payload["minus"][0] >= 1
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-1"])
+    def test_eval_outside_domain(self, capsys, tmp_path, x):
+        rpath = tmp_path / "r.json"
+        run(capsys, "gen", "--dim", "1", "--N", "3", "--out", str(rpath))
+        code = main(["eval", "--realization", str(rpath), "--x", x])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert "outside [0, L]" in captured.err
+
     def test_eval_2d_needs_y(self, capsys, tmp_path):
         rpath = tmp_path / "r2.json"
         run(capsys, "gen", "--dim", "2", "--N", "3", "--out", str(rpath))

@@ -4,11 +4,14 @@ In 2D the library evaluates the field as one banded block product,
 classifies signs band by band, and sweeps each dyadic level through one
 stencil-code array; ``validate_2d`` further skips the subsquares a Taylor
 bound proves sign-definite.  In 1D it evaluates every equispaced grid
-with one inverse FFT instead of pointwise sums.  Every outcome must equal
+with one inverse FFT, and single points from the powers of one complex
+exponential, instead of cosine and sine sums.  Every outcome must equal
 the straightforward formulation's, and the pruned one the dense
 whole-grid sweep's, field for field, on many seeds, at the experiment's
 zero tolerance and at 0.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,15 +20,16 @@ from hypothesis import strategies as st
 
 import oracles
 from nodalcheck import admissibility as adm
-from nodalcheck import experiments
+from nodalcheck import experiments, fields
 from nodalcheck.admissibility import (PatternCollection, PatternLibrary,
                                       SignPattern, b_admissible,
                                       default_patterns, i_admissible,
-                                      validate_1d, validate_2d)
+                                      interval_admissible, validate_1d,
+                                      validate_2d)
 from nodalcheck.cubical import sign_grid
 from nodalcheck.experiments import default_zero_tol
 from nodalcheck.fields import (CoeffSeq1D, Realization1D, Realization2D,
-                               draw_realization, evaluate_grid_1d,
+                               draw_realization, evaluate, evaluate_grid_1d,
                                evaluate_grid_2d, trig_coeffs)
 from nodalcheck.homology import connected_components
 
@@ -88,24 +92,53 @@ def test_pruned_matches_dense_at_benchmark_size(seed):
         assert got == want, (seed, collect_all)
 
 
+# With the shipped library no I-forbidden stencil has two uniform adjacent
+# rows or columns, so a subsquare whose own block is sign-definite never
+# violates.  This hand-built library forbids such a stencil (two rows of +,
+# a sign change in the third), which makes those subsquares' half-side
+# shifts matter; only the halo radius of the bound covers them.
+NOTCH = PatternCollection(
+    B=COLL.B,
+    I4=PatternLibrary.build("I4", COLL.I4.base_patterns + (SignPattern(
+        mask=(1, 1, 1, 1, 1, 1, 1, 1, -1), id="notch"),)),
+    I5=COLL.I5)
+
+
 def test_pruned_matches_dense_with_halo_patterns():
-    """With the shipped library no I-forbidden stencil has two uniform rows
-    or columns, so a subsquare whose own block is sign-definite never
-    violates.  A hand-built library forbidding such a stencil (two rows of
-    +, a sign change in the third) makes those subsquares' half-side
-    shifts matter, which only the halo radius of the bound covers."""
-    notch = SignPattern(mask=(1, 1, 1, 1, 1, 1, 1, 1, -1), id="notch")
-    coll = PatternCollection(
-        B=COLL.B, I4=PatternLibrary.build("I4", COLL.I4.base_patterns + (notch,)),
-        I5=COLL.I5)
     for seed in range(10):
         r = draw_realization(trig_coeffs(2, 3), seed)
         zero_tol = default_zero_tol(r.coeffs)
         for collect_all in (False, True):
-            got = validate_2d(r, 4, 6, zero_tol, collect_all, patterns=coll)
+            got = validate_2d(r, 4, 6, zero_tol, collect_all, patterns=NOTCH)
             want = oracles.validate_2d_dense(r, 4, 6, zero_tol, collect_all,
-                                             coll)
+                                             NOTCH)
             assert got == want, (seed, collect_all)
+
+
+def test_proven_blocks_skip_i_windows(monkeypatch):
+    """The shipped library lets the sweep skip interior subsquares proven
+    on their own square; the notch library sweeps those not proven on
+    their halo, a superset."""
+    assert COLL.proven_blocks_admissible
+    assert not NOTCH.proven_blocks_admissible
+    swept = []
+    windows = adm._windows
+
+    def counting(*args):
+        for stack in windows(*args):
+            _, wa, _, ring, _ = stack
+            swept.append(0 if ring else len(wa))
+            yield stack
+
+    monkeypatch.setattr(adm, "_windows", counting)
+    r = draw_realization(trig_coeffs(2, 3), 1003)
+    zero_tol = default_zero_tol(r.coeffs)
+    counts = []
+    for coll in (COLL, NOTCH):
+        swept.clear()
+        validate_2d(r, 32, 6, zero_tol, collect_all=True, patterns=coll)
+        counts.append(sum(swept))
+    assert 0 < counts[0] < 0.6 * counts[1], counts
 
 
 def test_first_violating_level_across_window_stacks():
@@ -233,6 +266,18 @@ def test_validate_1d_matches_oracle():
     assert padded > 50
 
 
+def test_double_crossovers_match_oracle_with_exact_zeros():
+    """Fine samples of -1, 0 and +1, so that both sides of the >= 0 and
+    <= 0 tests matter; random fields never sample exact zeros."""
+    rng = np.random.default_rng(0)
+    for D in range(5):
+        for _ in range(20):
+            v = rng.integers(-1, 2, (3 << (D + 1)) + 1).astype(float)
+            want = [(int(k), n) for n in range(D + 1) for k in
+                    np.flatnonzero(oracles.crossover_mask(v, 1 << (D - n)))]
+            assert adm._double_crossovers(v, D) == want, (D, v)
+
+
 def test_sign_grid_1d_matches_oracle():
     for seed, r in _realizations_1d():
         K = r.coeffs.K
@@ -257,19 +302,87 @@ def test_find_zeros_matches_oracle(monkeypatch):
         assert np.array_equal(zeros, want), (N, r.seed)
 
 
+def _random_1d(K, L, seed):
+    """A degree-K field on [0, L] with a_0 nonzero, so that the constant
+    term is exercised too."""
+    rng = np.random.default_rng(seed)
+    return Realization1D(coeffs=CoeffSeq1D(L=L, a=rng.uniform(0.5, 2.0, K + 1)),
+                         g=rng.standard_normal(2 * K + 1), seed=seed)
+
+
+def _rounding_1d(r):
+    """1e-12 (K + 1) sum |a_k g|: the rounding allowance for values of u."""
+    a, g = r.coeffs.a, r.g
+    scale = np.abs(a) @ (np.abs(g[0::2]) + np.abs(np.append(0.0, g[1::2])))
+    return 1e-12 * (r.coeffs.K + 1) * scale
+
+
 @settings(max_examples=200, deadline=None)
 @given(K=st.integers(1, 16), L=st.floats(0.1, 100.0),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_grid_1d_matches_pointwise(K, L, seed, data):
-    """Rounding-level agreement on every grid of up to 4K steps, with a_0
-    nonzero so that the constant term is exercised too."""
+    """Rounding-level agreement on every grid of up to 4K steps."""
     n = data.draw(st.integers(1, 4 * K))
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(0.5, 2.0, K + 1)
-    r = Realization1D(coeffs=CoeffSeq1D(L=L, a=a),
-                      g=rng.standard_normal(2 * K + 1), seed=seed)
+    r = _random_1d(K, L, seed)
     v = evaluate_grid_1d(r, n)
     assert v.shape == (n + 1,) and v[n] == v[0]
-    scale = np.abs(a) @ (np.abs(r.g[0::2]) + np.abs(np.append(0.0, r.g[1::2])))
-    assert np.abs(v - oracles.evaluate_grid_1d(r, n)).max() \
-        <= 1e-12 * (K + 1) * scale
+    assert np.abs(v - oracles.evaluate_grid_1d(r, n)).max() <= _rounding_1d(r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.integers(1, 256), L=st.floats(0.1, 100.0),
+       seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(), (1,), (9,), (3, 4), (2, 1, 3)]),
+       data=st.data())
+def test_evaluate_1d_matches_trig_sums(K, L, seed, shape, data):
+    """Pointwise values agree with the cosine and sine sums to rounding
+    level anywhere in [0, L]; a scalar gives a float, an array an array of
+    its shape."""
+    r = _random_1d(K, L, seed)
+    unit = data.draw(st.lists(st.floats(0.0, 1.0), min_size=math.prod(shape),
+                              max_size=math.prod(shape)))
+    x = L * np.reshape(unit, shape)
+    if not shape:
+        x = float(x)
+    got, want = evaluate(r, x), oracles.eval_1d_trig(r, np.asarray(x))
+    if shape:
+        assert isinstance(got, np.ndarray) and got.shape == shape
+    else:
+        assert type(got) is float
+    assert np.all(np.abs(got - want) <= _rounding_1d(r))
+
+
+def test_find_zeros_with_trig_sums(monkeypatch):
+    """Zero counts come from the bracketing grid, which is the same either
+    way.  Positions are bit-identical unless a value at rounding level
+    takes a different sign in one bisection step; the two brackets then
+    close on that midpoint from either side, so the zeros differ by at
+    most the final bracket width (plus the rounding of the midpoints)."""
+    L = trig_coeffs(1, 2).L
+    cases = [(N, draw_realization(trig_coeffs(1, N), seed))
+             for N in (2, 5, 10, 50, 120) for seed in range(400)]
+    got = [experiments._find_zeros(r, N) for N, r in cases]
+    monkeypatch.setattr(fields, "_eval_1d", oracles.eval_1d_trig)
+    moved = 0
+    for (N, r), zeros in zip(cases, got):
+        want = experiments._find_zeros(r, N)
+        step = L / (50 * N)  # the bracketing grid's, as in _find_zeros
+        width = step * 2.0 ** -math.ceil(math.log2(step / 1e-12))
+        assert zeros.size == want.size, (N, r.seed)
+        assert np.all(np.abs(zeros - want) <= width + 4 * np.spacing(L)), \
+            (N, r.seed)
+        moved += np.count_nonzero(zeros != want)
+    assert moved < 100  # 22 of about 88,000 zeros when this was written
+
+
+def test_interval_admissible_with_trig_sums(monkeypatch):
+    rng = np.random.default_rng(0)
+    cases = []
+    for seed in SEEDS:
+        r = draw_realization(trig_coeffs(1, 2 + seed % 11), seed)
+        lo, hi = np.sort(rng.uniform(0.0, r.coeffs.L, 2))
+        cases.append((r, (lo, hi), int(rng.integers(0, 7))))
+    got = [interval_admissible(*case) for case in cases]
+    monkeypatch.setattr(fields, "_eval_1d", oracles.eval_1d_trig)
+    assert got == [interval_admissible(*case) for case in cases]
+    assert 0 < sum(out.certified for out in got) < len(got)

@@ -98,10 +98,13 @@ class TestEvaluate:
 
     def test_domain_check(self):
         r = cosine_1d()
-        with pytest.raises(ValueError):
-            r(1.5)
-        with pytest.raises(ValueError):
-            r(-0.1)
+        for x in (1.5, -0.1, np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                r(x)
+        r2 = draw_realization(trig_coeffs(2, 3), 3)
+        for x in ((-0.1, 1.0), (np.nan, 1.0), (1.0, np.nan)):
+            with pytest.raises(ValueError):
+                r2(x)
 
     def test_grid_1d_exact_values(self):
         """The inverse FFT returns the true values of cos(2 pi x) at the
