@@ -32,15 +32,12 @@ __all__ = [
     "PatternLibrary",
     "PatternCollection",
     "ValidationOutcome",
-    "DegenerateSampleError",
     "double_crossover",
     "interval_admissible",
     "load_patterns",
     "default_patterns",
     "count_surviving",
     "b_admissible",
-    "i4_admissible",
-    "i5_admissible",
     "i_admissible",
     "validate_1d",
     "validate_2d",
@@ -58,10 +55,6 @@ CHECKSUM_I4 = 92
 CHECKSUM_I = 90
 
 _B_BIT, _I_BIT = 1, 2  # bits of PatternCollection.code_table
-
-
-class DegenerateSampleError(ValueError):
-    """A sample needed by an admissibility check is zero-flagged."""
 
 
 # the dihedral group of the square acting on row-major 3x3 positions
@@ -488,28 +481,6 @@ def b_admissible(r: Realization2D, square, D: int, zero_tol: float = 0.0,
                            shifts=False, collect_all=collect_all)
 
 
-def _single_square_admissible(r, square, lib) -> bool:
-    corner, delta = square
-    pts = np.array([0.0, 0.5, 1.0]) * float(delta)
-    positive, zeros = classify_grid_2d(r, float(corner[0]) + pts,
-                                       float(corner[1]) + pts, 0.0)
-    if zeros:
-        raise DegenerateSampleError("zero sample at a stencil point")
-    return not lib.forbidden_table()[_level_codes(positive, 1)[0, 0]]
-
-
-def i4_admissible(r: Realization2D, square,
-                  patterns: PatternCollection | None = None) -> bool:
-    """I4-admissibility of a single square's own stencil (no dyadic recursion)."""
-    return _single_square_admissible(r, square, (patterns or default_patterns()).I4)
-
-
-def i5_admissible(r: Realization2D, square,
-                  patterns: PatternCollection | None = None) -> bool:
-    """I5-admissibility of a single square's own stencil (no dyadic recursion)."""
-    return _single_square_admissible(r, square, (patterns or default_patterns()).I5)
-
-
 def i_admissible(r: Realization2D, square, D: int, zero_tol: float = 0.0,
                  collect_all: bool = False,
                  patterns: PatternCollection | None = None) -> ValidationOutcome:
@@ -572,24 +543,24 @@ _WINDOWS = 1024
 
 
 def _windows(own: np.ndarray, a: np.ndarray, b: np.ndarray,
-             level: np.ndarray, per_square: int, proven: int):
+             level: np.ndarray, per_square: int):
     """Yield ``(positive, a, b, ring, margin)``: stacks of windows for ``_sweep``.
 
-    The windows are level-n0 subsquares (a, b), S = own.shape[-1] - 1
-    fine steps wide, ``per_square`` of them across a grid square.
-    ``own`` holds the evaluated closed blocks of the subsquares (a, b)
-    with ``level`` 0; every other block is constant, the sign of
-    ``level``.  B windows are the evaluated subsquares of boundary grid
-    squares, their blocks alone.  I windows are the subsquares of
-    interior grid squares with |level| < ``proven``, with S/2 margins
-    that are read from the neighbouring blocks.
+    The windows are the level-n0 subsquares (a, b) that the Taylor bound
+    left undecided, S = own.shape[-1] - 1 fine steps wide,
+    ``per_square`` of them across a grid square.  ``own`` holds their
+    evaluated closed blocks; every other block is constant, the sign of
+    ``level``.  B windows are the subsquares of boundary grid squares,
+    their blocks alone.  I windows are the subsquares of interior grid
+    squares, with S/2 margins that are read from the neighbouring blocks.
     """
     Q, S = len(level), own.shape[-1] - 1
 
     def interior(t):
         return (t >= per_square) & (t < Q - per_square)
 
-    edge = np.flatnonzero(~(interior(a) & interior(b)))
+    inner = interior(a) & interior(b)
+    edge = np.flatnonzero(~inner)
     for k in range(0, len(edge), _WINDOWS):
         sel = edge[k:k + _WINDOWS]
         yield own[sel], a[sel], b[sel], 1, 0
@@ -603,8 +574,7 @@ def _windows(own: np.ndarray, a: np.ndarray, b: np.ndarray,
     block_rows = blocks.view(f"u{S}")[..., 0]
     index = np.where(level > 0, len(own) + 1, len(own))
     index[a, b] = np.arange(len(own))
-    inner = interior(np.arange(Q))
-    ia, ib = np.nonzero((np.abs(level) < proven) & inner[:, None] & inner)
+    ia, ib = a[inner], b[inner]
     near = np.arange(-1, 2)
     window = slice(S // 2, S // 2 + 2 * S + 1)
     for k in range(0, len(ia), _WINDOWS):
@@ -631,17 +601,18 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     No full fine grid is formed.  With S = min(8, 2^(D+1)), levels
     below n0 = D + 1 - log2(S) are swept on the grid of every S-th fine
     point.  A Taylor bound at the centre of each level-n0 subsquare
-    (S fine steps wide) proves most of them sign-definite on the closed
-    subsquare.  Fine points are evaluated only in the subsquares not
-    proven there, which gives the exact zero-flag count.  Levels n0..D
-    are swept on windows around the unproven subsquares.  Every
-    half-side shift keeps two adjacent rows or columns of its stencil
-    inside the subsquare, so a proven subsquare and its descendants hold
-    only the uniform stencils and stencils with two uniform rows or
-    columns.  When the library forbids one of the latter
-    (``PatternCollection.proven_blocks_admissible`` is false), interior
-    subsquares are proven only if the bound also covers their S/2 halo,
-    which the shifts reach.  The outcome is the one the full sweep gives.
+    (S fine steps wide) proves most of them sign-definite.  Fine points
+    are evaluated only in the subsquares not proven, which gives the
+    exact zero-flag count, and levels n0..D are swept on windows around
+    those subsquares alone.  Every half-side shift keeps two adjacent
+    rows or columns of its stencil inside the subsquare, so a proven
+    subsquare and its descendants hold only the uniform stencils and
+    stencils with two uniform rows or columns.  The bound's radius is
+    therefore the closed subsquare (S/2 fine steps) when the library
+    forbids none of the latter
+    (``PatternCollection.proven_blocks_admissible``), and otherwise the
+    subsquare plus its S/2 halo (S fine steps), which the shifts reach.
+    The outcome is the one the full sweep gives.
     """
     if M < 3:
         raise ValueError("M must be at least 3 so that interior squares exist")
@@ -657,11 +628,8 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     G = M * unit
     step = r.coeffs.L / G
     xs = np.arange(G + 1) * step
-    # |level| 1: sign-definite on the closed subsquare, 2: with its halo,
-    # which matters only to a library forbidding two uniform rows
-    radii = (S / 2 * step, S * step)[:1 if coll.proven_blocks_admissible
-                                     else 2]
-    level = sign_definite_2d(r, xs[S // 2::S], xs[S // 2::S], radii,
+    radius = S / 2 * step if coll.proven_blocks_admissible else S * step
+    level = sign_definite_2d(r, xs[S // 2::S], xs[S // 2::S], radius,
                              zero_tol)
     a, b = np.nonzero(level == 0)
     classify = window_classifier_2d(r, xs, xs, S + 1, zero_tol)
@@ -688,7 +656,7 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     depth = S.bit_length() - 2  # window levels 0..depth are n0..D
     deepest = depth
     for positive, wa, wb, ring, margin in _windows(own, a, b, level,
-                                                  1 << n0, len(radii)):
+                                                  1 << n0):
         found += [((int(wa[w]) >> n0, int(wb[w]) >> n0), n0 + n, pid)
                   for (w, _, _), n, pid in _sweep(positive, 1, ring, margin,
                                                   depth, coll, collect_all,

@@ -95,6 +95,8 @@ def _cmd_betti(args):
         with open(args.grid, encoding="utf-8") as fh:
             grid = SignGrid.from_json(fh.read())
     else:
+        if args.M is None:
+            raise ValueError("betti needs --grid or --M")
         r = _load_realization(args)
         grid = sign_grid(r, args.M, _zero_tol(args, r))
     plus, minus = betti_pair(grid)
@@ -274,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_patterns)
 
     p = sub.add_parser("experiment", help="run an experiment from a config")
-    p.add_argument("kind", nargs="?", help="optional; the config names the kind")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .admissibility import (CERTIFIED, DEGENERATE, default_patterns,
-                            validate_1d, validate_2d)
+from .admissibility import (CERTIFIED, DEGENERATE, count_surviving,
+                            default_patterns, validate_1d, validate_2d)
 from .bounds import bound_1d_periodic, bound_2d_periodic
 from .cubical import sign_grid
 from .fields import (derive_seed, draw_realization, evaluate_grid_1d,
@@ -78,6 +78,11 @@ class ExperimentConfig:
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
         d = json.loads(text)
+        if not isinstance(d, dict) or "kind" not in d:
+            raise ValueError("config must be a JSON object naming its kind")
+        unknown = sorted(set(d) - set(ExperimentConfig.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if "M_list" in d:
             d["M_list"] = tuple(d["M_list"])
         return ExperimentConfig(**d)
@@ -126,9 +131,12 @@ def default_zero_tol(coeffs) -> float:
 
 
 def _metadata(D: int, zero_tol: float) -> dict:
+    coll = default_patterns()
     return {
         "version": __version__,
-        "checksum_B": 66, "checksum_I4": 92, "checksum_I": 90,
+        "checksum_B": count_surviving(coll.B),
+        "checksum_I4": count_surviving(coll.I4),
+        "checksum_I": count_surviving(coll.I),
         "D": D, "zero_tol": zero_tol,
     }
 
@@ -219,11 +227,7 @@ def homology_experiment(dim: int, N: int, M_list, trials: int,
     bound_fn = bound_1d_periodic if dim == 1 else bound_2d_periodic
     M_ref = default_reference_M(max(M_list), N)
 
-    tallies = {M: {"match": 0, "certified": 0, "degenerate": 0,
-                   "unresolved": 0, "resolved": 0} for M in M_list}
-    exceptions = []
     records = []
-    patterns = default_patterns()  # load once; validate_2d reuses it
     for t in range(trials):
         trial_seed = derive_seed(seed, t)
         r = draw_realization(coeffs, trial_seed)
@@ -231,49 +235,45 @@ def homology_experiment(dim: int, N: int, M_list, trials: int,
         per_M = {}
         for M in M_list:
             grid = sign_grid(r, M, zero_tol)
-            if dim == 2:
-                outcome = validate(r, M, D, zero_tol, patterns=patterns)
-            else:
-                outcome = validate(r, M, D, zero_tol)
-            degenerate = grid.zero_count > 0 or outcome.status == DEGENERATE
-            certified = outcome.status == CERTIFIED
+            outcome = validate(r, M, D, zero_tol)
             unresolved = ref is None
-            match = (not unresolved
-                     and homology_match(betti_pair(grid), ref))
-            tally = tallies[M]
-            if degenerate:
-                tally["degenerate"] += 1
-            if unresolved:
-                tally["unresolved"] += 1
-            if not degenerate and not unresolved:
-                tally["resolved"] += 1
-                tally["match"] += int(match)
-                tally["certified"] += int(certified)
-                if certified and not match:
-                    exceptions.append({"trial": t, "seed": int(trial_seed),
-                                       "M": M})
-            per_M[M] = {"certified": certified, "degenerate": degenerate,
-                        "match": match, "unresolved": unresolved}
+            per_M[M] = {
+                "certified": outcome.status == CERTIFIED,
+                "degenerate": (grid.zero_count > 0
+                               or outcome.status == DEGENERATE),
+                "match": (not unresolved
+                          and homology_match(betti_pair(grid), ref)),
+                "unresolved": unresolved,
+            }
         records.append(TrialRecord(index=t, seed=int(trial_seed),
                                    per_M=per_M))
 
+    def resolved(flags):
+        return not (flags["degenerate"] or flags["unresolved"])
+
     rows = []
     for M in M_list:
-        tally = tallies[M]
-        n = tally["resolved"]
-        rate_match = tally["match"] / n if n else 0.0
-        rate_cert = tally["certified"] / n if n else 0.0
-        ci_lo, ci_hi = wilson_interval(tally["match"], n)
-        cert_lo, cert_hi = wilson_interval(tally["certified"], n)
+        flags = [rec.per_M[M] for rec in records]
+        counted = [f for f in flags if resolved(f)]
+        n = len(counted)
+        matches = sum(f["match"] for f in counted)
+        certified = sum(f["certified"] for f in counted)
+        ci_lo, ci_hi = wilson_interval(matches, n)
+        cert_lo, cert_hi = wilson_interval(certified, n)
         rows.append({
             "experiment": f"homology_{dim}d", "dim": dim, "N": N, "M": M,
             "trials": trials, "seed": seed,
-            "rate_match": rate_match, "ci_lo": ci_lo, "ci_hi": ci_hi,
-            "rate_certified": rate_cert, "cert_lo": cert_lo,
-            "cert_hi": cert_hi, "bound": bound_fn(m, M).bound,
-            "degenerate": tally["degenerate"],
-            "unresolved": tally["unresolved"],
+            "rate_match": matches / n if n else 0.0,
+            "ci_lo": ci_lo, "ci_hi": ci_hi,
+            "rate_certified": certified / n if n else 0.0,
+            "cert_lo": cert_lo, "cert_hi": cert_hi,
+            "bound": bound_fn(m, M).bound,
+            "degenerate": sum(f["degenerate"] for f in flags),
+            "unresolved": sum(f["unresolved"] for f in flags),
         })
+    exceptions = [{"trial": rec.index, "seed": rec.seed, "M": M}
+                  for rec in records for M, f in rec.per_M.items()
+                  if resolved(f) and f["certified"] and not f["match"]]
     return Summary(kind=f"Homology{dim}D", rows=tuple(rows),
                    meta=_metadata(D, zero_tol),
                    extra={"soundness_exceptions": exceptions,

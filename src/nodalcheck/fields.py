@@ -15,7 +15,8 @@ reproduces the identical realization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,6 +47,11 @@ __all__ = [
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     a = np.asarray(arr, dtype=float).copy()
+    a.flags.writeable = False
+    return a
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
@@ -142,8 +148,24 @@ class Realization1D:
     def dim(self) -> int:
         return 1
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """c_0 = a_0 g_0 and c_k = a_k (g_2k - i g_2k-1), k = 1..K (read-only).
+
+        u(x) = Re sum_k c_k e^(2 pi i k x / L).
+        """
+        a, g = self.coeffs.a, self.g
+        return _readonly(a * (g[0::2] - 1j * np.append(0.0, g[1::2])))
+
     def __call__(self, x):
         return evaluate(self, x)
+
+
+# Each computed value of u is a sum of 2(K+1) products of entries of W
+# with trig values whose phases reach 2 pi K, so its rounding error is a
+# small multiple of (K+1) * 1e-16 * sum |W|.  The bound below leaves a
+# factor of about 1e3 on top of that.
+_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -167,6 +189,34 @@ class Realization2D:
     @property
     def dim(self) -> int:
         return 2
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """W = [[a g0, a g1], [a g2, a g3]], so that u(x1, x2) = A(x1) W A(x2)^T.
+
+        Read-only, like every constant cached below.
+        """
+        ag = self.coeffs.a[:, :, None] * self.g
+        return _readonly(np.block([[ag[:, :, 0], ag[:, :, 1]],
+                                   [ag[:, :, 2], ag[:, :, 3]]]))
+
+    @cached_property
+    def hessian_bounds(self) -> tuple:
+        """(H11, H12, H22): bounds on |d2u/dx1^2|, |d2u/dx1dx2|, |d2u/dx2^2| everywhere.
+
+        Entry (p, q) of W multiplies a product of two trig functions of
+        frequencies omega k_p and omega k_q (omega = 2 pi / L), so
+        H11 = sum (omega k_p)^2 |W_pq|, H12 = sum omega^2 k_p k_q |W_pq| and
+        H22 = sum (omega k_q)^2 |W_pq|.
+        """
+        w, omega = np.abs(self.weights), _frequencies(self.coeffs)
+        return (float(omega**2 @ w.sum(axis=1)), float(omega @ w @ omega),
+                float(w.sum(axis=0) @ omega**2))
+
+    @cached_property
+    def rounding_bound(self) -> float:
+        """Bound on the rounding error of any value of u computed in this module."""
+        return _ROUNDING * (self.coeffs.K + 1) * float(np.abs(self.weights).sum())
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -262,15 +312,6 @@ def evaluate(r, x):
     raise TypeError("r must be a Realization1D or Realization2D")
 
 
-def _spectrum_1d(r: Realization1D) -> np.ndarray:
-    """c_0 = a_0 g_0 and c_k = a_k (g_2k - i g_2k-1), k = 1..K.
-
-    u(x) = Re sum_k c_k e^(2 pi i k x / L).
-    """
-    a, g = r.coeffs.a, r.g
-    return a * (g[0::2] - 1j * np.append(0.0, g[1::2]))
-
-
 def _eval_1d(r: Realization1D, x: np.ndarray):
     """u(x) = Re sum_k c_k z^k from the powers z^0..z^K of z = e^(2 pi i x / L).
 
@@ -280,7 +321,7 @@ def _eval_1d(r: Realization1D, x: np.ndarray):
     within a small multiple of (K + 1) ulps of sum |c_k|, the rounding
     level of the cosine and sine sums.
     """
-    c = _spectrum_1d(r)
+    c = r.spectrum
     powers = np.empty((c.size,) + x.shape, dtype=complex)
     powers[0] = 1.0
     powers[1:] = np.exp((2j * np.pi / r.coeffs.L) * x)
@@ -294,8 +335,8 @@ def evaluate_grid_1d(r: Realization1D, n: int) -> np.ndarray:
 
     u is a trigonometric polynomial of degree K, so its values on a
     periodic grid are the inverse DFT of its coefficients: one inverse
-    real FFT with X_0 = size c_0 and X_k = size/2 c_k, c the spectrum of
-    :func:`_eval_1d`.  The transform runs at size = n m,
+    real FFT with X_0 = size c_0 and X_k = size/2 c_k, c the cached
+    ``Realization1D.spectrum``.  The transform runs at size = n m,
     m = ceil((2K + 1) / n), so that every frequency k <= K lies below the
     Nyquist one; every m-th value is kept, and v[n] = v[0] by
     periodicity.  The values agree with :func:`evaluate` at those points
@@ -304,7 +345,7 @@ def evaluate_grid_1d(r: Realization1D, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    c = _spectrum_1d(r)
+    c = r.spectrum
     m = -(-(2 * c.size - 1) // n)
     size = n * m
     X = 0.5 * size * c
@@ -338,39 +379,8 @@ def _trig_derivative(coeffs, A: np.ndarray) -> np.ndarray:
     return np.concatenate((-sin, cos), axis=-1) * _frequencies(coeffs)
 
 
-def _weight_block(r: Realization2D) -> np.ndarray:
-    """W = [[a g0, a g1], [a g2, a g3]], so that u(x1, x2) = A(x1) W A(x2)^T."""
-    ag = r.coeffs.a[:, :, None] * r.g
-    return np.block([[ag[:, :, 0], ag[:, :, 1]], [ag[:, :, 2], ag[:, :, 3]]])
-
-
-def _hessian_bounds(r: Realization2D) -> tuple:
-    """(H11, H12, H22): bounds on |d2u/dx1^2|, |d2u/dx1dx2|, |d2u/dx2^2| everywhere.
-
-    Entry (p, q) of W multiplies a product of two trig functions of
-    frequencies omega k_p and omega k_q (omega = 2 pi / L), so
-    H11 = sum (omega k_p)^2 |W_pq|, H12 = sum omega^2 k_p k_q |W_pq| and
-    H22 = sum (omega k_q)^2 |W_pq|.
-    """
-    w, omega = np.abs(_weight_block(r)), _frequencies(r.coeffs)
-    return (float(omega**2 @ w.sum(axis=1)), float(omega @ w @ omega),
-            float(w.sum(axis=0) @ omega**2))
-
-
-# Each computed value of u is a sum of 2(K+1) products of entries of W
-# with trig values whose phases reach 2 pi K, so its rounding error is a
-# small multiple of (K+1) * 1e-16 * sum |W|.  The bound below leaves a
-# factor of about 1e3 on top of that.
-_ROUNDING = 1e-12
-
-
-def _rounding_bound(r: Realization2D) -> float:
-    """Bound on the rounding error of any value of u computed in this module."""
-    return _ROUNDING * (r.coeffs.K + 1) * float(np.abs(_weight_block(r)).sum())
-
-
 def _eval_2d(r: Realization2D, x1, x2):
-    out = np.sum((_trig_block(r.coeffs, x1) @ _weight_block(r))
+    out = np.sum((_trig_block(r.coeffs, x1) @ r.weights)
                  * _trig_block(r.coeffs, x2), axis=-1)
     return out if out.shape else float(out)
 
@@ -388,7 +398,7 @@ def _grid_bands(r: Realization2D, x1, x2):
     live in one scratch buffer that the next band overwrites.
     """
     A1, A2 = _trig_blocks(r.coeffs, x1, x2)
-    left, right = A1 @ _weight_block(r), A2.T
+    left, right = A1 @ r.weights, A2.T
     n = len(left)
     buf = np.empty((min(n, _BAND_ROWS), right.shape[1]))
     for start in range(0, n, _BAND_ROWS):
@@ -449,7 +459,7 @@ def window_classifier_2d(r: Realization2D, x1, x2, size: int, zero_tol: float):
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
     A1, A2 = _trig_blocks(r.coeffs, x1, x2)
-    left, right = A1 @ _weight_block(r), np.ascontiguousarray(A2.T)
+    left, right = A1 @ r.weights, np.ascontiguousarray(A2.T)
     # runs[i] = left[i:i + size] and columns[j] = right[:, j:j + size], as views
     runs = sliding_window_view(left, size, axis=0).transpose(0, 2, 1)
     columns = sliding_window_view(right, size, axis=1).transpose(1, 0, 2)
@@ -466,7 +476,7 @@ def window_classifier_2d(r: Realization2D, x1, x2, size: int, zero_tol: float):
 
 def _jet_bands(r: Realization2D, x1, x2):
     """Yield ``(rows, u, du/dx1, du/dx2)`` on the tensor grid x1 (x) x2, band by band."""
-    W = _weight_block(r)
+    W = r.weights
     A1, A2 = _trig_blocks(r.coeffs, x1, x2)
     left, dleft = A1 @ W, _trig_derivative(r.coeffs, A1) @ W
     right, dright = A2.T, _trig_derivative(r.coeffs, A2).T
@@ -475,35 +485,33 @@ def _jet_bands(r: Realization2D, x1, x2):
         yield rows, left[rows] @ right, dleft[rows] @ right, left[rows] @ dright
 
 
-def sign_definite_2d(r: Realization2D, x1, x2, radii, zero_tol: float) -> np.ndarray:
-    """How far u provably keeps its sign around each point of the grid x1 (x) x2.
+def sign_definite_2d(r: Realization2D, x1, x2, radius: float,
+                     zero_tol: float) -> np.ndarray:
+    """The sign u provably keeps around each point of the grid x1 (x) x2.
 
-    Entry (i, j) of the int8 result is s * m, where m counts the
-    ``radii`` rho for which every value of u within sup-distance rho of
-    c = (x1[i], x2[j]), as this module computes it, exceeds ``zero_tol``
-    in magnitude, and s is the sign of u(c).  0 means undecided at
-    every radius; a NaN value is never decided.
+    Entry (i, j) of the int8 result is the sign of u(c), c = (x1[i], x2[j]),
+    if every value of u within sup-distance ``radius`` of c, as this
+    module computes it, exceeds ``zero_tol`` in magnitude, and 0
+    (undecided) otherwise; a NaN value is never decided.
 
     The proof is the second-order Taylor bound
     |u(c + d) - u(c)| <= (|du/dx1(c)| + |du/dx2(c)|) rho
     + rho^2 (H11 + 2 H12 + H22) / 2 for |d|_inf <= rho, with the global
-    bounds of :func:`_hessian_bounds`, plus twice the rounding bound:
-    once for u(c) and once for the value at c + d.
+    bounds ``r.hessian_bounds``, plus twice ``r.rounding_bound``: once
+    for u(c) and once for the value at c + d.
     """
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
-    H11, H12, H22 = _hessian_bounds(r)
+    H11, H12, H22 = r.hessian_bounds
     curvature = 0.5 * (H11 + 2.0 * H12 + H22)
-    slack = zero_tol + 2.0 * _rounding_bound(r)
+    slack = zero_tol + 2.0 * r.rounding_bound
     out = np.zeros((len(x1), len(x2)), dtype=np.int8)
     for rows, u, d1, d2 in _jet_bands(r, x1, x2):
         grad = np.abs(d1, out=d1)
         grad += np.abs(d2, out=d2)
-        excess = np.abs(u) - slack
         band = out[rows]
-        for rho in radii:
-            # written as "exceeds", so NaN on either side stays undecided
-            band += excess > grad * rho + curvature * rho * rho
+        # written as "exceeds", so NaN on either side stays undecided
+        band[np.abs(u) - slack > grad * radius + curvature * radius * radius] = 1
         np.negative(band, out=band, where=u < 0)
     return out
 

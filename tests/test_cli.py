@@ -96,6 +96,13 @@ class TestRoundTrips:
         assert captured.out == ""
         assert "outside [0, L]" in captured.err
 
+    def test_betti_needs_grid_or_m(self, capsys):
+        code = main(["betti", "--N", "3", "--dim", "2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == "error: betti needs --grid or --M\n"
+
     def test_eval_2d_needs_y(self, capsys, tmp_path):
         rpath = tmp_path / "r2.json"
         run(capsys, "gen", "--dim", "2", "--N", "3", "--out", str(rpath))
@@ -158,6 +165,28 @@ class TestExperiment:
     def test_missing_config(self, capsys, tmp_path):
         code = main(["experiment", "--config", str(tmp_path / "nope.json")])
         assert code == EXIT_ERROR
+
+    @pytest.mark.parametrize("config, message", [
+        ({"kind": "ZeroStats", "N": 5, "trails": 10},
+         "unknown config keys: trails"),
+        ({"N": 5, "trials": 10}, "config must be a JSON object naming its kind"),
+        ([5], "config must be a JSON object naming its kind"),
+    ])
+    def test_malformed_config(self, capsys, tmp_path, config, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["experiment", "--config", str(cfg)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_kind_positional_rejected(self, capsys, tmp_path):
+        """The config names the kind; a positional one would be ignored."""
+        cfg = tmp_path / "z.json"
+        cfg.write_text(json.dumps({"kind": "ZeroStats", "N": 5,
+                                   "trials": 2}))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "Homology2D", "--config", str(cfg)])
+        assert exc.value.code == 2
 
 
 class TestParser:

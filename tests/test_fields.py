@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -149,7 +150,7 @@ class TestTaylorBound:
         u, d1, d2 = jets(r, x1, x2)
         fd1 = (r((x1 + h, x2)) - r((x1 - h, x2))) / (2 * h)
         fd2 = (r((x1, x2 + h)) - r((x1, x2 - h))) / (2 * h)
-        H11, H12, H22 = fields._hessian_bounds(r)
+        H11, H12, H22 = r.hessian_bounds
         tol = 1e-6 * (H11 + H12 + H22)  # h^2 times a third-derivative scale
         assert u == pytest.approx(r((x1, x2)), abs=1e-12)
         assert abs(d1 - fd1) <= tol and abs(d2 - fd2) <= tol
@@ -164,10 +165,10 @@ class TestTaylorBound:
         c1, c2 = w + f1 * (L - 2 * w), w + f2 * (L - 2 * w)
         d1, d2 = s1 * w, s2 * w  # |d|_inf <= w, c + d inside [0, L]^2
         u, g1, g2 = jets(r, c1, c2)
-        H11, H12, H22 = fields._hessian_bounds(r)
+        H11, H12, H22 = r.hessian_bounds
         remainder = r((c1 + d1, c2 + d2)) - u - g1 * d1 - g2 * d2
         bound = 0.5 * w * w * (H11 + 2 * H12 + H22)
-        assert abs(remainder) <= bound + 2 * fields._rounding_bound(r)
+        assert abs(remainder) <= bound + 2 * r.rounding_bound
 
     def test_rounding_margin(self):
         """u = 1 with zero gradient and Hessian: decided only when 1 exceeds
@@ -177,15 +178,16 @@ class TestTaylorBound:
         c = CoeffSeq2D(L=2 * np.pi, a=np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]]))
         r = Realization2D(coeffs=c, g=g, seed=0)
         xs = np.linspace(0, c.L, 5)
-        eps = fields._rounding_bound(r)
-        assert (sign_definite_2d(r, xs, xs, (0.5,), 1 - 3 * eps) == 1).all()
-        assert not sign_definite_2d(r, xs, xs, (0.5,), 1 - eps).any()
+        eps = r.rounding_bound
+        assert (sign_definite_2d(r, xs, xs, 0.5, 1 - 3 * eps) == 1).all()
+        assert not sign_definite_2d(r, xs, xs, 0.5, 1 - eps).any()
 
     def test_nan_field_never_decided(self):
         r = nan_2d()
         xs = np.linspace(0, r.coeffs.L, 70)  # two bands
-        level = sign_definite_2d(r, xs, xs, (0.0, 1e-3, 0.1), 0.0)
-        assert level.shape == (70, 70) and not level.any()
+        for radius in (0.0, 1e-3, 0.1):
+            sign = sign_definite_2d(r, xs, xs, radius, 0.0)
+            assert sign.shape == (70, 70) and not sign.any()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_decided_points_keep_their_sign(self, seed):
@@ -194,16 +196,20 @@ class TestTaylorBound:
         r = draw_realization(trig_coeffs(2, 3), seed)
         G, S = 512, 8
         xs = np.arange(G + 1) * (r.coeffs.L / G)
-        radii = (S / 2 * r.coeffs.L / G, S * r.coeffs.L / G)
-        level = sign_definite_2d(r, xs[S:-S:S], xs[S:-S:S], radii, 1e-3)
-        assert (level == 0).any() and (np.abs(level) == 2).any()
-        for m in (1, 2):
-            a, b = np.nonzero(np.abs(level) >= m)
+        centres = xs[S:-S:S]
+        own, halo = (sign_definite_2d(r, centres, centres,
+                                      m * S / 2 * r.coeffs.L / G, 1e-3)
+                     for m in (1, 2))
+        # a sign proven with the halo is proven on the own square too
+        assert np.array_equal(own[halo != 0], halo[halo != 0])
+        assert (halo == 0).any() and (own != halo).any() and halo.any()
+        for m, decided in ((1, own), (2, halo)):
+            a, b = np.nonzero(decided)
             classify = window_classifier_2d(r, xs, xs, m * S + 1, 1e-3)
             half = m * S // 2
             positive, flagged = classify(S + a * S - half, S + b * S - half)
             assert not flagged.any()
-            sign = (level[a, b] > 0)[:, None, None]
+            sign = (decided[a, b] > 0)[:, None, None]
             assert np.array_equal(positive, np.broadcast_to(sign, positive.shape))
 
     def test_window_classifier_matches_grid(self):
@@ -348,3 +354,25 @@ def test_evaluation_deterministic(seed, frac):
     r2 = draw_realization(c, seed)
     x = frac * c.L
     assert evaluate(r1, x) == evaluate(r2, x)
+
+
+def test_realization_constants_cached():
+    """The per-realization constants are built once, on first use, and
+    are read-only: every access returns the same object."""
+    r1 = draw_realization(trig_coeffs(1, 4), 5)
+    r2 = draw_realization(trig_coeffs(2, 3), 5)
+    for r, names in ((r1, ("spectrum",)),
+                     (r2, ("weights", "hessian_bounds", "rounding_bound"))):
+        for name in names:
+            assert getattr(r, name) is getattr(r, name), name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, name, None)
+    for array in (r1.spectrum, r2.weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # u(0) = Re sum c_k and u(0, 0) = sum of the cos*cos block of W
+    assert r1.spectrum.real.sum() == pytest.approx(evaluate(r1, 0.0))
+    K = r2.coeffs.K
+    assert r2.weights[:K + 1, :K + 1].sum() == pytest.approx(
+        evaluate(r2, (0.0, 0.0)))
