@@ -107,7 +107,10 @@ def sign_grid(r, M: int, zero_tol: float = 0.0) -> SignGrid:
         xs = np.arange(M + 1) * (r.coeffs.L / M)
         flagged = np.empty((M + 1, M + 1), dtype=bool)
         positive, _ = classify_grid_2d(r, xs, xs, zero_tol, flagged)
-        signs = np.where(flagged, ZERO_FLAGGED, np.where(positive, PLUS, MINUS))
+        # PLUS where positive, MINUS elsewhere, built in int8
+        signs = positive.view(np.int8) * np.int8(2)
+        signs -= 1
+        signs[flagged] = ZERO_FLAGGED
     else:
         raise TypeError("r must be a realization")
     return SignGrid(dim=r.dim, M=M, signs=signs)

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ from .admissibility import (CERTIFIED, DEGENERATE, count_surviving,
 from .bounds import bound_1d_periodic, bound_2d_periodic
 from .cubical import sign_grid
 from .fields import (derive_seed, draw_realization, evaluate_grid_1d,
-                     spectral_moments, trig_coeffs)
+                     jet_1d, spectral_moments, trig_coeffs)
 from .homology import (betti_pair, default_reference_M, homology_match,
                        reference_betti)
 from .orthant import PATTERNS, asymptotic_functional, prop41_limit
@@ -50,6 +51,10 @@ CSV_COLUMNS = [
 ]
 
 DEFAULT_DEPTH = 6
+# Newton steps per zero bracket before it is bisected instead (random
+# fields at N = 2..200 need 3-5), and the step that counts as converged
+_NEWTON_STEPS = 10
+_STEP_TOL = 2.5e-13
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,18 @@ class ExperimentConfig:
         kinds = ("ZeroStats", "Homology1D", "Homology2D", "OrthantConvergence")
         if self.kind not in kinds:
             raise ValueError(f"kind must be one of {kinds}")
+        for name in ("N", "trials", "D", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        if not (isinstance(self.M_list, (list, tuple))
+                and all(_is_int(M) for M in self.M_list)):
+            raise ValueError("M_list must be a list of integers")
+        if not (self.zero_tol is None
+                or isinstance(self.zero_tol, numbers.Real)
+                and not isinstance(self.zero_tol, bool)):
+            raise ValueError("zero_tol must be a number or null")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValueError("out must be a path or null")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         floor = 3 if self.kind == "Homology2D" else 1
@@ -83,9 +100,13 @@ class ExperimentConfig:
         unknown = sorted(set(d) - set(ExperimentConfig.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        if "M_list" in d:
+        if isinstance(d.get("M_list"), list):
             d["M_list"] = tuple(d["M_list"])
         return ExperimentConfig(**d)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -142,13 +163,23 @@ def _metadata(D: int, zero_tol: float) -> dict:
 
 
 def _find_zeros(r, N: int) -> np.ndarray:
-    """Zeros of a 1D realization on [0, L): sign-change bracketing + bisection.
+    """Zeros of a 1D realization on [0, L]: sign-change brackets + safeguarded Newton.
 
-    The bracketing grid of 50 N steps is one inverse FFT
-    (:func:`~nodalcheck.fields.evaluate_grid_1d`); each bisection step
-    evaluates u pointwise at every bracket's midpoint, at the cost of one
-    complex exponential and K products per point.  Brackets shrink to
-    (L / 50 N) 2^-steps <= 1e-12, and each zero is the final midpoint.
+    The brackets are the sign changes (by ``signbit``) on a grid of 50 N
+    steps, evaluated by one inverse FFT
+    (:func:`~nodalcheck.fields.evaluate_grid_1d`).  In each bracket a
+    Newton iteration starts at the regula-falsi point of the two grid
+    values; u and u' come from one :func:`~nodalcheck.fields.jet_1d` call
+    per step, for all open brackets at once.  Each iterate replaces the
+    bracket end whose ``signbit`` it shares.  A step that would leave the
+    bracket (u' = 0 included) is a bisection step instead, unless it
+    leaves by at most 2.5e-13: then it stops on the bracket end.  The
+    iteration also stops at a step of at most 2.5e-13 or a bracket of at
+    most 1e-12.  The result x stands only if the computed u changes sign
+    on [x - 5e-13, x + 5e-13] clipped to the bracket.  A bracket that
+    fails this check, or is still open after ``_NEWTON_STEPS`` steps, is
+    bisected down to 1e-12 and gives its midpoint.  Either way each zero
+    lies within 5e-13 of a computed sign change of u in its bracket.
     """
     L = r.coeffs.L
     n_grid = 50 * N
@@ -158,15 +189,52 @@ def _find_zeros(r, N: int) -> np.ndarray:
     if idx.size == 0:
         return np.empty(0)
     lo, hi = xs[idx], xs[idx + 1]
-    flo = v[idx]
-    # vectorized bisection to 1e-12 absolute
-    for _ in range(int(math.ceil(math.log2((L / n_grid) / 1e-12)))):
+    flo, fhi = v[idx], v[idx + 1]
+    neg_lo = np.signbit(flo)  # the signbit of u at lo; hi has the other
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo - flo * (hi - lo) / (fhi - flo)
+    x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+    open_ = np.arange(idx.size)
+    for _ in range(_NEWTON_STEPS):
+        xo, lo_o, hi_o = x[open_], lo[open_], hi[open_]
+        f, df = jet_1d(r, xo)
+        left = np.signbit(f) == neg_lo[open_]
+        lo_o = np.where(left, xo, lo_o)
+        hi_o = np.where(left, hi_o, xo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = xo - f / df
+        # a step that ends outside the bracket by at most the tolerance
+        # (the root is at or beyond an end, up to rounding) stops there
+        xc = np.clip(xn, lo_o, hi_o)
+        inside = (xn > lo_o) & (xn < hi_o)
+        near = np.abs(xn - xc) <= _STEP_TOL  # inside too; False for NaN
+        xn = np.where(near, xc, 0.5 * (lo_o + hi_o))
+        lo[open_], hi[open_], x[open_] = lo_o, hi_o, xn
+        done = ((near & ~inside) | (np.abs(xn - xo) <= _STEP_TOL)
+                | (hi_o - lo_o <= 1e-12))
+        open_ = open_[~done]
+        if open_.size == 0:
+            break
+    a = np.maximum(x - 5e-13, lo)
+    b = np.minimum(x + 5e-13, hi)
+    fab = jet_1d(r, np.concatenate((a, b)))[0]
+    sa = np.where(a == lo, neg_lo, np.signbit(fab[:idx.size]))
+    sb = np.where(b == hi, ~neg_lo, np.signbit(fab[idx.size:]))
+    redo = sa == sb
+    redo[open_] = True
+    if redo.any():
+        x[redo] = _bisect(r, lo[redo], hi[redo], neg_lo[redo])
+    return x
+
+
+def _bisect(r, lo, hi, neg_lo) -> np.ndarray:
+    """Midpoints of the brackets [lo, hi] bisected to at most 1e-12."""
+    width = float((hi - lo).max())
+    for _ in range(max(0, math.ceil(math.log2(width / 1e-12)))):
         mid = 0.5 * (lo + hi)
-        fmid = r(mid)
-        go_right = np.signbit(flo) == np.signbit(fmid)
-        lo = np.where(go_right, mid, lo)
-        flo = np.where(go_right, fmid, flo)
-        hi = np.where(go_right, hi, mid)
+        right = np.signbit(jet_1d(r, mid)[0]) == neg_lo
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
     return 0.5 * (lo + hi)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "draw_realization",
     "evaluate",
     "evaluate_grid_1d",
+    "jet_1d",
     "classify_grid_2d",
     "window_classifier_2d",
     "sign_definite_2d",
@@ -312,22 +313,38 @@ def evaluate(r, x):
     raise TypeError("r must be a Realization1D or Realization2D")
 
 
-def _eval_1d(r: Realization1D, x: np.ndarray):
-    """u(x) = Re sum_k c_k z^k from the powers z^0..z^K of z = e^(2 pi i x / L).
+def _powers_1d(r: Realization1D, x: np.ndarray) -> np.ndarray:
+    """The powers z^0..z^K of z = e^(2 pi i x / L), shape (K + 1, x.size).
 
-    One complex ``exp`` per point and a running product along a new
+    One complex ``exp`` per point and a running product along the
     leading frequency axis replace 2(K + 1) ``cos``/``sin`` calls.  The
-    power z^k carries a relative error of about k ulps, so the value is
-    within a small multiple of (K + 1) ulps of sum |c_k|, the rounding
-    level of the cosine and sine sums.
+    power z^k carries a relative error of about k ulps, so a sum
+    Re sum_k c_k z^k is within a small multiple of (K + 1) ulps of
+    sum |c_k|, the rounding level of the cosine and sine sums.
     """
-    c = r.spectrum
-    powers = np.empty((c.size,) + x.shape, dtype=complex)
+    powers = np.empty((r.spectrum.size, x.size), dtype=complex)
     powers[0] = 1.0
-    powers[1:] = np.exp((2j * np.pi / r.coeffs.L) * x)
+    powers[1:] = np.exp((2j * np.pi / r.coeffs.L) * x.ravel())
     np.cumprod(powers, axis=0, out=powers)
-    out = (c @ powers.reshape(c.size, -1)).real.reshape(x.shape)
+    return powers
+
+
+def _eval_1d(r: Realization1D, x: np.ndarray):
+    """u(x) = Re sum_k c_k z^k, z = e^(2 pi i x / L), c the cached spectrum."""
+    out = (r.spectrum @ _powers_1d(r, x)).real.reshape(x.shape)
     return out if out.shape else float(out)
+
+
+def jet_1d(r: Realization1D, x: np.ndarray) -> tuple:
+    """(u(x), u'(x)) at a 1D array of points, from one set of powers z^k.
+
+    u' = Re sum_k (2 pi i k / L) c_k z^k.  The values of u are the ones
+    :func:`evaluate` computes, bit for bit.  The points are not checked
+    against [0, L]: the periodic series is evaluated at any real x.
+    """
+    c, powers = r.spectrum, _powers_1d(r, x)
+    dc = c * ((2j * np.pi / r.coeffs.L) * np.arange(c.size))
+    return (c @ powers).real, (dc @ powers).real
 
 
 def evaluate_grid_1d(r: Realization1D, n: int) -> np.ndarray:

@@ -14,9 +14,12 @@ the library replaced with fused code; the equivalence tests compare
 against them.
 """
 
+import math
 from collections import deque
 
 import numpy as np
+
+from nodalcheck import fields
 
 
 def rasterize(cells: np.ndarray) -> np.ndarray:
@@ -334,3 +337,44 @@ def validate_2d_dense(r, M, D, zero_tol, collect_all, coll):
         return ValidationOutcome("Degenerate", D, zero_flag_count=zeros)
     found = _sweep(positive, M, 1, 0, D, coll, collect_all)
     return _verdict(D, [((i >> n, j >> n), n, pid) for (i, j), n, pid in found])
+
+
+def find_zeros_bisect(r, N):
+    """Zeros of a 1D realization on [0, L): sign-change bracketing + bisection.
+
+    The bracketing grid of 50 N steps is the library's inverse FFT
+    (:func:`~nodalcheck.fields.evaluate_grid_1d`); each bisection step
+    evaluates u pointwise at every bracket's midpoint.  Brackets shrink
+    to (L / 50 N) 2^-steps <= 1e-12, and each zero is the final midpoint.
+    """
+    L = r.coeffs.L
+    n_grid = 50 * N
+    xs = np.arange(n_grid + 1) * (L / n_grid)
+    v = fields.evaluate_grid_1d(r, n_grid)
+    idx = np.flatnonzero(np.signbit(v[:-1]) != np.signbit(v[1:]))
+    if idx.size == 0:
+        return np.empty(0)
+    lo, hi = xs[idx], xs[idx + 1]
+    flo = v[idx]
+    # vectorized bisection to 1e-12 absolute
+    for _ in range(int(math.ceil(math.log2((L / n_grid) / 1e-12)))):
+        mid = 0.5 * (lo + hi)
+        fmid = r(mid)
+        go_right = np.signbit(flo) == np.signbit(fmid)
+        lo = np.where(go_right, mid, lo)
+        flo = np.where(go_right, fmid, flo)
+        hi = np.where(go_right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def jet_1d_trig(r, x):
+    """(u(x), u'(x)) as cosine and sine sums, 4(K + 1) trig calls per point."""
+    coeffs = r.coeffs
+    k = np.arange(coeffs.K + 1)
+    omega = 2.0 * np.pi * k / coeffs.L
+    phase = 2.0 * np.pi * np.multiply.outer(x, k) / coeffs.L  # (..., K+1)
+    gc = coeffs.a * r.g[2 * k]
+    gs = np.zeros_like(gc)
+    gs[1:] = coeffs.a[1:] * r.g[2 * k[1:] - 1]
+    cos, sin = np.cos(phase), np.sin(phase)
+    return cos @ gc + sin @ gs, cos @ (omega * gs) - sin @ (omega * gc)

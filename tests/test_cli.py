@@ -171,6 +171,19 @@ class TestExperiment:
          "unknown config keys: trails"),
         ({"N": 5, "trials": 10}, "config must be a JSON object naming its kind"),
         ([5], "config must be a JSON object naming its kind"),
+        ({"kind": "ZeroStats", "N": 5, "trials": "10"},
+         "trials must be an integer"),
+        ({"kind": "ZeroStats", "N": 5.0}, "N must be an integer"),
+        ({"kind": "ZeroStats", "N": 5, "seed": True}, "seed must be an integer"),
+        ({"kind": "Homology1D", "N": 5, "M_list": [10], "D": None},
+         "D must be an integer"),
+        ({"kind": "Homology1D", "N": 5, "M_list": [10, "20"]},
+         "M_list must be a list of integers"),
+        ({"kind": "Homology1D", "N": 5, "M_list": 10},
+         "M_list must be a list of integers"),
+        ({"kind": "Homology1D", "N": 5, "M_list": [10], "zero_tol": "0"},
+         "zero_tol must be a number or null"),
+        ({"kind": "ZeroStats", "N": 5, "out": 1}, "out must be a path or null"),
     ])
     def test_malformed_config(self, capsys, tmp_path, config, message):
         cfg = tmp_path / "bad.json"
