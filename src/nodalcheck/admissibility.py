@@ -396,9 +396,8 @@ def _matched(hits: np.ndarray, codes: np.ndarray, lib: PatternLibrary,
 
 
 def _sweep(positive: np.ndarray, nsq: int, ring: int, margin: int, D: int,
-           coll: PatternCollection, collect_all: bool,
-           last: int | None = None) -> list:
-    """Forbidden-pattern matches of a block of grid squares, levels 0..last.
+           coll: PatternCollection, collect_all: bool) -> list:
+    """Forbidden-pattern matches of a block of grid squares, levels 0..D.
 
     ``positive`` covers a window holding nsq x nsq grid squares of
     2^(D+1) fine steps each, ``margin`` fine steps in from its edges;
@@ -408,8 +407,7 @@ def _sweep(positive: np.ndarray, nsq: int, ring: int, margin: int, D: int,
     shifts; those reach half a square out, so the margin is either 0,
     when they stay inside the block, or half a square).  Returns ``((*w, i, j), n, pattern_id)`` per match, w the
     window and (i, j) the level-n subsquare, and stops after the first
-    level with a match unless ``collect_all`` is set.  ``last`` defaults
-    to D, the deepest level.
+    level with a match unless ``collect_all`` is set.
 
     Each level computes one code array and one table lookup; own stencils
     sit at its even/even entries, the x- and y-shifts at the odd/even and
@@ -417,7 +415,7 @@ def _sweep(positive: np.ndarray, nsq: int, ring: int, margin: int, D: int,
     reaches into the margin only as far as the level's shifts do.
     """
     found = []
-    for n in range((D if last is None else last) + 1):
+    for n in range(D + 1):
         h = 1 << (D - n)
         crop = margin - min(margin, h)
         codes = _level_codes(positive[..., crop:positive.shape[-2] - crop,
@@ -528,11 +526,6 @@ def validate_1d(r: Realization1D, M: int, D: int, zero_tol: float = 0.0) -> Vali
     # subinterval k of level n lies in grid interval k >> n
     return _verdict(D, [(k >> n, n, "double-crossover")
                         for k, n in _double_crossovers(v, D)])
-
-
-def boundary_square_count(M: int) -> int:
-    """Number of grid squares touching the boundary: M^2 - (M-2)^2."""
-    return M * M - (M - 2) * (M - 2)
 
 
 # Pruning unit: the subsquares of level n0, _PRUNE_STEPS fine steps wide
@@ -654,15 +647,13 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     if found and not collect_all:
         return _verdict(D, found)
     depth = S.bit_length() - 2  # window levels 0..depth are n0..D
-    deepest = depth
     for positive, wa, wb, ring, margin in _windows(own, a, b, level,
                                                   1 << n0):
         found += [((int(wa[w]) >> n0, int(wb[w]) >> n0), n0 + n, pid)
                   for (w, _, _), n, pid in _sweep(positive, 1, ring, margin,
-                                                  depth, coll, collect_all,
-                                                  deepest)]
-        if found and not collect_all:
-            # later stacks need only the first violating level so far
-            deepest = min(n for _, n, _ in found) - n0
-            found = [v for v in found if v[1] == n0 + deepest]
+                                                  depth, coll, collect_all)]
+    if found and not collect_all:
+        # each stack stopped at its own first violating level
+        first = min(n for _, n, _ in found)
+        found = [v for v in found if v[1] == first]
     return _verdict(D, found)

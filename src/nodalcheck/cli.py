@@ -169,13 +169,10 @@ def _cmd_experiment(args):
         cfg = experiments.ExperimentConfig.from_json(fh.read())
     if cfg.kind == "ZeroStats":
         summary = experiments.zero_stats(cfg.N, cfg.trials, cfg.seed)
-    elif cfg.kind in ("Homology1D", "Homology2D"):
+    else:
         dim = 1 if cfg.kind == "Homology1D" else 2
         summary = experiments.homology_experiment(
             dim, cfg.N, cfg.M_list, cfg.trials, cfg.D, cfg.seed, cfg.zero_tol)
-    else:
-        raise SystemExit("OrthantConvergence runs via the orthant subcommand "
-                         "or the library API")
     out = cfg.out or args.out
     if out:
         experiments.write_results(summary, out, args.format)

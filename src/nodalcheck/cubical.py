@@ -17,7 +17,7 @@ import numpy as np
 from .fields import (Realization1D, Realization2D, classify_grid_2d,
                      evaluate_grid_1d)
 
-__all__ = ["SignGrid", "CubicalSet", "sign_grid", "cubical_approx", "negate"]
+__all__ = ["SignGrid", "CubicalSet", "sign_grid", "cubical_approx"]
 
 PLUS = 1
 MINUS = -1
@@ -122,7 +122,3 @@ def cubical_approx(grid: SignGrid, sigma: int) -> CubicalSet:
         raise ValueError("sigma must be +1 or -1")
     cells = (grid.signs == sigma) | (grid.signs == ZERO_FLAGGED)
     return CubicalSet(dim=grid.dim, M=grid.M, cells=cells)
-
-
-def negate(grid: SignGrid) -> SignGrid:
-    return SignGrid(dim=grid.dim, M=grid.M, signs=-grid.signs)

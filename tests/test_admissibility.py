@@ -7,8 +7,8 @@ from nodalcheck import admissibility as adm
 from nodalcheck.admissibility import (CERTIFIED, DEGENERATE, NOT_CERTIFIED,
                                       PatternCollection, PatternLibrary,
                                       SignPattern, ValidationOutcome,
-                                      b_admissible, boundary_square_count,
-                                      count_surviving, default_patterns,
+                                      b_admissible, count_surviving,
+                                      default_patterns,
                                       double_crossover, i_admissible,
                                       interval_admissible, load_patterns,
                                       validate_1d, validate_2d)
@@ -352,10 +352,6 @@ class TestValidate2D:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
-
-    def test_boundary_count(self):
-        for M in (3, 5, 12):
-            assert boundary_square_count(M) == M * M - (M - 2) * (M - 2)
 
     def test_depth_monotone(self):
         r = draw_realization(trig_coeffs(2, 3), 5)

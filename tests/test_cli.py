@@ -184,6 +184,8 @@ class TestExperiment:
         ({"kind": "Homology1D", "N": 5, "M_list": [10], "zero_tol": "0"},
          "zero_tol must be a number or null"),
         ({"kind": "ZeroStats", "N": 5, "out": 1}, "out must be a path or null"),
+        ({"kind": "OrthantConvergence"}, "kind must be one of "
+         "('ZeroStats', 'Homology1D', 'Homology2D')"),
     ])
     def test_malformed_config(self, capsys, tmp_path, config, message):
         cfg = tmp_path / "bad.json"

@@ -5,8 +5,9 @@ classifies signs band by band, and sweeps each dyadic level through one
 stencil-code array; ``validate_2d`` further skips the subsquares a Taylor
 bound proves sign-definite.  In 1D it evaluates every equispaced grid
 with one inverse FFT, and single points from the powers of one complex
-exponential, instead of cosine and sine sums, and it finds zeros by
-safeguarded Newton steps instead of bisection.  Every outcome must equal
+exponential, instead of cosine and sine sums, and it finds zeros by a
+few Newton steps, checked for a sign change, instead of bisection.  Every
+outcome must equal
 the straightforward formulation's, and the pruned one the dense
 whole-grid sweep's, field for field, on many seeds, at the experiment's
 zero tolerance and at 0.  Zeros agree in number, and in position to
@@ -297,16 +298,40 @@ def _zeros_close(got, want):
     return got.size == want.size and np.all(np.abs(got - want) <= 1e-12)
 
 
+def _zero_cases():
+    for N, seeds in ((2, 400), (5, 400), (10, 400), (50, 400), (120, 100),
+                     (200, 100)):
+        for seed in range(seeds):
+            yield N, draw_realization(trig_coeffs(1, N), seed)
+
+
 def test_find_zeros_matches_oracle():
-    """Safeguarded Newton against the bisection it replaced, on the same
+    """Newton steps against the bisection they replaced, on the same
     bracketing grid (worst difference 4.9e-13 over 69k zeros when this
     was written)."""
-    cases = [(N, seed) for N in (2, 5, 10, 50) for seed in range(400)]
-    cases += [(N, seed) for N in (120, 200) for seed in range(100)]
-    for N, seed in cases:
-        r = draw_realization(trig_coeffs(1, N), seed)
+    for N, r in _zero_cases():
         assert _zeros_close(experiments._find_zeros(r, N),
-                            oracles.find_zeros_bisect(r, N)), (N, seed)
+                            oracles.find_zeros_bisect(r, N)), (N, r.seed)
+
+
+def test_find_zeros_jet_calls(monkeypatch):
+    """``_NEWTON_STEPS`` jet calls for the steps and one for the check,
+    unless a bracket is bisected; over the cases above, fewer than 0.1%
+    of the brackets are."""
+    calls, bisected = [], []
+    jet, bisect = experiments.jet_1d, experiments._bisect
+    monkeypatch.setattr(experiments, "jet_1d",
+                        lambda r, x: calls.append(1) or jet(r, x))
+    monkeypatch.setattr(experiments, "_bisect", lambda r, lo, *args:
+                        bisected.append(lo.size) or bisect(r, lo, *args))
+    brackets = 0
+    for N, r in _zero_cases():
+        calls.clear()
+        fallbacks = len(bisected)
+        brackets += experiments._find_zeros(r, N).size
+        if len(bisected) == fallbacks:
+            assert len(calls) == experiments._NEWTON_STEPS + 1, (N, r.seed)
+    assert sum(bisected) < 1e-3 * brackets
 
 
 def _assert_sign_change_near(r, N, zeros):
@@ -352,8 +377,9 @@ def _planted_zero_cases():
 
 
 def test_find_zeros_planted(monkeypatch):
-    """Exact zero counts and positions where the safeguard takes over; the
-    planted cases reach the bisection fallback too."""
+    """Exact zero counts and positions where the Newton steps leave their
+    brackets or end on a bracket end; the planted cases reach the
+    bisection fallback too."""
     fallbacks = []
     bisect = experiments._bisect
     monkeypatch.setattr(experiments, "_bisect",
@@ -369,11 +395,12 @@ def test_find_zeros_planted(monkeypatch):
     assert fallbacks
 
 
-@pytest.mark.parametrize("scale", [1e9, -1.0])
+@pytest.mark.parametrize("scale", [1e9, -1.0, 0.0, np.nan])
 def test_find_zeros_distrusts_the_derivative(monkeypatch, scale):
-    """A wrong u' costs steps, not accuracy.  Scaled by 1e9, every first
-    step is below the tolerance and fails the sign-change check; with the
-    wrong sign, the steps leave their brackets or run into the cap."""
+    """A wrong u' costs bisection steps, not accuracy.  Scaled by 1e9, the
+    steps barely move and the last iterate fails the sign-change check;
+    with the wrong sign, they run to the bracket ends; at 0, every step
+    divides by zero and lands on an end, and so does every NaN step."""
     def jet(r, x):
         u, du = fields.jet_1d(r, x)
         return u, scale * du

@@ -88,6 +88,17 @@ class TestZeroStats:
         b = zero_stats(5, trials=20, seed=9)
         assert a.extra == b.extra
 
+    def test_outputs_pinned(self):
+        """Criterion 5a's mean zero count and the 5b M95 values at the
+        acceptance configs.  A change that keeps outputs must keep these;
+        one that moves them on purpose updates the pins, old -> new."""
+        s = zero_stats(10, trials=1000, seed=201)
+        assert s.extra["mean_zero_count"] == 12.406
+        trials = {5: 1000, 10: 1000, 20: 1000, 50: 400, 100: 200, 200: 100}
+        M95 = [zero_stats(N, trials=t, seed=300 + N).extra["M95"]
+               for N, t in trials.items()]
+        assert M95 == [48, 122, 311, 1338, 3474, 7215]
+
 
 @pytest.fixture(scope="module")
 def small_1d():
