@@ -23,9 +23,9 @@ from importlib import resources
 
 import numpy as np
 
-from .fields import (Realization1D, Realization2D, classify_grid_2d,
-                     evaluate_grid_1d, sign_definite_2d,
-                     window_classifier_2d)
+from .fields import (Realization1D, Realization2D, _classify_grid,
+                     _lattice_table, _sign_definite, _window_classifier,
+                     classify_grid_2d, evaluate_grid_1d)
 
 __all__ = [
     "SignPattern",
@@ -405,9 +405,10 @@ def _sweep(positive: np.ndarray, nsq: int, ring: int, margin: int, D: int,
     ``ring`` layers are checked for B-admissibility (own stencils), the
     others for I-admissibility (own stencils plus the four half-side
     shifts; those reach half a square out, so the margin is either 0,
-    when they stay inside the block, or half a square).  Returns ``((*w, i, j), n, pattern_id)`` per match, w the
-    window and (i, j) the level-n subsquare, and stops after the first
-    level with a match unless ``collect_all`` is set.
+    when they stay inside the block, or half a square).  Returns
+    ``((*w, i, j), n, pattern_id)`` per match, w the window and (i, j)
+    the level-n subsquare, and stops after the first level with a match
+    unless ``collect_all`` is set.
 
     Each level computes one code array and one table lookup; own stencils
     sit at its even/even entries, the x- and y-shifts at the odd/even and
@@ -620,12 +621,14 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     n0 = D + 2 - S.bit_length()
     G = M * unit
     step = r.coeffs.L / G
-    xs = np.arange(G + 1) * step
+    # the trig tables of the fine grid, its subsquare centres and its
+    # coarse grid: rows of one cached table
+    fine = _lattice_table(r.coeffs.L, r.coeffs.K, G)
+    centres, coarse = fine[S // 2::S], fine[::S]
     radius = S / 2 * step if coll.proven_blocks_admissible else S * step
-    level = sign_definite_2d(r, xs[S // 2::S], xs[S // 2::S], radius,
-                             zero_tol)
-    a, b = np.nonzero(level == 0)
-    classify = window_classifier_2d(r, xs, xs, S + 1, zero_tol)
+    level = _sign_definite(r, centres, centres, radius, zero_tol)
+    a, b = np.divmod(np.flatnonzero(level == 0), len(level))
+    classify = _window_classifier(r, fine, fine, S + 1, zero_tol)
     own = np.empty((len(a), S + 1, S + 1), dtype=bool)
     zeros = 0
     for k in range(0, len(a), _WINDOWS):
@@ -641,9 +644,9 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
 
     found = []
     if n0:
-        coarse, _ = classify_grid_2d(r, xs[::S], xs[::S], zero_tol)
+        positive, _ = _classify_grid(r, coarse, coarse, zero_tol)
         found = [((i >> n, j >> n), n, pid) for (i, j), n, pid
-                 in _sweep(coarse, M, 1, 0, n0 - 1, coll, collect_all)]
+                 in _sweep(positive, M, 1, 0, n0 - 1, coll, collect_all)]
     if found and not collect_all:
         return _verdict(D, found)
     depth = S.bit_length() - 2  # window levels 0..depth are n0..D

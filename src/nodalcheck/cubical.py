@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Realization1D, Realization2D, classify_grid_2d,
-                     evaluate_grid_1d)
+from .fields import (Realization1D, Realization2D, _classify_grid,
+                     _lattice_table, evaluate_grid_1d)
 
 __all__ = ["SignGrid", "CubicalSet", "sign_grid", "cubical_approx"]
 
@@ -104,9 +104,9 @@ def sign_grid(r, M: int, zero_tol: float = 0.0) -> SignGrid:
         signs[vals > zero_tol] = PLUS
         signs[vals < -zero_tol] = MINUS
     elif isinstance(r, Realization2D):
-        xs = np.arange(M + 1) * (r.coeffs.L / M)
+        A = _lattice_table(r.coeffs.L, r.coeffs.K, M)
         flagged = np.empty((M + 1, M + 1), dtype=bool)
-        positive, _ = classify_grid_2d(r, xs, xs, zero_tol, flagged)
+        positive, _ = _classify_grid(r, A, A, zero_tol, flagged)
         # PLUS where positive, MINUS elsewhere, built in int8
         signs = positive.view(np.int8) * np.int8(2)
         signs -= 1

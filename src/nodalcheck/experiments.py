@@ -88,6 +88,10 @@ class ExperimentConfig:
             raise ValueError("out must be a path or null")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.D < 0:
+            raise ValueError("D must be nonnegative")
+        if self.kind != "ZeroStats" and not self.M_list:
+            raise ValueError(f"{self.kind} needs a nonempty M_list")
         floor = 3 if self.kind == "Homology2D" else 1
         if any(M < floor for M in self.M_list):
             raise ValueError(f"every M must be at least {floor}")
@@ -266,6 +270,8 @@ def homology_experiment(dim: int, N: int, M_list, trials: int,
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
     M_list = sorted(set(int(M) for M in M_list))
+    if not M_list:
+        raise ValueError("M_list must not be empty")
     coeffs = trig_coeffs(dim, N)
     if zero_tol is None:
         zero_tol = default_zero_tol(coeffs)

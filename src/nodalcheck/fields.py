@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -371,18 +371,38 @@ def evaluate_grid_1d(r: Realization1D, n: int) -> np.ndarray:
     return np.append(v, v[0])
 
 
-def _trig_block(coeffs, x) -> np.ndarray:
+def _trig_block(L: float, K: int, x) -> np.ndarray:
     """A(x) = [cos | sin](2 pi k x / L), k = 0..K, along a new last axis."""
-    k = np.arange(coeffs.K + 1)
+    k = np.arange(K + 1)
     x = np.asarray(x, dtype=float)
-    phase = 2.0 * np.pi * np.multiply.outer(x, k) / coeffs.L
+    phase = 2.0 * np.pi * np.multiply.outer(x, k) / L
     return np.concatenate((np.cos(phase), np.sin(phase)), axis=-1)
 
 
 def _trig_blocks(coeffs, x1, x2) -> tuple:
     """(A(x1), A(x2)), built once when the two axes hold the same values."""
-    A1 = _trig_block(coeffs, x1)
-    return A1, A1 if np.array_equal(x1, x2) else _trig_block(coeffs, x2)
+    A1 = _trig_block(coeffs.L, coeffs.K, x1)
+    return A1, (A1 if np.array_equal(x1, x2)
+                else _trig_block(coeffs.L, coeffs.K, x2))
+
+
+@lru_cache(maxsize=16)
+def _lattice_table(L: float, K: int, n: int) -> np.ndarray:
+    """A(x) on the lattice x = arange(n + 1) * (L / n), read-only and cached.
+
+    The 2D grids of a Monte Carlo run lie on a few lattices that depend
+    on (L, K) and the resolution only, not on the draw: a 2D homology
+    trial at M = 8, 16, 32 reads 8 of them (n = 8 ... 4096).  At most 16
+    tables are kept, the least recently used dropped first.  A table
+    holds 16 (K + 1)(n + 1) bytes, so the cache holds at most
+    256 (K + 1)(n + 1) bytes for the largest K and n in it: 4.2 MB at
+    K = 3, n = 4096, where the 8 tables of that trial take 0.5 MB.  A
+    table is no larger than the product A(x) W its caller forms from it.
+    A is computed point by point, so a strided run of rows is the table
+    of those points: ``validate_2d`` reads its subsquare centres and its
+    coarse grid as rows of the fine table.
+    """
+    return _readonly(_trig_block(L, K, np.arange(n + 1) * (L / n)))
 
 
 def _frequencies(coeffs) -> np.ndarray:
@@ -397,8 +417,9 @@ def _trig_derivative(coeffs, A: np.ndarray) -> np.ndarray:
 
 
 def _eval_2d(r: Realization2D, x1, x2):
-    out = np.sum((_trig_block(r.coeffs, x1) @ r.weights)
-                 * _trig_block(r.coeffs, x2), axis=-1)
+    L, K = r.coeffs.L, r.coeffs.K
+    out = np.sum((_trig_block(L, K, x1) @ r.weights) * _trig_block(L, K, x2),
+                 axis=-1)
     return out if out.shape else float(out)
 
 
@@ -408,13 +429,13 @@ def _eval_2d(r: Realization2D, x1, x2):
 _BAND_ROWS = 64
 
 
-def _grid_bands(r: Realization2D, x1, x2):
+def _grid_bands(r: Realization2D, A1: np.ndarray, A2: np.ndarray):
     """Yield ``(rows, u[rows, :])`` on the tensor grid x1 (x) x2, band by band.
 
-    One block product [C1 S1] W [C2 S2]^T per band.  The yielded values
-    live in one scratch buffer that the next band overwrites.
+    The grid is given by its tables A1 = A(x1) and A2 = A(x2).  One block
+    product [C1 S1] W [C2 S2]^T per band.  The yielded values live in one
+    scratch buffer that the next band overwrites.
     """
-    A1, A2 = _trig_blocks(r.coeffs, x1, x2)
     left, right = A1 @ r.weights, A2.T
     n = len(left)
     buf = np.empty((min(n, _BAND_ROWS), right.shape[1]))
@@ -432,7 +453,7 @@ def evaluate_grid_2d(r: Realization2D, x1: np.ndarray, x2: np.ndarray) -> np.nda
     Returns an array of shape (len(x1), len(x2)).
     """
     out = np.empty((len(x1), len(x2)))
-    for rows, values in _grid_bands(r, x1, x2):
+    for rows, values in _grid_bands(r, *_trig_blocks(r.coeffs, x1, x2)):
         out[rows] = values
     return out
 
@@ -448,12 +469,19 @@ def classify_grid_2d(r: Realization2D, x1, x2, zero_tol: float,
     The values are those of :func:`evaluate_grid_2d`, classified band by
     band, so no float grid of the full size is ever formed.
     """
+    return _classify_grid(r, *_trig_blocks(r.coeffs, x1, x2), zero_tol,
+                            flagged)
+
+
+def _classify_grid(r: Realization2D, A1, A2, zero_tol: float,
+                     flagged: np.ndarray | None = None) -> tuple:
+    """:func:`classify_grid_2d` on the tables A1 = A(x1) and A2 = A(x2)."""
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
-    positive = np.empty((len(x1), len(x2)), dtype=bool)
-    negative = np.empty((min(len(x1), _BAND_ROWS), len(x2)), dtype=bool)
+    positive = np.empty((len(A1), len(A2)), dtype=bool)
+    negative = np.empty((min(len(A1), _BAND_ROWS), len(A2)), dtype=bool)
     zeros = 0
-    for rows, values in _grid_bands(r, x1, x2):
+    for rows, values in _grid_bands(r, A1, A2):
         pos, neg = positive[rows], negative[: len(values)]
         np.greater(values, zero_tol, out=pos)
         np.less(values, -zero_tol, out=neg)
@@ -473,9 +501,14 @@ def window_classifier_2d(r: Realization2D, x1, x2, size: int, zero_tol: float):
     once; each window is the block product of a run of rows of the one
     and of columns of the other.
     """
+    return _window_classifier(r, *_trig_blocks(r.coeffs, x1, x2), size,
+                              zero_tol)
+
+
+def _window_classifier(r: Realization2D, A1, A2, size: int, zero_tol: float):
+    """:func:`window_classifier_2d` on the tables A1 = A(x1) and A2 = A(x2)."""
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
-    A1, A2 = _trig_blocks(r.coeffs, x1, x2)
     left, right = A1 @ r.weights, np.ascontiguousarray(A2.T)
     # runs[i] = left[i:i + size] and columns[j] = right[:, j:j + size], as views
     runs = sliding_window_view(left, size, axis=0).transpose(0, 2, 1)
@@ -491,12 +524,17 @@ def window_classifier_2d(r: Realization2D, x1, x2, size: int, zero_tol: float):
     return classify
 
 
-def _jet_bands(r: Realization2D, x1, x2):
-    """Yield ``(rows, u, du/dx1, du/dx2)`` on the tensor grid x1 (x) x2, band by band."""
+def _jet_bands(r: Realization2D, A1: np.ndarray, A2: np.ndarray):
+    """Yield ``(rows, u, du/dx1, du/dx2)`` on the tensor grid x1 (x) x2, band by band.
+
+    The grid is given by its tables A1 = A(x1) and A2 = A(x2); dA/dx is
+    formed once when both axes share one table.
+    """
     W = r.weights
-    A1, A2 = _trig_blocks(r.coeffs, x1, x2)
-    left, dleft = A1 @ W, _trig_derivative(r.coeffs, A1) @ W
-    right, dright = A2.T, _trig_derivative(r.coeffs, A2).T
+    dA1 = _trig_derivative(r.coeffs, A1)
+    dA2 = dA1 if A2 is A1 else _trig_derivative(r.coeffs, A2)
+    left, dleft = A1 @ W, dA1 @ W
+    right, dright = A2.T, dA2.T
     for start in range(0, len(left), _BAND_ROWS):
         rows = slice(start, start + _BAND_ROWS)
         yield rows, left[rows] @ right, dleft[rows] @ right, left[rows] @ dright
@@ -517,13 +555,20 @@ def sign_definite_2d(r: Realization2D, x1, x2, radius: float,
     bounds ``r.hessian_bounds``, plus twice ``r.rounding_bound``: once
     for u(c) and once for the value at c + d.
     """
+    return _sign_definite(r, *_trig_blocks(r.coeffs, x1, x2), radius,
+                          zero_tol)
+
+
+def _sign_definite(r: Realization2D, A1, A2, radius: float,
+                   zero_tol: float) -> np.ndarray:
+    """:func:`sign_definite_2d` on the tables A1 = A(x1) and A2 = A(x2)."""
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
     H11, H12, H22 = r.hessian_bounds
     curvature = 0.5 * (H11 + 2.0 * H12 + H22)
     slack = zero_tol + 2.0 * r.rounding_bound
-    out = np.zeros((len(x1), len(x2)), dtype=np.int8)
-    for rows, u, d1, d2 in _jet_bands(r, x1, x2):
+    out = np.zeros((len(A1), len(A2)), dtype=np.int8)
+    for rows, u, d1, d2 in _jet_bands(r, A1, A2):
         grad = np.abs(d1, out=d1)
         grad += np.abs(d2, out=d2)
         band = out[rows]

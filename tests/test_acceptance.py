@@ -217,6 +217,17 @@ def test_criterion_6_rate_domination(suite_1d_n5, suite_1d_n10, suite_2d_n3,
     assert ok
 
 
+def test_criterion_6_2d_outputs_pinned(suite_2d_n3):
+    """The per-M rows of the 2D suite, out of 496 resolved trials.  A
+    change that keeps outputs must keep these; one that moves them on
+    purpose updates the pins, old -> new."""
+    got = [(row["M"], row["rate_match"], row["rate_certified"],
+            row["degenerate"], row["unresolved"]) for row in suite_2d_n3.rows]
+    assert got == [(8, 0 / 496, 0 / 496, 0, 4),
+                   (16, 48 / 496, 5 / 496, 0, 4),
+                   (32, 275 / 496, 135 / 496, 0, 4)]
+
+
 def test_criterion_7_soundness(suite_1d_n5, suite_1d_n10, suite_2d_n3,
                                report):
     exceptions = []

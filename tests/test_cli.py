@@ -186,6 +186,12 @@ class TestExperiment:
         ({"kind": "ZeroStats", "N": 5, "out": 1}, "out must be a path or null"),
         ({"kind": "OrthantConvergence"}, "kind must be one of "
          "('ZeroStats', 'Homology1D', 'Homology2D')"),
+        ({"kind": "Homology2D", "N": 3, "M_list": [], "trials": 1},
+         "Homology2D needs a nonempty M_list"),
+        ({"kind": "Homology1D", "N": 5, "trials": 1},
+         "Homology1D needs a nonempty M_list"),
+        ({"kind": "Homology1D", "N": 5, "M_list": [10], "D": -1},
+         "D must be nonnegative"),
     ])
     def test_malformed_config(self, capsys, tmp_path, config, message):
         cfg = tmp_path / "bad.json"

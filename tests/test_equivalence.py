@@ -31,9 +31,10 @@ from nodalcheck.admissibility import (PatternCollection, PatternLibrary,
                                       validate_2d)
 from nodalcheck.cubical import sign_grid
 from nodalcheck.experiments import default_zero_tol
-from nodalcheck.fields import (CoeffSeq1D, Realization1D, Realization2D,
-                               draw_realization, evaluate, evaluate_grid_1d,
-                               evaluate_grid_2d, trig_coeffs)
+from nodalcheck.fields import (CoeffSeq1D, CoeffSeq2D, Realization1D,
+                               Realization2D, draw_realization, evaluate,
+                               evaluate_grid_1d, evaluate_grid_2d,
+                               trig_coeffs)
 from nodalcheck.homology import connected_components
 
 from test_homology import cosine_2d
@@ -93,6 +94,28 @@ def test_pruned_matches_dense_at_benchmark_size(seed):
         want = oracles.validate_2d_dense(r, 32, 6, zero_tol, collect_all,
                                          COLL)
         assert got == want, (seed, collect_all)
+
+
+def _cache_cases():
+    """N = 3 fields on the criterion-6 resolutions, then one with L != 2 pi."""
+    for seed in range(50):
+        yield draw_realization(trig_coeffs(2, 3), 5000 + seed), 3 + seed % 2
+    coeffs = CoeffSeq2D(L=3.7, a=trig_coeffs(2, 3).a)
+    yield draw_realization(coeffs, 77), 4
+
+
+def test_validate_2d_cold_and_warm_tables():
+    """Outcomes do not depend on whether the lattice tables were cached."""
+    for k, (r, D) in enumerate(_cache_cases()):
+        zero_tol = default_zero_tol(r.coeffs)
+        collect_all = k % 2 == 0
+        for M in (8, 16, 32):
+            fields._lattice_table.cache_clear()
+            cold = validate_2d(r, M, D, zero_tol, collect_all)
+            warm = validate_2d(r, M, D, zero_tol, collect_all)
+            want = oracles.validate_2d_dense(r, M, D, zero_tol, collect_all,
+                                             COLL)
+            assert cold == warm == want, (r.seed, r.coeffs.L, M, D)
 
 
 # With the shipped library no I-forbidden stencil has two uniform adjacent
@@ -162,17 +185,17 @@ def test_pruning_engages(monkeypatch):
     subsquares unevaluated, so the equivalence above is not met by
     evaluating everything."""
     evaluated = []
-    window_classifier_2d = adm.window_classifier_2d
+    window_classifier = adm._window_classifier
 
     def counting(*args):
-        classify = window_classifier_2d(*args)
+        classify = window_classifier(*args)
 
         def count(i, j):
             evaluated.append(len(i))
             return classify(i, j)
         return count
 
-    monkeypatch.setattr(adm, "window_classifier_2d", counting)
+    monkeypatch.setattr(adm, "_window_classifier", counting)
     for seed in range(10):
         r = draw_realization(trig_coeffs(2, 2 + seed % 3), seed)
         for M, D in ((8, 6), (16, 4)):

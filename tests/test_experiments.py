@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from nodalcheck import fields
 from nodalcheck.experiments import (CSV_COLUMNS, ExperimentConfig,
                                     TrialRecord, default_zero_tol,
                                     homology_experiment, orthant_convergence,
@@ -56,6 +57,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(kind="Homology2D", N=3, M_list=(2,), trials=1)
         ExperimentConfig(kind="Homology1D", N=3, M_list=(2,), trials=1)
+
+    def test_empty_m_list(self):
+        for kind in ("Homology1D", "Homology2D"):
+            with pytest.raises(ValueError, match="needs a nonempty M_list"):
+                ExperimentConfig(kind=kind, N=3, M_list=(), trials=1)
+        ExperimentConfig(kind="ZeroStats", N=3)
+
+    def test_negative_depth(self):
+        with pytest.raises(ValueError, match="D must be nonnegative"):
+            ExperimentConfig(kind="Homology2D", N=3, M_list=(8,), D=-1)
+        ExperimentConfig(kind="Homology2D", N=3, M_list=(8,), D=0)
 
 
 def test_trial_record_invariant():
@@ -155,6 +167,27 @@ class TestHomologyExperiment:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             homology_experiment(3, 3, [8], trials=1)
+
+    def test_empty_m_list(self):
+        for dim in (1, 2):
+            with pytest.raises(ValueError, match="M_list must not be empty"):
+                homology_experiment(dim, 3, [], trials=1)
+
+    def test_2d_trials_share_trig_tables(self, monkeypatch):
+        """The trig tables of a 2D trial's lattices depend on the field's
+        law, not on the draw: a cold trial of the criterion-6 suite builds
+        one per lattice, a repeated one builds none."""
+        built = []
+        trig_block = fields._trig_block
+        monkeypatch.setattr(fields, "_trig_block", lambda L, K, x: built.append(
+            len(x) - 1) or trig_block(L, K, x))
+        fields._lattice_table.cache_clear()
+        builds = []
+        for seed in (5, 5, 6):
+            built.clear()
+            homology_experiment(2, 3, (8, 16, 32), trials=1, seed=seed)
+            builds.append(sorted(built))
+        assert builds == [[8, 16, 32, 256, 512, 1024, 2048, 4096], [], []]
 
 
 class TestOrthantConvergence:

@@ -128,7 +128,8 @@ class TestEvaluate:
 
 def jets(r, x1, x2):
     """u, du/dx1 and du/dx2 at the point (x1, x2)."""
-    ((_, u, d1, d2),) = fields._jet_bands(r, np.array([x1]), np.array([x2]))
+    tables = fields._trig_blocks(r.coeffs, [x1], [x2])
+    ((_, u, d1, d2),) = fields._jet_bands(r, *tables)
     return u[0, 0], d1[0, 0], d2[0, 0]
 
 
@@ -222,6 +223,63 @@ class TestTaylorBound:
             block = values[i[w]:i[w] + 3, j[w]:j[w] + 3]
             assert np.array_equal(positive[w], block > 0.5)
             assert np.array_equal(flagged[w], np.abs(block) <= 0.5)
+
+
+class TestLatticeTables:
+    """The cached trig tables A(x) of the lattices arange(n + 1) * (L / n)."""
+
+    @pytest.mark.parametrize("L, K, n", [(2 * np.pi, 3, 4096), (2 * np.pi, 3, 8),
+                                         (3.7, 5, 96), (1.0, 2, 1)])
+    def test_equals_a_fresh_table(self, L, K, n):
+        fields._lattice_table.cache_clear()
+        cold = fields._lattice_table(L, K, n)
+        warm = fields._lattice_table(L, K, n)
+        assert warm is cold
+        fresh = fields._trig_block(L, K, np.arange(n + 1) * (L / n))
+        assert cold.shape == (n + 1, 2 * (K + 1))
+        assert np.array_equal(cold, fresh)
+
+    def test_read_only(self):
+        table = fields._lattice_table(2 * np.pi, 3, 16)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+    def test_keyed_by_period_and_degree(self):
+        base = fields._lattice_table(2 * np.pi, 3, 32)
+        other_L = fields._lattice_table(3.7, 3, 32)
+        other_K = fields._lattice_table(2 * np.pi, 4, 32)
+        assert other_L is not base and other_K is not base
+        assert not np.array_equal(other_L, base)
+        assert other_K.shape == (33, 10)
+        assert np.array_equal(
+            other_L, fields._trig_block(3.7, 3, np.arange(33) * (3.7 / 32)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_strided_rows_give_the_same_values(self, seed):
+        """validate_2d reads the subsquare centres and the coarse grid as
+        strided rows of the fine table; the products match fresh tables'."""
+        r = draw_realization(trig_coeffs(2, 3), seed)
+        L, G = r.coeffs.L, 1024
+        xs = np.arange(G + 1) * (L / G)
+        fine = fields._lattice_table(L, 3, G)
+        for rows in (slice(4, None, 8), slice(None, None, 8)):
+            A = fields._trig_block(L, 3, xs[rows])
+            got = [u.copy() for _, u in fields._grid_bands(r, fine[rows],
+                                                          fine[rows])]
+            want = [u.copy() for _, u in fields._grid_bands(r, A, A)]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            got = list(fields._jet_bands(r, fine[rows], fine[rows]))
+            want = list(fields._jet_bands(r, A, A))
+            assert all(np.array_equal(g, w) for gs, ws in zip(got, want)
+                       for g, w in zip(gs[1:], ws[1:]))
+
+    def test_bounded(self):
+        assert fields._lattice_table.cache_info().maxsize >= 8
+        for n in range(1, 40):
+            fields._lattice_table(1.0, 2, n)
+        info = fields._lattice_table.cache_info()
+        assert info.currsize == info.maxsize
 
 
 class TestMoments:
