@@ -213,13 +213,25 @@ class PatternCollection:
 
 @dataclass(frozen=True)
 class ValidationOutcome:
+    """Verdict of one check, with the violations it found.
+
+    ``violations`` holds at most the first 200 in sorted order;
+    ``violation_count`` is the number found before that cap and defaults
+    to ``len(violations)``.
+    """
+
     status: str
     max_depth_checked: int
     violations: tuple = ()
     zero_flag_count: int = 0
+    violation_count: int | None = None
 
     def __post_init__(self):
-        if self.status == CERTIFIED and (self.violations or self.zero_flag_count):
+        if self.violation_count is None:
+            object.__setattr__(self, "violation_count", len(self.violations))
+        if self.violation_count < len(self.violations):
+            raise ValueError("violation_count is below the number of violations")
+        if self.status == CERTIFIED and (self.violation_count or self.zero_flag_count):
             raise ValueError("Certified outcome cannot carry violations or zero flags")
 
     @property
@@ -442,7 +454,8 @@ def _sweep(positive: np.ndarray, nsq: int, ring: int, margin: int, D: int,
 def _verdict(D: int, violations: list) -> ValidationOutcome:
     if violations:
         return ValidationOutcome(NOT_CERTIFIED, D,
-                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]))
+                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]),
+                                 violation_count=len(violations))
     return ValidationOutcome(CERTIFIED, D)
 
 

@@ -116,6 +116,7 @@ def _cmd_validate(args):
         "status": outcome.status,
         "max_depth_checked": outcome.max_depth_checked,
         "zero_flag_count": outcome.zero_flag_count,
+        "violation_count": outcome.violation_count,
         "violations": [{"square": v[0], "level": v[1], "pattern": v[2]}
                        for v in outcome.violations],
     })

@@ -3,8 +3,9 @@
 Connectivity is through shared faces of any dimension (two cells
 touching only at a corner are connected), which matches the topology of
 the union of closed cells.  beta_0 comes from 8-neighbour component
-labelling of the cell mask (``scipy.ndimage.label``); in 2D,
-beta_1 = beta_0 - chi with chi = V - E + F counted on the face closure.
+labelling of the cell mask (``scipy.ndimage.label``, imported on first
+use); in 2D, beta_1 = beta_0 - chi with chi = V - E + F counted on the
+face closure.
 Planar cubical sets have no torsion and no H_2, so the Betti pair
 determines the homology.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .cubical import CubicalSet, cubical_approx, sign_grid
 
@@ -35,6 +35,9 @@ _EIGHT_NEIGHBOURS = np.ones((3, 3), dtype=bool)
 
 def connected_components(mask: np.ndarray) -> int:
     """Number of 8-connected components of a 2D boolean mask."""
+    # imported here: scipy.ndimage costs about 0.1 s and 25 MB to import
+    from scipy import ndimage
+
     return int(ndimage.label(np.asarray(mask, dtype=bool),
                              structure=_EIGHT_NEIGHBOURS)[1])
 

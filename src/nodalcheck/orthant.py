@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.stats import multivariate_normal
 
 from .fields import covariance, spectral_moments
 
@@ -225,6 +223,9 @@ def orthant_genz(q: OrthantQuery, releps: float = 1e-6) -> float:
     the near-degenerate stencil covariances at small delta, where
     orthant_numeric should be used instead.
     """
+    # imported here: scipy.stats costs about 0.4 s and 70 MB to import
+    from scipy.stats import multivariate_normal
+
     s = np.asarray(q.signs, dtype=float)
     C = q.cov.entries * np.outer(s, s)
     # upper-orthant mass of N(0, C) equals the CDF at 0 by central symmetry
@@ -301,6 +302,9 @@ def _tracked_eigensystem(coeffs, L, pattern, deltas):
     eigenvector overlap, and the minimal matched overlap is returned as
     a branch-tracking confidence.
     """
+    # imported here: scipy.optimize costs about 0.3 s and 50 MB to import
+    from scipy.optimize import linear_sum_assignment
+
     deltas = sorted(deltas, reverse=True)
     lams, vecs = [], []
     min_overlap = 1.0

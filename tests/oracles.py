@@ -188,7 +188,8 @@ def validate_1d(r, M, D, zero_tol):
             violations.append((start // unit, n, "double-crossover"))
     if violations:
         return ValidationOutcome("NotCertified", D,
-                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]))
+                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]),
+                                 violation_count=len(violations))
     return ValidationOutcome("Certified", D)
 
 
@@ -225,7 +226,8 @@ def square_outcome(r, square, D, lib, zero_tol, shifts, collect_all):
             break
     if violations:
         return ValidationOutcome("NotCertified", D,
-                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]))
+                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]),
+                                 violation_count=len(violations))
     return ValidationOutcome("Certified", D)
 
 
@@ -270,7 +272,8 @@ def validate_2d(r, M, D, zero_tol, collect_all, coll):
             break
     if violations:
         return ValidationOutcome("NotCertified", D,
-                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]))
+                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]),
+                                 violation_count=len(violations))
     return ValidationOutcome("Certified", D)
 
 

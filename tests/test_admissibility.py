@@ -472,6 +472,20 @@ def test_outcome_invariant():
         ValidationOutcome(CERTIFIED, 3, zero_flag_count=1)
 
 
+def test_outcome_violation_count():
+    """A direct construction counts its violations; a count below them is refused."""
+    v = ((0, 0, "x"), (1, 0, "x"))
+    assert ValidationOutcome(NOT_CERTIFIED, 3, v).violation_count == 2
+    assert ValidationOutcome(NOT_CERTIFIED, 3, v) == \
+        ValidationOutcome(NOT_CERTIFIED, 3, v, violation_count=2)
+    assert ValidationOutcome(NOT_CERTIFIED, 3, v,
+                             violation_count=500).violation_count == 500
+    with pytest.raises(ValueError):
+        ValidationOutcome(NOT_CERTIFIED, 3, v, violation_count=1)
+    with pytest.raises(ValueError):
+        ValidationOutcome(CERTIFIED, 3, violation_count=1)
+
+
 def test_env_var_pattern_path(tmp_path, monkeypatch):
     import importlib.resources as res
     text = res.files("nodalcheck").joinpath("patterns.txt").read_text()

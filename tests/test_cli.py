@@ -52,12 +52,15 @@ class TestValidate:
         payload = json.loads(out)
         assert payload["status"] == "NotCertified"
         assert payload["violations"]
+        assert payload["violation_count"] == len(payload["violations"])
 
     def test_fine_grid_certified(self, capsys):
         code, out = run(capsys, "validate", "--dim", "1", "--N", "3",
                         "--M", "60", "--seed", "7")
         assert code == EXIT_OK
-        assert json.loads(out)["status"] == "Certified"
+        payload = json.loads(out)
+        assert payload["status"] == "Certified"
+        assert payload["violation_count"] == 0
 
 
 class TestRoundTrips:

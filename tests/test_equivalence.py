@@ -96,6 +96,18 @@ def test_pruned_matches_dense_at_benchmark_size(seed):
         assert got == want, (seed, collect_all)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_violation_count_past_cap(seed):
+    """N = 10, M = 8, D = 6 finds well over 200 violations with
+    ``collect_all``: the outcome lists 200 and counts them all, as the
+    slow oracle does."""
+    r = draw_realization(trig_coeffs(2, 10), fields.derive_seed(seed, 0))
+    for collect_all in (False, True):
+        got = validate_2d(r, 8, 6, 0.0, collect_all)
+        assert got == oracles.validate_2d(r, 8, 6, 0.0, collect_all, COLL)
+        assert got.violation_count > len(got.violations) == 200, collect_all
+
+
 def _cache_cases():
     """N = 3 fields on the criterion-6 resolutions, then one with L != 2 pi."""
     for seed in range(50):

@@ -1,0 +1,105 @@
+"""Import footprint: which scipy parts the library loads, and when.
+
+``scipy.stats`` and ``scipy.optimize`` take about 0.7 s and 120 MB to
+import and serve only ``orthant.orthant_genz`` and
+``orthant.expansion_check``; ``scipy.ndimage`` serves only the 2D Betti
+numbers.  Each case runs in a fresh interpreter, because this one has
+imported all three long before.
+"""
+
+import json
+import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from nodalcheck.fields import trig_coeffs
+from nodalcheck.orthant import PATTERNS, expansion_check, expected_expansion
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+HEAVY = ("scipy.stats", "scipy.optimize", "scipy.ndimage")
+
+_PRELUDE = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {SRC!r})
+
+def loaded():
+    return [m for m in {HEAVY!r} if m in sys.modules]
+"""
+
+
+def _fresh(code: str) -> dict:
+    """Run ``code`` in a new interpreter; return the JSON of its last line."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRELUDE + textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_trial_paths_load_no_heavy_scipy():
+    steps = _fresh("""
+        steps = {}
+        import nodalcheck
+        steps["import nodalcheck"] = loaded()
+        import nodalcheck.cli
+        steps["import nodalcheck.cli"] = loaded()
+        from nodalcheck import admissibility, cli, experiments, fields
+        experiments.homology_experiment(1, 5, [18], trials=1, seed=0)
+        steps["1D homology_experiment"] = loaded()
+        experiments.zero_stats(5, trials=1, seed=0)
+        steps["zero_stats"] = loaded()
+        r = fields.draw_realization(fields.trig_coeffs(2, 3), 0)
+        admissibility.validate_2d(r, 8, 2)
+        steps["validate_2d"] = loaded()
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["validate", "--dim", "2", "--N", "3", "--M", "8"])
+        steps["cli validate --dim 2"] = loaded()
+        print(json.dumps(steps))
+    """)
+    assert len(steps) == 6
+    assert steps == {step: [] for step in steps}
+
+
+def test_2d_betti_loads_ndimage_only():
+    got = _fresh("""
+        from nodalcheck import cubical, fields, homology
+        r = fields.draw_realization(fields.trig_coeffs(2, 3), 0)
+        pair = homology.betti_pair(cubical.sign_grid(r, 8))
+        print(json.dumps(loaded()))
+    """)
+    assert got == ["scipy.ndimage"]
+
+
+def test_orthant_functions_load_their_scipy_parts():
+    got = _fresh("""
+        from nodalcheck import fields, orthant
+        out = {"before": loaded()}
+        coeffs = fields.trig_coeffs(1, 3)
+        pat = orthant.PATTERNS["crossover-1d"]
+        rep = orthant.expansion_check(
+            coeffs, coeffs.L, pat, [0.1 * 2.0**-j for j in range(6)],
+            orthant.expected_expansion("crossover-1d", coeffs))
+        out["ok"], out["det_coefficient"] = rep.ok, rep.det_coefficient
+        out["after expansion_check"] = loaded()
+        q = orthant.OrthantQuery(signs=pat.signs, cov=orthant.pattern_cov(
+            coeffs, coeffs.L, pat.points(0.5)))
+        out["genz"] = orthant.orthant_genz(q)
+        out["exact"] = orthant.orthant_exact_small(q)
+        out["after genz"] = loaded()
+        print(json.dumps(out))
+    """)
+    assert got["before"] == []
+    assert got["after expansion_check"] == ["scipy.optimize"]
+    # scipy.stats itself imports scipy.optimize and scipy.ndimage
+    assert "scipy.stats" in got["after genz"]
+    assert got["genz"] == pytest.approx(got["exact"], rel=1e-3)
+    coeffs = trig_coeffs(1, 3)
+    rep = expansion_check(coeffs, 2 * math.pi, PATTERNS["crossover-1d"],
+                          [0.1 * 2.0**-j for j in range(6)],
+                          expected_expansion("crossover-1d", coeffs))
+    assert got["ok"] and rep.ok
+    assert got["det_coefficient"] == rep.det_coefficient
