@@ -53,8 +53,20 @@ class SignGrid:
     def from_json(text: str) -> "SignGrid":
         payload = json.loads(text)
         lut = {"+": PLUS, "-": MINUS, "0": ZERO_FLAGGED}
-        rows = [[lut[c] for c in row] for row in payload["rows"]]
-        signs = np.asarray(rows, dtype=np.int8)
+        rows = payload["rows"]
+        if payload["dim"] == 1 and len(rows) != 1:
+            raise ValueError(f"a 1D sign grid has one row, not {len(rows)}")
+        for i, row in enumerate(rows):
+            if not isinstance(row, str):
+                raise ValueError(f"sign grid row {i} is not a string")
+            bad = [c for c in row if c not in lut]
+            if bad:
+                raise ValueError(f"sign grid row {i}: bad character {bad[0]!r}"
+                                 " (expected '+', '-' or '0')")
+            if len(row) != len(rows[0]):
+                raise ValueError(f"sign grid row {i} has {len(row)} signs,"
+                                 f" row 0 has {len(rows[0])}")
+        signs = np.asarray([[lut[c] for c in row] for row in rows], dtype=np.int8)
         if payload["dim"] == 1:
             signs = signs[0]
         return SignGrid(dim=payload["dim"], M=payload["M"], signs=signs)

@@ -9,17 +9,20 @@ complement regions by 4-connected flood fill from the canvas border
 (open complement does not pass through corners).
 
 The second half keeps the slow, straightforward formulations of the 1D
-and 2D evaluators, the dyadic sweeps and the component count, which
-the library replaced with fused code; the equivalence tests compare
-against them.
+and 2D evaluators, the dyadic sweeps, the component count and the
+labelling Betti path, which the library replaced with fused code; the
+equivalence tests compare against them.
 """
 
 import math
 from collections import deque
 
 import numpy as np
+from scipy import ndimage
 
 from nodalcheck import fields
+from nodalcheck.cubical import CubicalSet
+from nodalcheck.homology import close_faces
 
 
 def rasterize(cells: np.ndarray) -> np.ndarray:
@@ -325,6 +328,17 @@ def connected_components_runs(mask):
                 if c - 1 < b and a < d_ + 1:
                     uf.union(rc, rp)
     return uf.count if runs else 0
+
+
+def betti_label(cells):
+    """(beta_0, beta_1) of a square 1D or 2D cell mask: neighbour labels
+    (corners included) for beta_0, the face closure's Euler characteristic
+    for beta_1 = beta_0 - chi."""
+    cells = np.asarray(cells, dtype=bool)
+    dim = cells.ndim
+    b0 = int(ndimage.label(cells, structure=np.ones((3,) * dim, dtype=bool))[1])
+    c = close_faces(CubicalSet(dim=dim, M=cells.shape[0] - 1, cells=cells))
+    return b0, b0 - c.euler()
 
 
 def validate_2d_dense(r, M, D, zero_tol, collect_all, coll):

@@ -106,6 +106,27 @@ class TestRoundTrips:
         assert captured.out == ""
         assert captured.err == "error: betti needs --grid or --M\n"
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"dim": 2, "M": 1, "rows": ["+-", "+x"]},
+         "sign grid row 1: bad character 'x' (expected '+', '-' or '0')"),
+        ({"dim": 2, "M": 1, "rows": ["+-", "+"]},
+         "sign grid row 1 has 1 signs, row 0 has 2"),
+        ({"dim": 2, "M": 1, "rows": ["+-", 7]},
+         "sign grid row 1 is not a string"),
+        ({"dim": 1, "M": 1, "rows": ["+-", "-+"]},
+         "a 1D sign grid has one row, not 2"),
+        ({"dim": 2, "M": 2, "rows": ["+-", "-+"]},
+         "sign array shape must be (M+1,)^dim"),
+    ])
+    def test_betti_bad_grid(self, capsys, tmp_path, payload, message):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(payload))
+        code = main(["betti", "--grid", str(gpath)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_eval_2d_needs_y(self, capsys, tmp_path):
         rpath = tmp_path / "r2.json"
         run(capsys, "gen", "--dim", "2", "--N", "3", "--out", str(rpath))

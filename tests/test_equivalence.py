@@ -6,8 +6,9 @@ stencil-code array; ``validate_2d`` further skips the subsquares a Taylor
 bound proves sign-definite.  In 1D it evaluates every equispaced grid
 with one inverse FFT, and single points from the powers of one complex
 exponential, instead of cosine and sine sums, and it finds zeros by a
-few Newton steps, checked for a sign change, instead of bisection.  Every
-outcome must equal
+few Newton steps, checked for a sign change, instead of bisection.  Betti
+numbers come from the graph of row runs instead of 8-neighbour labels and
+the face closure's Euler characteristic.  Every outcome must equal
 the straightforward formulation's, and the pruned one the dense
 whole-grid sweep's, field for field, on many seeds, at the experiment's
 zero tolerance and at 0.  Zeros agree in number, and in position to
@@ -29,13 +30,14 @@ from nodalcheck.admissibility import (PatternCollection, PatternLibrary,
                                       default_patterns, i_admissible,
                                       interval_admissible, validate_1d,
                                       validate_2d)
-from nodalcheck.cubical import sign_grid
+from nodalcheck.cubical import SignGrid, cubical_approx, sign_grid
 from nodalcheck.experiments import default_zero_tol
 from nodalcheck.fields import (CoeffSeq1D, CoeffSeq2D, Realization1D,
                                Realization2D, draw_realization, evaluate,
                                evaluate_grid_1d, evaluate_grid_2d,
                                trig_coeffs)
-from nodalcheck.homology import connected_components
+from nodalcheck.homology import (BettiVector, betti_pair,
+                                 connected_components, reference_betti)
 
 from test_homology import cosine_2d
 
@@ -279,6 +281,46 @@ def test_connected_components_matches_union_find(seed):
     assert connected_components(mask) == oracles.connected_components_runs(mask)
 
 
+def _label_pair(grid):
+    return tuple(BettiVector(*oracles.betti_label(cubical_approx(grid, s).cells))
+                 for s in (+1, -1))
+
+
+def _check_betti(r, sizes, M_ref, zero_tol):
+    """betti_pair at each size, and reference_betti at M_ref, against labelling."""
+    grids = {M: sign_grid(r, M, zero_tol) for M in sizes}
+    labelled = {M: _label_pair(grid) for M, grid in grids.items()}
+    for M, grid in grids.items():
+        got = betti_pair(grid)
+        assert got == labelled[M], (M, zero_tol)
+        assert all(type(v) is int for b in got for v in (b.b0, b.b1))
+    resolved = (not (grids[M_ref].zero_count or grids[2 * M_ref].zero_count)
+                and labelled[M_ref] == labelled[2 * M_ref])
+    want = labelled[M_ref] if resolved else None
+    assert reference_betti(r, M_ref, zero_tol) == want, zero_tol
+    return resolved
+
+
+def test_betti_matches_labelling_2d():
+    """The working sizes of the 2D suite and its reference grids."""
+    resolved = 0
+    for seed, r in _realizations():
+        for zero_tol in _tolerances(r):
+            resolved += _check_betti(r, (8, 16, 32, 256, 512), 256, zero_tol)
+    assert resolved > 300
+
+
+def test_betti_matches_labelling_planted_zeros():
+    """Random zero flags, which put a cell in both cubical sets."""
+    rng = np.random.default_rng(0)
+    for seed in SEEDS:
+        M = (8, 16, 32, 256)[seed % 4]
+        signs = sign_grid(draw_realization(trig_coeffs(2, 3), seed), M).signs.copy()
+        signs[rng.random(signs.shape) < rng.uniform(0.001, 0.2)] = 0
+        grid = SignGrid(dim=2, M=M, signs=signs)
+        assert betti_pair(grid) == _label_pair(grid), seed
+
+
 def _realizations_1d():
     """Degree 2..12 random fields by seed, plus fields with planted zero flags."""
     for seed in SEEDS:
@@ -286,6 +328,15 @@ def _realizations_1d():
     coeffs = trig_coeffs(1, 3)
     for label, value in (("zero", 0.0), ("nan", np.nan)):
         yield label, Realization1D(coeffs=coeffs, g=np.full(7, value), seed=0)
+
+
+def test_betti_matches_labelling_1d():
+    """The working sizes of the 1D suite and its reference grids."""
+    resolved = 0
+    for seed, r in _realizations_1d():
+        for zero_tol in _tolerances(r):
+            resolved += _check_betti(r, (50, 75, 105, 840, 1680), 840, zero_tol)
+    assert resolved > 300
 
 
 def test_validate_1d_matches_oracle():

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from nodalcheck.cubical import CubicalSet, SignGrid, cubical_approx, sign_grid
 from nodalcheck.fields import (CoeffSeq2D, Realization2D, draw_realization,
                                trig_coeffs)
-from nodalcheck.homology import (BettiVector, betti, betti_pair, close_faces,
-                                 connected_components, default_reference_M,
-                                 homology_match, reference_betti)
+from nodalcheck.homology import (BettiVector, betti, betti_pair, cell_betti,
+                                 close_faces, connected_components,
+                                 default_reference_M, homology_match,
+                                 reference_betti)
 
-from oracles import betti_bruteforce
+from oracles import betti_bruteforce, connected_components_runs
 from test_cubical import constant_1d
 from test_fields import cosine_1d
 
@@ -77,6 +78,7 @@ class TestBetti:
         plus, minus = betti_pair(grid)
         assert plus == BettiVector(3, 0)
         assert minus == BettiVector(2, 0)
+        assert betti(close_faces(cubical_approx(grid, +1))) == plus
 
 
 @settings(max_examples=150)
@@ -93,15 +95,12 @@ def test_random_grids_match_bruteforce(bits):
 
 
 @settings(max_examples=100)
-@given(st.integers(0, 2**25 - 1))
-def test_euler_identity(bits):
-    signs = np.where(
-        np.array([(bits >> i) & 1 for i in range(25)]).reshape(5, 5), 1, -1)
-    grid = SignGrid(dim=2, M=4, signs=signs.astype(np.int8))
-    cs = cubical_approx(grid, +1)
-    c = close_faces(cs)
-    b = betti(c)
-    assert b.b0 - b.b1 == c.euler()
+@given(st.integers(1, 64), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_euler_identity(n, density, seed):
+    """b0 - b1 of the run graph equals V - E + F of the face closure."""
+    cells = np.random.default_rng(seed).random((n, n)) < density
+    b = cell_betti(cells)
+    assert b.b0 - b.b1 == close_faces(cells_2d(cells)).euler()
 
 
 @settings(max_examples=50)
@@ -117,6 +116,27 @@ def test_dihedral_invariance(bits):
     base = b(signs)
     for variant in (signs.T, signs[::-1], signs[:, ::-1], np.rot90(signs)):
         assert b(np.ascontiguousarray(variant)) == base
+
+
+def _special_masks():
+    for n in (1, 2, 3, 6):
+        yield np.zeros((n, n), dtype=bool)
+        yield np.ones((n, n), dtype=bool)
+        yield (np.add.outer(np.arange(n), np.arange(n)) % 2).astype(bool)
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 5, 9):
+        for row in ([True] * n, [False] * n, [k % 2 == 0 for k in range(n)],
+                    list(rng.random(n) < 0.5)):
+            yield np.array([row])
+            yield np.array([row]).T
+
+
+def test_special_masks_match_bruteforce():
+    """Empty, full, checkerboard, 1 x n and n x 1 masks."""
+    for mask in _special_masks():
+        b = cell_betti(mask)
+        assert (b.b0, b.b1) == betti_bruteforce(mask), mask
+        assert connected_components(mask) == connected_components_runs(mask)
 
 
 def test_connected_components_simple():

@@ -2,9 +2,9 @@
 
 ``scipy.stats`` and ``scipy.optimize`` take about 0.7 s and 120 MB to
 import and serve only ``orthant.orthant_genz`` and
-``orthant.expansion_check``; ``scipy.ndimage`` serves only the 2D Betti
-numbers.  Each case runs in a fresh interpreter, because this one has
-imported all three long before.
+``orthant.expansion_check``; the library itself never imports
+``scipy.ndimage``.  Each case runs in a fresh interpreter, because this
+one has imported all three long before.
 """
 
 import json
@@ -47,12 +47,17 @@ def test_trial_paths_load_no_heavy_scipy():
         steps["import nodalcheck"] = loaded()
         import nodalcheck.cli
         steps["import nodalcheck.cli"] = loaded()
-        from nodalcheck import admissibility, cli, experiments, fields
+        from nodalcheck import (admissibility, cli, cubical, experiments,
+                                fields, homology)
         experiments.homology_experiment(1, 5, [18], trials=1, seed=0)
         steps["1D homology_experiment"] = loaded()
         experiments.zero_stats(5, trials=1, seed=0)
         steps["zero_stats"] = loaded()
         r = fields.draw_realization(fields.trig_coeffs(2, 3), 0)
+        homology.betti_pair(cubical.sign_grid(r, 8))
+        steps["2D betti_pair"] = loaded()
+        experiments.homology_experiment(2, 3, [8], trials=1, seed=0)
+        steps["2D homology_experiment"] = loaded()
         admissibility.validate_2d(r, 8, 2)
         steps["validate_2d"] = loaded()
         with contextlib.redirect_stdout(io.StringIO()):
@@ -60,18 +65,8 @@ def test_trial_paths_load_no_heavy_scipy():
         steps["cli validate --dim 2"] = loaded()
         print(json.dumps(steps))
     """)
-    assert len(steps) == 6
+    assert len(steps) == 8
     assert steps == {step: [] for step in steps}
-
-
-def test_2d_betti_loads_ndimage_only():
-    got = _fresh("""
-        from nodalcheck import cubical, fields, homology
-        r = fields.draw_realization(fields.trig_coeffs(2, 3), 0)
-        pair = homology.betti_pair(cubical.sign_grid(r, 8))
-        print(json.dumps(loaded()))
-    """)
-    assert got == ["scipy.ndimage"]
 
 
 def test_orthant_functions_load_their_scipy_parts():
