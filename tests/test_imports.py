@@ -69,6 +69,18 @@ def test_trial_paths_load_no_heavy_scipy():
     assert steps == {step: [] for step in steps}
 
 
+def test_2d_betti_loads_ndimage_only():
+    """2D Betti numbers once loaded ``scipy.ndimage`` for their labelling;
+    the run-graph version loads none of the heavy scipy parts."""
+    got = _fresh("""
+        from nodalcheck import cubical, fields, homology
+        r = fields.draw_realization(fields.trig_coeffs(2, 3), 0)
+        pair = homology.betti_pair(cubical.sign_grid(r, 8))
+        print(json.dumps(loaded()))
+    """)
+    assert got == []
+
+
 def test_orthant_functions_load_their_scipy_parts():
     got = _fresh("""
         from nodalcheck import fields, orthant
