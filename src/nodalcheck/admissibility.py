@@ -549,6 +549,18 @@ _PRUNE_STEPS = 8
 _WINDOWS = 1024
 
 
+def _block_index(level: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where each level-n0 subsquare finds its block in a stack of blocks.
+
+    The stack holds the len(a) evaluated blocks of the undecided
+    subsquares (a, b), then an all-negative and an all-positive block for
+    the subsquares ``level`` proves negative and positive.
+    """
+    index = np.where(level > 0, len(a) + 1, len(a))
+    index[a, b] = np.arange(len(a))
+    return index
+
+
 def _windows(own: np.ndarray, a: np.ndarray, b: np.ndarray,
              level: np.ndarray, per_square: int):
     """Yield ``(positive, a, b, ring, margin)``: stacks of windows for ``_sweep``.
@@ -579,8 +591,7 @@ def _windows(own: np.ndarray, a: np.ndarray, b: np.ndarray,
     blocks = np.concatenate((own[:, :S, :S], np.zeros((1, S, S), dtype=bool),
                              np.ones((1, S, S), dtype=bool)))
     block_rows = blocks.view(f"u{S}")[..., 0]
-    index = np.where(level > 0, len(own) + 1, len(own))
-    index[a, b] = np.arange(len(own))
+    index = _block_index(level, a, b)
     ia, ib = a[inner], b[inner]
     near = np.arange(-1, 2)
     window = slice(S // 2, S // 2 + 2 * S + 1)
@@ -594,9 +605,120 @@ def _windows(own: np.ndarray, a: np.ndarray, b: np.ndarray,
         yield mosaic[:, window, window], wa, wb, 0, S // 2
 
 
+def _lattice(M: int, D: int, coll: PatternCollection) -> tuple:
+    """(S, G) of ``validate_2d(r, M, D)``, after checking its arguments."""
+    if M < 3:
+        raise ValueError("M must be at least 3 so that interior squares exist")
+    if D < 0:
+        raise ValueError("depth D must be nonnegative")
+    if coll.code_table[0] or coll.code_table[511]:
+        raise ValueError("a pattern forbids a uniform stencil, so sign-definite "
+                         "subsquares cannot be skipped")
+    unit = 1 << (D + 1)
+    return min(_PRUNE_STEPS, unit), M * unit
+
+
+def _proof(r: Realization2D, table: np.ndarray, G: int, S: int,
+           zero_tol: float, coll: PatternCollection) -> np.ndarray:
+    """The sign u provably keeps on each subsquare S fine steps wide.
+
+    ``table`` holds the trig rows of the lattice of G fine steps; the
+    subsquare centres are its rows S/2, 3S/2, ...  The radius is the
+    closed subsquare, or the subsquare plus its S/2 halo when the library
+    forbids a stencil that a proven subsquare can hold
+    (``PatternCollection.proven_blocks_admissible``).
+    """
+    step = r.coeffs.L / G
+    radius = S / 2 * step if coll.proven_blocks_admissible else S * step
+    centres = table[S // 2::S]
+    return _sign_definite(r, centres, centres, radius, zero_tol)
+
+
+@dataclass(eq=False)
+class _FinePass:
+    """The fine classification of one realization on the lattice of G steps.
+
+    ``level`` proves the subsquares S fine steps wide, ``a, b`` are the
+    undecided ones and ``own`` their evaluated closed blocks (u >
+    zero_tol).  ``zeros[p]`` counts the zero-flagged fine points whose two
+    indices are multiples of 2^p, each point once.  Made by
+    :func:`_fine_pass`; :func:`validate_2d` reads it on the lattice of
+    G / c steps for every power of two c.
+    """
+
+    r: Realization2D
+    zero_tol: float
+    coll: PatternCollection
+    G: int
+    S: int
+    table: np.ndarray
+    level: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    own: np.ndarray
+    zeros: np.ndarray
+
+    @cached_property
+    def coarse(self) -> np.ndarray:
+        """u > zero_tol on every S-th fine point."""
+        grid = self.table[::self.S]
+        return _classify_grid(self.r, grid, grid, self.zero_tol)[0]
+
+    def blocks(self, c: int) -> tuple:
+        """``(level, a, b, own)`` on the lattice of G / c steps.
+
+        A fine point of that lattice in a subsquare proven here gets the
+        subsquare's sign, any other one its value evaluated here.
+        """
+        if c == 1:
+            return self.level, self.a, self.b, self.own
+        S, Q = self.S, len(self.level)
+        level = _proof(self.r, self.table[::c], self.G // c, S,
+                       self.zero_tol, self.coll)
+        a, b = np.divmod(np.flatnonzero(level == 0), len(level))
+        stack = np.concatenate((self.own, np.zeros((2, S + 1, S + 1), bool)))
+        stack[-1] = True
+        index = _block_index(self.level, self.a, self.b)
+        # the fine index here of each point of the blocks (a, b), the
+        # subsquare holding it (the last one at the far edge) and the
+        # point's offset in that subsquare
+        x, y = (c * (S * t[:, None] + np.arange(S + 1)) for t in (a, b))
+        bx, by = (np.minimum(t // S, Q - 1) for t in (x, y))
+        own = stack[index[bx[:, :, None], by[:, None]],
+                    (x - S * bx)[:, :, None], (y - S * by)[:, None]]
+        return level, a, b, own
+
+
+def _fine_pass(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
+               patterns: PatternCollection | None = None) -> _FinePass:
+    """The fine classification ``validate_2d(r, M, D, zero_tol)`` reads."""
+    coll = patterns or default_patterns()
+    S, G = _lattice(M, D, coll)
+    table = _lattice_table(r.coeffs.L, r.coeffs.K, G)
+    level = _proof(r, table, G, S, zero_tol, coll)
+    a, b = np.divmod(np.flatnonzero(level == 0), len(level))
+    classify = _window_classifier(r, table, table, S + 1, zero_tol)
+    own = np.empty((len(a), S + 1, S + 1), dtype=bool)
+    zeros = np.zeros(G.bit_length(), dtype=np.int64)
+    for k in range(0, len(a), _WINDOWS):
+        sel = slice(k, k + _WINDOWS)
+        own[sel], flagged = classify(a[sel] * S, b[sel] * S)
+        # count each fine point once: the closing row and column of a
+        # block belong to the next block, except at the far edge
+        flagged[a[sel] < len(level) - 1, S] = False
+        flagged[b[sel] < len(level) - 1, :, S] = False
+        if flagged.any():
+            w, i, j = np.nonzero(flagged)
+            xy = (a[sel][w] * S + i) | (b[sel][w] * S + j)
+            zeros += [np.count_nonzero(xy & ((1 << p) - 1) == 0)
+                      for p in range(len(zeros))]
+    return _FinePass(r, zero_tol, coll, G, S, table, level, a, b, own, zeros)
+
+
 def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
                 collect_all: bool = False,
-                patterns: PatternCollection | None = None) -> ValidationOutcome:
+                patterns: PatternCollection | None = None, *,
+                fine: _FinePass | None = None) -> ValidationOutcome:
     """Certify the M-discretization of a 2D realization to dyadic depth D.
 
     Boundary-touching grid squares must be B-admissible and interior
@@ -620,48 +742,46 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     (``PatternCollection.proven_blocks_admissible``), and otherwise the
     subsquare plus its S/2 halo (S fine steps), which the shifts reach.
     The outcome is the one the full sweep gives.
+
+    The proof, the evaluated subsquares, the zero flags and the coarse
+    grid come from one fine pass, built here unless ``fine`` is given.
+    A pass of the same realization, ``zero_tol`` and patterns on a
+    lattice of c G steps, c a power of two, serves this call, so that
+    several M of one experiment share the finest M's pass.  Its lattice
+    nests this one bit for bit: fl(L / (c G)) = fl(L / G) / c, so row
+    c i of its trig table is row i of this one's.  The zero count is
+    then that of its flagged points with both indices multiples of c
+    (a proven subsquare holds none), and the coarse grid is every c-th
+    point of its coarse grid.  Only when those leave the verdict open
+    is this lattice's proof computed, on every c-th row of the pass's
+    table, and the fine points of its undecided subsquares read from
+    the pass.  A pass on any other lattice, or with another S, is not
+    used: this call builds its own.  A pass of another realization,
+    ``zero_tol`` or pattern collection raises ``ValueError``.
     """
-    if M < 3:
-        raise ValueError("M must be at least 3 so that interior squares exist")
-    if D < 0:
-        raise ValueError("depth D must be nonnegative")
     coll = patterns or default_patterns()
-    if coll.code_table[0] or coll.code_table[511]:
-        raise ValueError("a pattern forbids a uniform stencil, so sign-definite "
-                         "subsquares cannot be skipped")
-    unit = 1 << (D + 1)
-    S = min(_PRUNE_STEPS, unit)
-    n0 = D + 2 - S.bit_length()
-    G = M * unit
-    step = r.coeffs.L / G
-    # the trig tables of the fine grid, its subsquare centres and its
-    # coarse grid: rows of one cached table
-    fine = _lattice_table(r.coeffs.L, r.coeffs.K, G)
-    centres, coarse = fine[S // 2::S], fine[::S]
-    radius = S / 2 * step if coll.proven_blocks_admissible else S * step
-    level = _sign_definite(r, centres, centres, radius, zero_tol)
-    a, b = np.divmod(np.flatnonzero(level == 0), len(level))
-    classify = _window_classifier(r, fine, fine, S + 1, zero_tol)
-    own = np.empty((len(a), S + 1, S + 1), dtype=bool)
-    zeros = 0
-    for k in range(0, len(a), _WINDOWS):
-        sel = slice(k, k + _WINDOWS)
-        own[sel], flagged = classify(a[sel] * S, b[sel] * S)
-        # count each fine point once: the closing row and column of a
-        # block belong to the next block, except at the far edge
-        flagged[a[sel] < len(level) - 1, S] = False
-        flagged[b[sel] < len(level) - 1, :, S] = False
-        zeros += int(np.count_nonzero(flagged))
+    S, G = _lattice(M, D, coll)
+    if fine is not None and (fine.r is not r or fine.zero_tol != zero_tol
+                             or fine.coll is not coll):
+        raise ValueError("the fine pass belongs to another realization, "
+                         "zero_tol or pattern collection")
+    c = (fine.G // G if fine is not None and fine.S == S and fine.G % G == 0
+         else 0)
+    if not c or c & (c - 1):
+        fine, c = _fine_pass(r, M, D, zero_tol, coll), 1
+    zeros = int(fine.zeros[c.bit_length() - 1])
     if zeros:
         return ValidationOutcome(DEGENERATE, D, zero_flag_count=zeros)
 
+    n0 = D + 2 - S.bit_length()
     found = []
     if n0:
-        positive, _ = _classify_grid(r, coarse, coarse, zero_tol)
+        positive = np.ascontiguousarray(fine.coarse[::c, ::c])
         found = [((i >> n, j >> n), n, pid) for (i, j), n, pid
                  in _sweep(positive, M, 1, 0, n0 - 1, coll, collect_all)]
     if found and not collect_all:
         return _verdict(D, found)
+    level, a, b, own = fine.blocks(c)
     depth = S.bit_length() - 2  # window levels 0..depth are n0..D
     for positive, wa, wb, ring, margin in _windows(own, a, b, level,
                                                   1 << n0):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (Realization1D, Realization2D, _classify_grid,
-                     _lattice_table, evaluate_grid_1d)
+                     _json_object, _lattice_table, evaluate_grid_1d)
 
 __all__ = ["SignGrid", "CubicalSet", "sign_grid", "cubical_approx"]
 
@@ -51,7 +51,7 @@ class SignGrid:
 
     @staticmethod
     def from_json(text: str) -> "SignGrid":
-        payload = json.loads(text)
+        payload = _json_object(text, "sign grid", ("dim", "M", "rows"))
         lut = {"+": PLUS, "-": MINUS, "0": ZERO_FLAGGED}
         rows = payload["rows"]
         if payload["dim"] == 1 and len(rows) != 1:

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .admissibility import (CERTIFIED, DEGENERATE, count_surviving,
-                            default_patterns, validate_1d, validate_2d)
+from .admissibility import (CERTIFIED, DEGENERATE, _fine_pass,
+                            count_surviving, default_patterns, validate_1d,
+                            validate_2d)
 from .bounds import bound_1d_periodic, bound_2d_periodic
 from .cubical import sign_grid
 from .fields import (derive_seed, draw_realization, evaluate_grid_1d,
@@ -263,9 +264,11 @@ def homology_experiment(dim: int, N: int, M_list, trials: int,
 
     Per trial: one reference Betti pair from the fine-grid oracle, then
     per M the cubical Betti pair, the match flag, and the validation
-    verdict.  Degenerate and oracle-unresolved trials are tallied but
-    excluded from the rates.  Certified-but-mismatched resolved trials
-    are soundness exceptions and reported with their seeds.
+    verdict.  In 2D one fine pass at the largest M serves every M whose
+    validation lattice it nests (see ``validate_2d``).  Degenerate and
+    oracle-unresolved trials are tallied but excluded from the rates.
+    Certified-but-mismatched resolved trials are soundness exceptions and
+    reported with their seeds.
     """
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
@@ -276,7 +279,6 @@ def homology_experiment(dim: int, N: int, M_list, trials: int,
     if zero_tol is None:
         zero_tol = default_zero_tol(coeffs)
     m = spectral_moments(coeffs)
-    validate = validate_1d if dim == 1 else validate_2d
     bound_fn = bound_1d_periodic if dim == 1 else bound_2d_periodic
     M_ref = default_reference_M(max(M_list), N)
 
@@ -285,10 +287,13 @@ def homology_experiment(dim: int, N: int, M_list, trials: int,
         trial_seed = derive_seed(seed, t)
         r = draw_realization(coeffs, trial_seed)
         ref = reference_betti(r, M_ref, zero_tol)
+        # in 2D, every M that nests in the finest one reads its fine pass
+        fine = _fine_pass(r, M_list[-1], D, zero_tol) if dim == 2 else None
         per_M = {}
         for M in M_list:
             grid = sign_grid(r, M, zero_tol)
-            outcome = validate(r, M, D, zero_tol)
+            outcome = (validate_1d(r, M, D, zero_tol) if dim == 1
+                       else validate_2d(r, M, D, zero_tol, fine=fine))
             unresolved = ref is None
             per_M[M] = {
                 "certified": outcome.status == CERTIFIED,

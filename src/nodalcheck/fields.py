@@ -35,8 +35,6 @@ __all__ = [
     "evaluate_grid_1d",
     "jet_1d",
     "classify_grid_2d",
-    "window_classifier_2d",
-    "sign_definite_2d",
     "spectral_moments",
     "covariance",
     "coeffs_to_json",
@@ -392,15 +390,17 @@ def _lattice_table(L: float, K: int, n: int) -> np.ndarray:
 
     The 2D grids of a Monte Carlo run lie on a few lattices that depend
     on (L, K) and the resolution only, not on the draw: a 2D homology
-    trial at M = 8, 16, 32 reads 8 of them (n = 8 ... 4096).  At most 16
-    tables are kept, the least recently used dropped first.  A table
-    holds 16 (K + 1)(n + 1) bytes, so the cache holds at most
-    256 (K + 1)(n + 1) bytes for the largest K and n in it: 4.2 MB at
-    K = 3, n = 4096, where the 8 tables of that trial take 0.5 MB.  A
-    table is no larger than the product A(x) W its caller forms from it.
-    A is computed point by point, so a strided run of rows is the table
-    of those points: ``validate_2d`` reads its subsquare centres and its
-    coarse grid as rows of the fine table.
+    trial at M = 8, 16, 32, D = 6 reads 6 of them, its sign grids (n = 8,
+    16, 32), its reference grids (256, 512) and the fine lattice of its
+    validations (4096).  At most 16 tables are kept, the least recently
+    used dropped first.  A table holds 16 (K + 1)(n + 1) bytes, so the
+    cache holds at most 256 (K + 1)(n + 1) bytes for the largest K and n
+    in it: 4.2 MB at K = 3, n = 4096, where the 6 tables of that trial
+    take 0.3 MB.  A table is no larger than the product A(x) W its caller
+    forms from it.  A is computed point by point, so a strided run of
+    rows is the table of those points: ``validate_2d`` reads its
+    subsquare centres and its coarse grid as rows of the fine table, and
+    the lattice of n / 2^p steps as every 2^p-th row of the lattice of n.
     """
     return _readonly(_trig_block(L, K, np.arange(n + 1) * (L / n)))
 
@@ -491,22 +491,17 @@ def _classify_grid(r: Realization2D, A1, A2, zero_tol: float,
     return positive, zeros
 
 
-def window_classifier_2d(r: Realization2D, x1, x2, size: int, zero_tol: float):
+def _window_classifier(r: Realization2D, A1, A2, size: int, zero_tol: float):
     """Sign classes of a 2D realization on stacks of windows of the grid x1 (x) x2.
 
-    Returns ``classify(i, j) -> (positive, flagged)``.  Window w is the
+    The grid is given by its tables A1 = A(x1) and A2 = A(x2).  Returns
+    ``classify(i, j) -> (positive, flagged)``.  Window w is the
     size x size tensor grid ``x1[i[w]:i[w] + size] (x) x2[j[w]:j[w] + size]``;
     both results are (n, size, size) booleans with the zero-flag rule of
     :func:`classify_grid_2d`.  The factors A(x1) W and A(x2)^T are formed
     once; each window is the block product of a run of rows of the one
     and of columns of the other.
     """
-    return _window_classifier(r, *_trig_blocks(r.coeffs, x1, x2), size,
-                              zero_tol)
-
-
-def _window_classifier(r: Realization2D, A1, A2, size: int, zero_tol: float):
-    """:func:`window_classifier_2d` on the tables A1 = A(x1) and A2 = A(x2)."""
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
     left, right = A1 @ r.weights, np.ascontiguousarray(A2.T)
@@ -540,11 +535,12 @@ def _jet_bands(r: Realization2D, A1: np.ndarray, A2: np.ndarray):
         yield rows, left[rows] @ right, dleft[rows] @ right, left[rows] @ dright
 
 
-def sign_definite_2d(r: Realization2D, x1, x2, radius: float,
-                     zero_tol: float) -> np.ndarray:
+def _sign_definite(r: Realization2D, A1, A2, radius: float,
+                   zero_tol: float) -> np.ndarray:
     """The sign u provably keeps around each point of the grid x1 (x) x2.
 
-    Entry (i, j) of the int8 result is the sign of u(c), c = (x1[i], x2[j]),
+    The grid is given by its tables A1 = A(x1) and A2 = A(x2).  Entry
+    (i, j) of the int8 result is the sign of u(c), c = (x1[i], x2[j]),
     if every value of u within sup-distance ``radius`` of c, as this
     module computes it, exceeds ``zero_tol`` in magnitude, and 0
     (undecided) otherwise; a NaN value is never decided.
@@ -555,13 +551,6 @@ def sign_definite_2d(r: Realization2D, x1, x2, radius: float,
     bounds ``r.hessian_bounds``, plus twice ``r.rounding_bound``: once
     for u(c) and once for the value at c + d.
     """
-    return _sign_definite(r, *_trig_blocks(r.coeffs, x1, x2), radius,
-                          zero_tol)
-
-
-def _sign_definite(r: Realization2D, A1, A2, radius: float,
-                   zero_tol: float) -> np.ndarray:
-    """:func:`sign_definite_2d` on the tables A1 = A(x1) and A2 = A(x2)."""
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
     H11, H12, H22 = r.hessian_bounds
@@ -624,6 +613,17 @@ def covariance(coeffs, lag):
 # JSON interchange: {dim, L, K, a} for coefficients, plus {seed, g} for draws.
 
 
+def _json_object(text: str, kind: str, keys) -> dict:
+    """Parse a JSON file's text as an object that holds every one of ``keys``."""
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"a {kind} file must hold a JSON object")
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"{kind} file has no {key!r} key")
+    return payload
+
+
 def coeffs_to_json(coeffs) -> str:
     payload = {
         "dim": coeffs.dim,
@@ -635,7 +635,7 @@ def coeffs_to_json(coeffs) -> str:
 
 
 def coeffs_from_json(text: str):
-    payload = json.loads(text)
+    payload = _json_object(text, "coefficient", ("dim", "L", "a"))
     dim = payload["dim"]
     a = np.asarray(payload["a"], dtype=float)
     if dim == 1:
@@ -653,7 +653,7 @@ def realization_to_json(r) -> str:
 
 
 def realization_from_json(text: str):
-    payload = json.loads(text)
+    payload = _json_object(text, "realization", ("dim", "L", "a", "seed", "g"))
     coeffs = coeffs_from_json(text)
     g = np.asarray(payload["g"], dtype=float)
     seed = int(payload["seed"])

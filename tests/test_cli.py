@@ -117,6 +117,9 @@ class TestRoundTrips:
          "a 1D sign grid has one row, not 2"),
         ({"dim": 2, "M": 2, "rows": ["+-", "-+"]},
          "sign array shape must be (M+1,)^dim"),
+        ({"dim": 2, "M": 1}, "sign grid file has no 'rows' key"),
+        ({"M": 1, "rows": ["+"]}, "sign grid file has no 'dim' key"),
+        (["+-", "-+"], "a sign grid file must hold a JSON object"),
     ])
     def test_betti_bad_grid(self, capsys, tmp_path, payload, message):
         gpath = tmp_path / "g.json"
@@ -126,6 +129,34 @@ class TestRoundTrips:
         assert code == EXIT_ERROR
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["dim", "L", "a", "seed", "g"])
+    def test_eval_realization_missing_key(self, capsys, tmp_path, key):
+        rpath = tmp_path / "r.json"
+        run(capsys, "gen", "--dim", "2", "--N", "3", "--out", str(rpath))
+        payload = json.loads(rpath.read_text())
+        del payload[key]
+        rpath.write_text(json.dumps(payload))
+        code = main(["eval", "--realization", str(rpath), "--x", "1.0",
+                     "--y", "2.0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == f"error: realization file has no {key!r} key\n"
+
+    @pytest.mark.parametrize("key", ["dim", "L", "a"])
+    def test_coefficients_missing_key(self, capsys, tmp_path, key):
+        cpath = tmp_path / "c.json"
+        run(capsys, "gen", "--dim", "1", "--N", "3",
+            "--out", str(tmp_path / "r.json"), "--coeffs-out", str(cpath))
+        payload = json.loads(cpath.read_text())
+        del payload[key]
+        cpath.write_text(json.dumps(payload))
+        code = main(["bound", "--dim", "1", "--coeffs", str(cpath),
+                     "--M", "10"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err == f"error: coefficient file has no {key!r} key\n"
 
     def test_eval_2d_needs_y(self, capsys, tmp_path):
         rpath = tmp_path / "r2.json"

@@ -219,6 +219,118 @@ def test_pruning_engages(monkeypatch):
             assert 0 < sum(evaluated) < subsquares / 2, (seed, M, D)
 
 
+# The trial seeds of the benchmark's criterion-6 pool, then more draws of
+# the same law.
+NESTED_SEEDS = [fields.derive_seed(s, 0) for s in range(200)]
+
+
+def _read_from_pass(r, M_max, D, zero_tol, coll=COLL):
+    """``{(M, collect_all): outcome}`` at every M = M_max / 2^p >= 3, all
+    read from one fine pass at M_max, each checked against a standalone
+    call."""
+    fine = adm._fine_pass(r, M_max, D, zero_tol, coll)
+    got = {}
+    M = M_max
+    while M >= 3:
+        for collect_all in (False, True):
+            out = validate_2d(r, M, D, zero_tol, collect_all, coll, fine=fine)
+            assert out == validate_2d(r, M, D, zero_tol, collect_all, coll), \
+                (r.seed, M_max, M, D, zero_tol, collect_all)
+            got[M, collect_all] = out
+        M //= 2
+    return got
+
+
+def test_fine_pass_matches_standalone_on_pool():
+    """The criterion-6 size, D = 6, from passes at M = 32 and M = 16."""
+    certified = 0
+    for k, seed in enumerate(NESTED_SEEDS):
+        r = draw_realization(trig_coeffs(2, 3), seed)
+        got = _read_from_pass(r, 32 >> k % 2, 6, default_zero_tol(r.coeffs))
+        certified += sum(out.certified for out in got.values())
+    assert certified > 40
+
+
+def test_fine_pass_matches_dense():
+    """D = 3, so that the dense sweep stays small; both tolerances.  Some
+    coarser lattices certify, so their undecided blocks are read from the
+    pass without ``collect_all`` too."""
+    nested_certified = 0
+    for k, seed in enumerate(NESTED_SEEDS):
+        r = draw_realization(trig_coeffs(2, 2 + k % 3), seed)
+        M_max = 32 >> k % 2
+        for zero_tol in _tolerances(r):
+            got = _read_from_pass(r, M_max, 3, zero_tol)
+            for (M, collect_all), out in got.items():
+                want = oracles.validate_2d_dense(r, M, 3, zero_tol,
+                                                 collect_all, COLL)
+                assert out == want, (seed, M, zero_tol, collect_all)
+                nested_certified += M < M_max and out.certified
+    assert nested_certified > 10
+
+
+def test_fine_pass_with_halo_patterns():
+    """The notch library proves subsquares on their halo."""
+    for seed in NESTED_SEEDS[:20]:
+        r = draw_realization(trig_coeffs(2, 3), seed)
+        zero_tol = default_zero_tol(r.coeffs)
+        got = _read_from_pass(r, 16, 4, zero_tol, NOTCH)
+        for (M, collect_all), out in got.items():
+            want = oracles.validate_2d_dense(r, M, 4, zero_tol, collect_all,
+                                             NOTCH)
+            assert out == want, (seed, M, collect_all)
+
+
+@pytest.mark.parametrize("M_max", [16, 32, 64])
+def test_fine_pass_planted_zeros(M_max):
+    """cos(x1) flags the rows x1 = pi/2, 3 pi/2 of every lattice at the
+    experiment's tolerance; every coarser lattice counts its own points
+    of them."""
+    r = cosine_2d()
+    zero_tol = default_zero_tol(r.coeffs)
+    got = _read_from_pass(r, M_max, 4, zero_tol)
+    for (M, _), out in got.items():
+        assert out.status == "Degenerate"
+        assert out.zero_flag_count == 2 * (M * 32 + 1), M
+    assert _read_from_pass(r, M_max, 4, 0.0)[4, True].status != "Degenerate"
+
+
+@pytest.mark.parametrize("M_list, builds", [((8, 12, 16), [16, 12]),
+                                            ((8, 12, 24), [24, 8])])
+def test_fine_pass_falls_back_off_the_nest(monkeypatch, M_list, builds):
+    """A lattice whose step count divides the pass's by 4/3 or by 3 does
+    not nest in it bit for bit, so its M builds its own pass; the trial's
+    outcomes are the standalone ones."""
+    built, outcomes = [], []
+    for module in (adm, experiments):
+        fine_pass = module._fine_pass
+        monkeypatch.setattr(module, "_fine_pass", lambda r, M, *args,
+                            f=fine_pass: built.append(M) or f(r, M, *args))
+
+    def validate(r, M, *args, **kwargs):
+        out = validate_2d(r, M, *args, **kwargs)
+        outcomes.append((r, M, out))
+        return out
+
+    monkeypatch.setattr(experiments, "validate_2d", validate)
+    experiments.homology_experiment(2, 3, M_list, trials=3)
+    assert built == builds * 3
+    assert [M for _, M, _ in outcomes] == list(M_list) * 3
+    for r, M, out in outcomes:
+        assert out == validate_2d(r, M, 6, default_zero_tol(r.coeffs)), M
+
+
+def test_fine_pass_of_another_field_raises():
+    r, other = (draw_realization(trig_coeffs(2, 3), s) for s in (1, 2))
+    zero_tol = default_zero_tol(r.coeffs)
+    fine = adm._fine_pass(r, 16, 4, zero_tol)
+    for args, kwargs in (((other, 16, 4, zero_tol), {}),
+                         ((r, 8, 4, 0.0), {}),
+                         ((r, 8, 4, zero_tol), {"patterns": NOTCH})):
+        with pytest.raises(ValueError, match="another realization"):
+            validate_2d(*args, **kwargs, fine=fine)
+
+
 def test_square_checks_match_oracle():
     for k, (seed, r) in enumerate(_realizations()):
         rng = np.random.default_rng(k)

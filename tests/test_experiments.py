@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from nodalcheck import fields
+from nodalcheck import admissibility, experiments, fields
 from nodalcheck.experiments import (CSV_COLUMNS, ExperimentConfig,
                                     TrialRecord, default_zero_tol,
                                     homology_experiment, orthant_convergence,
@@ -176,7 +176,8 @@ class TestHomologyExperiment:
     def test_2d_trials_share_trig_tables(self, monkeypatch):
         """The trig tables of a 2D trial's lattices depend on the field's
         law, not on the draw: a cold trial of the criterion-6 suite builds
-        one per lattice, a repeated one builds none."""
+        one per lattice, a repeated one builds none.  Its validations all
+        read the fine lattice of M = 32, the finest."""
         built = []
         trig_block = fields._trig_block
         monkeypatch.setattr(fields, "_trig_block", lambda L, K, x: built.append(
@@ -187,7 +188,39 @@ class TestHomologyExperiment:
             built.clear()
             homology_experiment(2, 3, (8, 16, 32), trials=1, seed=seed)
             builds.append(sorted(built))
-        assert builds == [[8, 16, 32, 256, 512, 1024, 2048, 4096], [], []]
+        assert builds == [[8, 16, 32, 256, 512, 4096], [], []]
+
+    def test_2d_trial_call_order(self, monkeypatch):
+        """What a caller that wraps the module's bindings sees of a 2D
+        trial: the reference first, then per M in ascending order one
+        validation and, with the reference resolved, one Betti pair.
+        Every M is validated from fine blocks of one lattice, the finest
+        (M = 32, D = 6: 4096 steps)."""
+        calls = []
+
+        def recorder(name, fn, size):
+            def record(*args, **kwargs):
+                calls.append((name, size(*args)))
+                return fn(*args, **kwargs)
+            return record
+
+        for name, size in (("reference_betti", lambda r, M, *_: M),
+                           ("validate_2d", lambda r, M, *_: M),
+                           ("betti_pair", lambda grid: grid.M)):
+            monkeypatch.setattr(experiments, name, recorder(
+                name, getattr(experiments, name), size))
+        lattices = []
+        window_classifier = admissibility._window_classifier
+        monkeypatch.setattr(
+            admissibility, "_window_classifier", lambda r, A1, *args:
+            lattices.append(len(A1) - 1) or window_classifier(r, A1, *args))
+        summary = homology_experiment(2, 3, (16, 32, 8), trials=1)
+        assert not summary.extra["records"][0].per_M[8]["unresolved"]
+        assert calls == [("reference_betti", 256),
+                         ("validate_2d", 8), ("betti_pair", 8),
+                         ("validate_2d", 16), ("betti_pair", 16),
+                         ("validate_2d", 32), ("betti_pair", 32)]
+        assert lattices == [4096]
 
 
 class TestOrthantConvergence:

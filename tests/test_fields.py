@@ -14,8 +14,7 @@ from nodalcheck.fields import (CoeffSeq1D, CoeffSeq2D, Realization1D,
                                draw_realization, evaluate,
                                evaluate_grid_1d, evaluate_grid_2d,
                                realization_from_json, realization_to_json,
-                               sign_definite_2d, spectral_moments,
-                               trig_coeffs, window_classifier_2d)
+                               spectral_moments, trig_coeffs)
 
 
 def cosine_1d(L=1.0):
@@ -133,6 +132,11 @@ def jets(r, x1, x2):
     return u[0, 0], d1[0, 0], d2[0, 0]
 
 
+def table(r, x):
+    """The trig table A(x) of a 2D realization's law at the points x."""
+    return fields._trig_block(r.coeffs.L, r.coeffs.K, x)
+
+
 def nan_2d():
     return Realization2D(coeffs=trig_coeffs(2, 2), g=np.full((3, 3, 4), np.nan),
                          seed=0)
@@ -178,16 +182,16 @@ class TestTaylorBound:
         g[0, 0, 0] = 1.0
         c = CoeffSeq2D(L=2 * np.pi, a=np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]]))
         r = Realization2D(coeffs=c, g=g, seed=0)
-        xs = np.linspace(0, c.L, 5)
+        A = table(r, np.linspace(0, c.L, 5))
         eps = r.rounding_bound
-        assert (sign_definite_2d(r, xs, xs, 0.5, 1 - 3 * eps) == 1).all()
-        assert not sign_definite_2d(r, xs, xs, 0.5, 1 - eps).any()
+        assert (fields._sign_definite(r, A, A, 0.5, 1 - 3 * eps) == 1).all()
+        assert not fields._sign_definite(r, A, A, 0.5, 1 - eps).any()
 
     def test_nan_field_never_decided(self):
         r = nan_2d()
-        xs = np.linspace(0, r.coeffs.L, 70)  # two bands
+        A = table(r, np.linspace(0, r.coeffs.L, 70))  # two bands
         for radius in (0.0, 1e-3, 0.1):
-            sign = sign_definite_2d(r, xs, xs, radius, 0.0)
+            sign = fields._sign_definite(r, A, A, radius, 0.0)
             assert sign.shape == (70, 70) and not sign.any()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -196,17 +200,17 @@ class TestTaylorBound:
         classified with the centre's sign and is not zero-flagged."""
         r = draw_realization(trig_coeffs(2, 3), seed)
         G, S = 512, 8
-        xs = np.arange(G + 1) * (r.coeffs.L / G)
-        centres = xs[S:-S:S]
-        own, halo = (sign_definite_2d(r, centres, centres,
-                                      m * S / 2 * r.coeffs.L / G, 1e-3)
+        A = table(r, np.arange(G + 1) * (r.coeffs.L / G))
+        centres = A[S:-S:S]
+        own, halo = (fields._sign_definite(r, centres, centres,
+                                           m * S / 2 * r.coeffs.L / G, 1e-3)
                      for m in (1, 2))
         # a sign proven with the halo is proven on the own square too
         assert np.array_equal(own[halo != 0], halo[halo != 0])
         assert (halo == 0).any() and (own != halo).any() and halo.any()
         for m, decided in ((1, own), (2, halo)):
             a, b = np.nonzero(decided)
-            classify = window_classifier_2d(r, xs, xs, m * S + 1, 1e-3)
+            classify = fields._window_classifier(r, A, A, m * S + 1, 1e-3)
             half = m * S // 2
             positive, flagged = classify(S + a * S - half, S + b * S - half)
             assert not flagged.any()
@@ -217,7 +221,8 @@ class TestTaylorBound:
         r = draw_realization(trig_coeffs(2, 4), 3)
         xs = np.linspace(0, r.coeffs.L, 40)
         i, j = np.array([0, 5, 5, 37]), np.array([3, 0, 20, 37])
-        positive, flagged = window_classifier_2d(r, xs, xs, 3, 0.5)(i, j)
+        A = table(r, xs)
+        positive, flagged = fields._window_classifier(r, A, A, 3, 0.5)(i, j)
         values = evaluate_grid_2d(r, xs, xs)
         for w in range(len(i)):
             block = values[i[w]:i[w] + 3, j[w]:j[w] + 3]
@@ -273,6 +278,17 @@ class TestLatticeTables:
             want = list(fields._jet_bands(r, A, A))
             assert all(np.array_equal(g, w) for gs, ws in zip(got, want)
                        for g, w in zip(gs[1:], ws[1:]))
+
+    @pytest.mark.parametrize("L", [2 * np.pi, 3.7, 1.0, 10.0])
+    def test_power_of_two_lattices_nest(self, L):
+        """Every 2^p-th row of a lattice's table is the table of the
+        lattice of n / 2^p steps, bit for bit, since fl(L / (2^p m)) =
+        fl(L / m) / 2^p: validate_2d reads coarser lattices from the
+        finest one's pass."""
+        fine = fields._lattice_table(L, 3, 4096)
+        for n in (2048, 1024, 512, 8):
+            assert np.array_equal(fine[::4096 // n],
+                                  fields._lattice_table(L, 3, n)), n
 
     def test_bounded(self):
         assert fields._lattice_table.cache_info().maxsize >= 8
