@@ -228,6 +228,20 @@ def test_criterion_6_2d_outputs_pinned(suite_2d_n3):
                    (32, 275 / 496, 135 / 496, 0, 4)]
 
 
+def test_criterion_6_1d_outputs_pinned(suite_1d_n5, suite_1d_n10):
+    """The per-M rows of the two 1D suites, out of 1999 resolved trials
+    each; in 1D every certified trial matches, so the two rates agree."""
+    got = [[(row["M"], row["rate_match"], row["rate_certified"],
+             row["degenerate"], row["unresolved"]) for row in s.rows]
+           for s in (suite_1d_n5, suite_1d_n10)]
+    assert got == [[(18, 1769 / 1999, 1769 / 1999, 0, 1),
+                    (28, 1918 / 1999, 1918 / 1999, 0, 1),
+                    (40, 1957 / 1999, 1957 / 1999, 0, 1)],
+                   [(50, 1785 / 1999, 1785 / 1999, 0, 1),
+                    (75, 1898 / 1999, 1898 / 1999, 0, 1),
+                    (105, 1951 / 1999, 1951 / 1999, 0, 1)]]
+
+
 def test_criterion_7_soundness(suite_1d_n5, suite_1d_n10, suite_2d_n3,
                                report):
     exceptions = []
