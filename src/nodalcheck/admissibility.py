@@ -8,6 +8,9 @@ sweeps over millions of subsquares reduce to strided slicing plus a
 table lookup.  Subsquares on which a Taylor bound proves the field
 sign-definite hold only the uniform codes 0 and 511, which no pattern
 may forbid, so the whole-grid check evaluates and sweeps only the rest.
+In 1D the sweep visits only the grid intervals in which the fine samples
+change sign twice or touch zero, since no other can hold a double
+crossover.
 
 Admissibility in the source definitions quantifies over all dyadic
 levels; a machine checks finitely many, so ``Certified`` here always
@@ -250,19 +253,47 @@ def double_crossover(v_left: float, v_mid: float, v_right: float) -> bool:
 def _double_crossovers(v: np.ndarray, D: int) -> list:
     """(k, n) of every dyadic subinterval with a double crossover, levels 0..D.
 
-    ``v`` samples u at 2^(D+1) equal steps per level-0 interval, so
-    subinterval k of level n spans v[k 2h : (k + 1) 2h + 1], h = 2^(D-n):
-    ends v[2kh] and v[2(k+1)h], midpoint v[(2k+1)h].  A double crossover
-    is ends >= 0 around a midpoint <= 0, or the reverse.
+    ``v`` samples u at 2^(D+1) equal steps per level-0 interval, so it
+    has m 2^(D+1) + 1 samples for m level-0 intervals, and subinterval k
+    of level n spans v[k 2h : (k + 1) 2h + 1], h = 2^(D-n): ends v[2kh]
+    and v[2(k+1)h], midpoint v[(2k+1)h].  A double crossover is ends
+    >= 0 around a midpoint <= 0, or the reverse.  The list is sorted by
+    level, then by k.
+
+    Only *hot* level-0 intervals are swept: those with at least two
+    ``signbit`` flips between consecutive samples, or with a sample
+    equal to 0 (a zero at a shared end makes both neighbours hot).  No
+    other interval can hold a double crossover.  If none of the triple
+    v_l, v_m, v_r is zero, a crossover has v_l and v_r strictly of one
+    sign and v_m strictly of the other, so ``signbit`` flips at least
+    once in [l, m) and again in [m, r), both inside the level-0 interval
+    that holds the subinterval.  A zero in the triple makes that
+    interval hot itself.  A NaN passes neither >= 0 nor <= 0, so it is
+    never part of a crossover, and the flips it adds only make more
+    intervals hot.  The work thus grows with the sign changes of u, not
+    with the length of ``v``.
     """
-    nonneg, nonpos = v >= 0, v <= 0
+    shift = D + 1
+    m = (v.size - 1) >> shift
+    neg = np.signbit(v)
+    flips = np.flatnonzero(neg[1:] != neg[:-1]) >> shift
+    is_hot = np.bincount(flips, minlength=m) >= 2
+    zeros = np.flatnonzero(v == 0)
+    is_hot[np.minimum(zeros >> shift, m - 1)] = True
+    is_hot[np.maximum(zeros - 1, 0) >> shift] = True
+    hot = np.flatnonzero(is_hot)
+    if not hot.size:
+        return []
+    w = v[(hot << shift)[:, None] + np.arange((1 << shift) + 1)]
+    nonneg, nonpos = w >= 0, w <= 0
     found = []
     for n in range(D + 1):
         h = 1 << (D - n)
-        ends_up, ends_dn = nonneg[:: 2 * h], nonpos[:: 2 * h]
-        hits = ends_up[:-1] & nonpos[h :: 2 * h] & ends_up[1:]
-        hits |= ends_dn[:-1] & nonneg[h :: 2 * h] & ends_dn[1:]
-        found += [(int(k), n) for k in np.flatnonzero(hits)]
+        ends_up, ends_dn = nonneg[:, :: 2 * h], nonpos[:, :: 2 * h]
+        hits = ends_up[:, :-1] & nonpos[:, h :: 2 * h] & ends_up[:, 1:]
+        hits |= ends_dn[:, :-1] & nonneg[:, h :: 2 * h] & ends_dn[:, 1:]
+        row, j = np.nonzero(hits)
+        found += [(int(k), n) for k in (hot[row] << n) + j]
     return found
 
 
@@ -523,6 +554,11 @@ def validate_1d(r: Realization1D, M: int, D: int, zero_tol: float = 0.0) -> Vali
     truncation recorded in the outcome.  A grid sample is zero-flagged
     when neither u > zero_tol nor u < -zero_tol holds (so NaN is flagged),
     as in 2D.  The M 2^(D+1) + 1 fine samples come from one inverse FFT.
+    The dyadic sweep then visits only the *hot* grid intervals, where the
+    fine samples change ``signbit`` at least twice or touch an exact
+    zero.  A double crossover needs one or the other, so no other
+    interval can hold one (``_double_crossovers`` gives the argument).
+    Past the FFT, the cost grows with the sign changes of u.
     """
     if M < 1:
         raise ValueError("M must be at least 1")

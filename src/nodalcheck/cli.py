@@ -124,7 +124,12 @@ def _cmd_validate(args):
 
 
 def _cmd_bound(args):
+    if args.torus and args.dim != 2:
+        raise ValueError("--torus needs --dim 2")
     coeffs = _load_coeffs(args)
+    if coeffs.dim != args.dim:
+        raise ValueError(f"--dim {args.dim} does not match the "
+                         f"{coeffs.dim}D coefficient file")
     m = fields.spectral_moments(coeffs)
     if args.dim == 1:
         res = bounds.bound_1d_periodic(m, args.M)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -79,6 +80,14 @@ class CoeffSeq1D:
     def dim(self) -> int:
         return 1
 
+    @cached_property
+    def moments(self) -> SpectralMoments1D:
+        """A_l = sum_k k^(2l) a_k^2 for l = 0..3 (read-only)."""
+        k = np.arange(self.K + 1, dtype=float)
+        a2 = self.a**2
+        return SpectralMoments1D(A=MappingProxyType(
+            {ell: float(np.sum(k ** (2 * ell) * a2)) for ell in range(4)}))
+
 
 def _has_valid_2d_pair(a: np.ndarray) -> bool:
     """Check the 2D nondegeneracy condition on the coefficient array.
@@ -124,6 +133,15 @@ class CoeffSeq2D:
     @property
     def dim(self) -> int:
         return 2
+
+    @cached_property
+    def moments(self) -> SpectralMoments2D:
+        """A_{p,q} = sum_{k,l} k^(2p) l^(2q) a_{k,l}^2 for p + q <= 2 (read-only)."""
+        k = np.arange(self.K + 1, dtype=float)
+        a2 = self.a**2
+        return SpectralMoments2D(A=MappingProxyType(
+            {(p, q): float(k ** (2 * p) @ a2 @ k ** (2 * q))
+             for p in range(3) for q in range(3 - p)}))
 
 
 @dataclass(frozen=True)
@@ -568,22 +586,13 @@ def _sign_definite(r: Realization2D, A1, A2, radius: float,
 
 
 def spectral_moments(coeffs):
-    """Spectral moments of a coefficient sequence (finite exact sums)."""
-    if isinstance(coeffs, CoeffSeq1D):
-        k = np.arange(coeffs.K + 1, dtype=float)
-        a2 = coeffs.a**2
-        return SpectralMoments1D(
-            A={ell: float(np.sum(k ** (2 * ell) * a2)) for ell in range(4)}
-        )
-    if isinstance(coeffs, CoeffSeq2D):
-        K = coeffs.K
-        k = np.arange(K + 1, dtype=float)
-        a2 = coeffs.a**2
-        A = {}
-        for p in range(3):
-            for q in range(3 - p):
-                A[(p, q)] = float(k ** (2 * p) @ a2 @ k ** (2 * q))
-        return SpectralMoments2D(A=A)
+    """Spectral moments of a coefficient sequence (finite exact sums).
+
+    They are computed once per coefficient object and cached as its
+    ``moments``.
+    """
+    if isinstance(coeffs, (CoeffSeq1D, CoeffSeq2D)):
+        return coeffs.moments
     raise TypeError("coeffs must be CoeffSeq1D or CoeffSeq2D")
 
 

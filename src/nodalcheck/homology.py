@@ -126,6 +126,8 @@ def cell_betti(mask: np.ndarray) -> BettiVector:
     flips = np.flatnonzero(flat[1:] != flat[:-1])
     starts, stops = flips[0::2], flips[1::2]  # flat positions, stop exclusive
     R = starts.size
+    if rows == 1:
+        return BettiVector(R, 0)
     # run b meets run a of the row above iff s_a <= e_b - w and
     # e_a >= s_b - w: the runs lo[b] .. hi[b] - 1, none from other rows
     lo = np.searchsorted(stops, starts - w)

@@ -43,6 +43,27 @@ class TestBound:
         with pytest.raises(SystemExit):
             main(["bound", "--dim", "1", "--M", "10"])
 
+    @pytest.mark.parametrize("file_dim, dim", [(2, 1), (1, 2)])
+    def test_dim_disagrees_with_coeffs(self, capsys, tmp_path, file_dim, dim):
+        cpath = tmp_path / "c.json"
+        run(capsys, "gen", "--dim", str(file_dim), "--N", "3",
+            "--out", str(tmp_path / "r.json"), "--coeffs-out", str(cpath))
+        code = main(["bound", "--dim", str(dim), "--coeffs", str(cpath),
+                     "--M", "50"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == (f"error: --dim {dim} does not match the "
+                                f"{file_dim}D coefficient file\n")
+
+    def test_torus_needs_2d(self, capsys):
+        code = main(["bound", "--torus", "--dim", "1", "--N", "5",
+                     "--M", "50"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == "error: --torus needs --dim 2\n"
+
 
 class TestValidate:
     def test_coarse_grid_not_certified(self, capsys):

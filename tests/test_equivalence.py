@@ -33,8 +33,8 @@ from nodalcheck.admissibility import (PatternCollection, PatternLibrary,
 from nodalcheck.cubical import SignGrid, cubical_approx, sign_grid
 from nodalcheck.experiments import default_zero_tol
 from nodalcheck.fields import (CoeffSeq1D, CoeffSeq2D, Realization1D,
-                               Realization2D, draw_realization, evaluate,
-                               evaluate_grid_1d, evaluate_grid_2d,
+                               Realization2D, derive_seed, draw_realization,
+                               evaluate, evaluate_grid_1d, evaluate_grid_2d,
                                trig_coeffs)
 from nodalcheck.homology import (BettiVector, betti_pair,
                                  connected_components, reference_betti)
@@ -477,6 +477,100 @@ def test_double_crossovers_match_oracle_with_exact_zeros():
             want = [(int(k), n) for n in range(D + 1) for k in
                     np.flatnonzero(oracles.crossover_mask(v, 1 << (D - n)))]
             assert adm._double_crossovers(v, D) == want, (D, v)
+
+
+def _crossovers_oracle(v, D):
+    """Every level's full strided pass, listed by level, then by k."""
+    return [(int(k), n) for n in range(D + 1) for k in
+            np.flatnonzero(oracles.crossover_mask(v, 1 << (D - n)))]
+
+
+# samples on which >= 0, <= 0 and signbit disagree: both zeros, both NaNs
+_SPECIAL = np.array([-1.0, -0.0, 0.0, 1.0, np.nan, -np.nan])
+
+
+def _adversarial(rng, M, D):
+    """M 2^(D+1) + 1 samples from _SPECIAL, dense or with sparse sign changes."""
+    size = (M << (D + 1)) + 1
+    kind = rng.integers(3)
+    if kind == 0:
+        return rng.choice(_SPECIAL, size)
+    if kind == 1:
+        v = np.full(size, rng.choice([-1.0, 1.0]))
+    else:
+        # sign runs a few fine steps to a few grid intervals long
+        runs = rng.geometric(1.0 / rng.integers(2, 4 << D), size)
+        v = np.repeat(np.resize([-1.0, 1.0], size), runs)[:size].copy()
+    spots = rng.integers(0, size, rng.integers(0, 5))
+    v[spots] = rng.choice(_SPECIAL, spots.size)
+    return v
+
+
+def test_double_crossovers_match_oracle_adversarial():
+    """Hot intervals against every interval swept, order included."""
+    rng = np.random.default_rng(1)
+    rounds, hits = 100, 0
+    for _ in range(rounds):
+        for D in range(8):
+            for M in range(1, 12):
+                v = _adversarial(rng, M, D)
+                want = _crossovers_oracle(v, D)
+                assert adm._double_crossovers(v, D) == want, (M, D, v)
+                hits += bool(want)
+    assert rounds * 8 * 11 // 4 < hits < rounds * 8 * 11
+
+
+@pytest.mark.parametrize("v, D, want", [
+    # a crossover without a signbit flip
+    ([1.0, 0.0, 1.0], 0, [(0, 0)]),
+    ([-1.0, -0.0, -1.0], 0, [(0, 0)]),
+    # one signbit flip and a zero at the first or the last sample
+    ([0.0, 1.0, -1.0], 0, [(0, 0)]),
+    ([-1.0, 1.0, 0.0], 0, [(0, 0)]),
+    ([0.0, 0.5, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0], 1, [(0, 0)]),
+    ([1.0] * 8 + [-1.0, -1.0, 1.0, 1.0, 0.0], 1, [(2, 0)]),
+    # a zero at an end shared by grid intervals 0 and 1; the crossover
+    # lies in the interval right or left of it
+    ([1.0, 1.0, 0.0, 1.0, -1.0], 0, [(1, 0)]),
+    ([-1.0, 1.0, 0.0, 1.0, 1.0], 0, [(0, 0)]),
+    # NaN is neither >= 0 nor <= 0, and hides nothing
+    ([1.0, np.nan, 1.0], 0, []),
+    ([1.0, np.nan, -1.0, -np.nan, 1.0], 1, [(0, 0)]),
+])
+def test_double_crossovers_planted(v, D, want):
+    v = np.array(v)
+    assert _crossovers_oracle(v, D) == want
+    assert adm._double_crossovers(v, D) == want
+
+
+def test_validate_1d_matches_oracle_at_experiment_sizes(monkeypatch):
+    """Random fields at the 1D suite's sizes (N = 10; M = 50, 75, 105;
+    D = 6) and at other degrees, both tolerances.  The oracle reads the
+    same FFT grid, so only the sweeps are compared."""
+    monkeypatch.setattr(oracles, "evaluate_grid_1d", evaluate_grid_1d)
+    not_certified = 0
+    cases = [(10, (50, 75, 105))] * 2000 + [(2, (8, 40)), (5, (18, 40)),
+                                             (50, (400, 800))] * 100
+    for seed, (N, Ms) in enumerate(cases):
+        r = draw_realization(trig_coeffs(1, N), derive_seed(7, seed))
+        for M in Ms:
+            for zero_tol in _tolerances(r):
+                got = validate_1d(r, M, 6, zero_tol)
+                assert got == oracles.validate_1d(r, M, 6, zero_tol), \
+                    (N, seed, M, zero_tol)
+            not_certified += not got.certified
+    assert not_certified > 300
+
+
+def test_validate_1d_matches_oracle_on_pool():
+    """The 50 trials of the 1D benchmark pool, seeds derive_seed(s, 0)."""
+    coeffs = trig_coeffs(1, 10)
+    zero_tol = default_zero_tol(coeffs)
+    for s in range(50):
+        r = draw_realization(coeffs, derive_seed(s, 0))
+        for M in (50, 75, 105):
+            assert (validate_1d(r, M, 6, zero_tol)
+                    == oracles.validate_1d(r, M, 6, zero_tol)), (s, M)
 
 
 def test_sign_grid_1d_matches_oracle():

@@ -334,6 +334,15 @@ class TestMoments:
                             for k in range(4) for l in range(4))
                 assert m[p, q] == pytest.approx(brute, rel=1e-12)
 
+    def test_computed_once_and_read_only(self):
+        for c, key in ((trig_coeffs(1, 4), 0), (trig_coeffs(2, 3), (0, 0))):
+            m = spectral_moments(c)
+            assert spectral_moments(c) is m is c.moments
+            with pytest.raises(TypeError):
+                m.A[key] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                c.moments = None
+
 
 class TestCovariance:
     def test_at_zero(self):

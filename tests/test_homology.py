@@ -139,6 +139,18 @@ def test_special_masks_match_bruteforce():
         assert connected_components(mask) == connected_components_runs(mask)
 
 
+def test_every_short_row_matches_bruteforce():
+    """Every 1D mask of length <= 12, and the same row as a (1, n) 2D mask."""
+    for n in range(13):
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        for row in bits.astype(bool):
+            want = betti_bruteforce(row[None, :])
+            for mask in (row, row[None, :]):
+                b = cell_betti(mask)
+                assert (b.b0, b.b1) == want, mask
+                assert type(b.b0) is int and type(b.b1) is int
+
+
 def test_connected_components_simple():
     mask = np.array([[1, 0, 1],
                      [0, 1, 0],
