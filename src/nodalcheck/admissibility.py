@@ -5,9 +5,10 @@ midpoints, center).  A stencil of strict signs is encoded as a 9-bit
 integer (bit i set iff position i is positive, row-major), and each
 pattern library is compiled to a 512-entry lookup table, so dyadic
 sweeps over millions of subsquares reduce to strided slicing plus a
-table lookup.  Subsquares on which a Taylor bound proves the field
-sign-definite hold only the uniform codes 0 and 511, which no pattern
-may forbid, so the whole-grid check evaluates and sweeps only the rest.
+table lookup.  Subsquares that their four corner values and a bound on
+the curvature prove sign-definite hold only the uniform codes 0 and 511,
+which no pattern may forbid, so the whole-grid check evaluates and
+sweeps only the rest.
 In 1D the sweep visits only the grid intervals in which the fine samples
 change sign twice or touch zero, since no other can hold a double
 crossover.
@@ -21,14 +22,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from importlib import resources
 
 import numpy as np
 
-from .fields import (Realization1D, Realization2D, _classify_grid,
-                     _lattice_table, _sign_definite, _window_classifier,
-                     classify_grid_2d, evaluate_grid_1d)
+from .fields import (_BAND_ROWS, Realization1D, Realization2D, _grid_bands,
+                     _lattice_table, _window_classifier, classify_grid_2d,
+                     evaluate_grid_1d)
 
 __all__ = [
     "SignPattern",
@@ -601,8 +602,8 @@ def _windows(own: np.ndarray, a: np.ndarray, b: np.ndarray,
              level: np.ndarray, per_square: int):
     """Yield ``(positive, a, b, ring, margin)``: stacks of windows for ``_sweep``.
 
-    The windows are the level-n0 subsquares (a, b) that the Taylor bound
-    left undecided, S = own.shape[-1] - 1 fine steps wide,
+    The windows are the level-n0 subsquares (a, b) that ``level`` leaves
+    undecided, S = own.shape[-1] - 1 fine steps wide,
     ``per_square`` of them across a grid square.  ``own`` holds their
     evaluated closed blocks; every other block is constant, the sign of
     ``level``.  B windows are the subsquares of boundary grid squares,
@@ -654,32 +655,85 @@ def _lattice(M: int, D: int, coll: PatternCollection) -> tuple:
     return min(_PRUNE_STEPS, unit), M * unit
 
 
-def _proof(r: Realization2D, table: np.ndarray, G: int, S: int,
-           zero_tol: float, coll: PatternCollection) -> np.ndarray:
-    """The sign u provably keeps on each subsquare S fine steps wide.
+def _corner_proof(r: Realization2D, grid: np.ndarray, delta: float,
+                  zero_tol: float) -> tuple:
+    """``(coarse, proven)`` on the tensor grid of the trig table ``grid``.
 
-    ``table`` holds the trig rows of the lattice of G fine steps; the
-    subsquare centres are its rows S/2, 3S/2, ...  The radius is the
-    closed subsquare, or the subsquare plus its S/2 halo when the library
-    forbids a stencil that a proven subsquare can hold
-    (``PatternCollection.proven_blocks_admissible``).
+    ``coarse`` is u > zero_tol at the grid points, ``delta`` apart.
+    Entry (i, j) of the int8 ``proven`` is the sign u keeps on the closed
+    cell with corners (i, j) and (i + 1, j + 1) if every value of u in
+    it, as this package computes it, exceeds ``zero_tol`` in magnitude,
+    and 0 (undecided) otherwise.  On the cell, u differs from the
+    bilinear interpolant of its corners, which lies between the corner
+    values, by at most delta^2 (H11 + H22) / 8 (``r.hessian_bounds``).
+    So the cell is proven when its four corners exceed that plus zero_tol
+    plus twice ``r.rounding_bound`` (corner and inner value) in magnitude
+    with one sign; a NaN corner is never decided.  Band by band, with the
+    last row of the band before, so no float grid of the full size forms.
     """
-    step = r.coeffs.L / G
-    radius = S / 2 * step if coll.proven_blocks_admissible else S * step
-    centres = table[S // 2::S]
-    return _sign_definite(r, centres, centres, radius, zero_tol)
+    if zero_tol < 0:
+        raise ValueError("zero_tol must be nonnegative")
+    H11, H22 = r.hessian_bounds
+    margin = (delta * delta * (H11 + H22) / 8 + zero_tol
+              + 2.0 * r.rounding_bound)
+    n = len(grid)
+    coarse = np.empty((n, n), dtype=bool)
+    proven = np.empty((n - 1, n - 1), dtype=np.int8)
+    # corners above margin and below -margin; row 0 is the band before's
+    corners = np.empty((2, min(n, _BAND_ROWS) + 1, n), dtype=bool)
+    for rows, values in _grid_bands(r, grid, grid):
+        k, top = len(values), int(rows.start == 0)
+        np.greater(values, zero_tol, out=coarse[rows])
+        np.greater(values, margin, out=corners[0, 1:k + 1])
+        np.less(values, -margin, out=corners[1, 1:k + 1])
+        up, down = _fold(corners[:, top:k + 1], np.minimum, 2, 1)
+        np.subtract(up, down, out=proven[rows.start + top - 1:rows.stop - 1],
+                    dtype=np.int8)
+        corners[:, 0] = corners[:, k]
+    return coarse, proven
+
+
+def _fold(signs: np.ndarray, extreme, width: int, step: int) -> np.ndarray:
+    """``extreme`` of ``signs[..., step i + k, step j + l]``, k, l < width."""
+    m, n = ((size - width) // step + 1 for size in signs.shape[-2:])
+    rows = reduce(extreme, [signs[..., k:k + step * m:step, :]
+                            for k in range(width)])
+    return reduce(extreme, [rows[..., k:k + step * n:step]
+                            for k in range(width)])
+
+
+def _level(proven: np.ndarray, c: int, coll: PatternCollection) -> np.ndarray:
+    """The signs the sweep takes as given on the tiles of c x c cells.
+
+    A tile gets the sign all its cells are proven with in ``proven``, and
+    0 (undecided) when they differ.  When the library forbids a stencil a
+    proven subsquare can hold (``PatternCollection.proven_blocks_admissible``
+    is False), a tile keeps its sign only if its 8 neighbours, undecided
+    beyond the edges, carry it too: they cover a halo of a whole tile,
+    more than the half-side shifts reach.
+    """
+    if c == 1 and coll.proven_blocks_admissible:
+        return proven
+    lo, hi = _fold(proven, np.minimum, c, c), _fold(proven, np.maximum, c, c)
+    if not coll.proven_blocks_admissible:
+        lo = _fold(np.pad(lo, 1), np.minimum, 3, 1)
+        hi = _fold(np.pad(hi, 1), np.maximum, 3, 1)
+    return np.where(lo == hi, lo, 0)
 
 
 @dataclass(eq=False)
 class _FinePass:
     """The fine classification of one realization on the lattice of G steps.
 
-    ``level`` proves the subsquares S fine steps wide, ``a, b`` are the
-    undecided ones and ``own`` their evaluated closed blocks (u >
-    zero_tol).  ``zeros[p]`` counts the zero-flagged fine points whose two
-    indices are multiples of 2^p, each point once.  Made by
-    :func:`_fine_pass`; :func:`validate_2d` reads it on the lattice of
-    G / c steps for every power of two c.
+    ``coarse`` is u > zero_tol on every S-th fine point, the corners of
+    the subsquares S fine steps wide.  ``proven`` is the sign each
+    subsquare provably keeps on its own closed square (0: undecided),
+    ``level`` the signs the sweep takes as given (:func:`_level`),
+    ``a, b`` the subsquares it leaves undecided and ``own`` their
+    evaluated closed blocks (u > zero_tol).  ``zeros[p]`` counts the
+    zero-flagged fine points whose two indices are multiples of 2^p, each
+    point once.  Made by :func:`_fine_pass`; :func:`validate_2d` reads it
+    on the lattice of G / c steps for every power of two c.
     """
 
     r: Realization2D
@@ -687,30 +741,25 @@ class _FinePass:
     coll: PatternCollection
     G: int
     S: int
-    table: np.ndarray
+    coarse: np.ndarray
+    proven: np.ndarray
     level: np.ndarray
     a: np.ndarray
     b: np.ndarray
     own: np.ndarray
     zeros: np.ndarray
 
-    @cached_property
-    def coarse(self) -> np.ndarray:
-        """u > zero_tol on every S-th fine point."""
-        grid = self.table[::self.S]
-        return _classify_grid(self.r, grid, grid, self.zero_tol)[0]
-
     def blocks(self, c: int) -> tuple:
         """``(level, a, b, own)`` on the lattice of G / c steps.
 
-        A fine point of that lattice in a subsquare proven here gets the
-        subsquare's sign, any other one its value evaluated here.
+        Its subsquares are tiles of c x c subsquares here (:func:`_level`).
+        A fine point of that lattice in a subsquare ``level`` proves here
+        gets the subsquare's sign, any other one its value evaluated here.
         """
         if c == 1:
             return self.level, self.a, self.b, self.own
         S, Q = self.S, len(self.level)
-        level = _proof(self.r, self.table[::c], self.G // c, S,
-                       self.zero_tol, self.coll)
+        level = _level(self.proven, c, self.coll)
         a, b = np.divmod(np.flatnonzero(level == 0), len(level))
         stack = np.concatenate((self.own, np.zeros((2, S + 1, S + 1), bool)))
         stack[-1] = True
@@ -731,7 +780,9 @@ def _fine_pass(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     coll = patterns or default_patterns()
     S, G = _lattice(M, D, coll)
     table = _lattice_table(r.coeffs.L, r.coeffs.K, G)
-    level = _proof(r, table, G, S, zero_tol, coll)
+    coarse, proven = _corner_proof(r, table[::S], S * (r.coeffs.L / G),
+                                   zero_tol)
+    level = _level(proven, 1, coll)
     a, b = np.divmod(np.flatnonzero(level == 0), len(level))
     classify = _window_classifier(r, table, table, S + 1, zero_tol)
     own = np.empty((len(a), S + 1, S + 1), dtype=bool)
@@ -748,7 +799,8 @@ def _fine_pass(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
             xy = (a[sel][w] * S + i) | (b[sel][w] * S + j)
             zeros += [np.count_nonzero(xy & ((1 << p) - 1) == 0)
                       for p in range(len(zeros))]
-    return _FinePass(r, zero_tol, coll, G, S, table, level, a, b, own, zeros)
+    return _FinePass(r, zero_tol, coll, G, S, coarse, proven, level, a, b,
+                     own, zeros)
 
 
 def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
@@ -765,22 +817,22 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
 
     No full fine grid is formed.  With S = min(8, 2^(D+1)), levels
     below n0 = D + 1 - log2(S) are swept on the grid of every S-th fine
-    point.  A Taylor bound at the centre of each level-n0 subsquare
-    (S fine steps wide) proves most of them sign-definite.  Fine points
-    are evaluated only in the subsquares not proven, which gives the
-    exact zero-flag count, and levels n0..D are swept on windows around
-    those subsquares alone.  Every half-side shift keeps two adjacent
-    rows or columns of its stencil inside the subsquare, so a proven
-    subsquare and its descendants hold only the uniform stencils and
-    stencils with two uniform rows or columns.  The bound's radius is
-    therefore the closed subsquare (S/2 fine steps) when the library
-    forbids none of the latter
-    (``PatternCollection.proven_blocks_admissible``), and otherwise the
-    subsquare plus its S/2 halo (S fine steps), which the shifts reach.
-    The outcome is the one the full sweep gives.
+    point, the corners of the level-n0 subsquares (S fine steps wide),
+    from whose values an interpolation bound proves most subsquares
+    sign-definite (:func:`_corner_proof`).  Fine points are evaluated
+    only in the subsquares not proven, which gives the exact zero-flag
+    count, and levels n0..D are swept on windows around those alone.
+    Every half-side shift keeps two adjacent rows or columns of its
+    stencil inside the subsquare, so a proven subsquare and its
+    descendants hold only the uniform stencils and stencils with two
+    uniform rows or columns.  A proven subsquare is therefore skipped
+    when the library forbids none of the latter
+    (``PatternCollection.proven_blocks_admissible``), and otherwise only
+    when its 8 neighbours, which cover the S/2 halo the shifts reach,
+    are proven with its sign too.  The outcome is the full sweep's.
 
-    The proof, the evaluated subsquares, the zero flags and the coarse
-    grid come from one fine pass, built here unless ``fine`` is given.
+    The proof, the coarse grid, the evaluated subsquares and the zero
+    flags come from one fine pass, built here unless ``fine`` is given.
     A pass of the same realization, ``zero_tol`` and patterns on a
     lattice of c G steps, c a power of two, serves this call, so that
     several M of one experiment share the finest M's pass.  Its lattice
@@ -789,9 +841,10 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     then that of its flagged points with both indices multiples of c
     (a proven subsquare holds none), and the coarse grid is every c-th
     point of its coarse grid.  Only when those leave the verdict open
-    is this lattice's proof computed, on every c-th row of the pass's
-    table, and the fine points of its undecided subsquares read from
-    the pass.  A pass on any other lattice, or with another S, is not
+    are this lattice's subsquares proven, each one when the c x c
+    subsquares of the pass that tile it are all proven with one sign,
+    and the fine points of its undecided subsquares read from the
+    pass.  A pass on any other lattice, or with another S, is not
     used: this call builds its own.  A pass of another realization,
     ``zero_tol`` or pattern collection raises ``ValueError``.
     """

@@ -146,6 +146,10 @@ def _cmd_bound(args):
 def _cmd_orthant(args):
     coeffs = _load_coeffs(args)
     pattern = PATTERNS[args.pattern]
+    if coeffs.dim != pattern.dim:
+        source = (f"the coefficient file {args.coeffs} is {coeffs.dim}D"
+                  if args.coeffs else f"--dim is {coeffs.dim}")
+        raise ValueError(f"pattern {args.pattern} is {pattern.dim}D, but {source}")
     cov = pattern_cov(coeffs, coeffs.L, pattern.points(args.delta))
     q = OrthantQuery(signs=pattern.signs, cov=cov)
     if pattern.n <= 3:

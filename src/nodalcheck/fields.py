@@ -219,16 +219,15 @@ class Realization2D:
 
     @cached_property
     def hessian_bounds(self) -> tuple:
-        """(H11, H12, H22): bounds on |d2u/dx1^2|, |d2u/dx1dx2|, |d2u/dx2^2| everywhere.
+        """(H11, H22): bounds on |d2u/dx1^2| and |d2u/dx2^2| everywhere.
 
         Entry (p, q) of W multiplies a product of two trig functions of
         frequencies omega k_p and omega k_q (omega = 2 pi / L), so
-        H11 = sum (omega k_p)^2 |W_pq|, H12 = sum omega^2 k_p k_q |W_pq| and
-        H22 = sum (omega k_q)^2 |W_pq|.
+        H11 = sum (omega k_p)^2 |W_pq| and H22 = sum (omega k_q)^2 |W_pq|.
         """
-        w, omega = np.abs(self.weights), _frequencies(self.coeffs)
-        return (float(omega**2 @ w.sum(axis=1)), float(omega @ w @ omega),
-                float(w.sum(axis=0) @ omega**2))
+        w, K, L = np.abs(self.weights), self.coeffs.K, self.coeffs.L
+        omega = np.tile(2.0 * np.pi * np.arange(K + 1) / L, 2)  # per column
+        return float(omega**2 @ w.sum(axis=1)), float(w.sum(axis=0) @ omega**2)
 
     @cached_property
     def rounding_bound(self) -> float:
@@ -259,12 +258,14 @@ class SpectralMoments2D:
         return self.A[tuple(pq)]
 
 
+@lru_cache(maxsize=16)
 def trig_coeffs(dim: int, N: int):
     """Coefficients of the degree-N random trigonometric polynomial (L = 2 pi).
 
     1D: a_k = 1 for 1 <= k <= N, a_0 = 0.  2D: a_{k,l} = 1 for
     1 <= k, l <= N, zero otherwise.  Requires N >= 2 so that the
-    nondegeneracy conditions hold.
+    nondegeneracy conditions hold.  The frozen result is cached, with
+    its ``moments``, so a run of one-trial experiments builds it once.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -416,22 +417,11 @@ def _lattice_table(L: float, K: int, n: int) -> np.ndarray:
     in it: 4.2 MB at K = 3, n = 4096, where the 6 tables of that trial
     take 0.3 MB.  A table is no larger than the product A(x) W its caller
     forms from it.  A is computed point by point, so a strided run of
-    rows is the table of those points: ``validate_2d`` reads its
-    subsquare centres and its coarse grid as rows of the fine table, and
+    rows is the table of those points: ``validate_2d`` reads its coarse
+    grid (its subsquare corners) as every S-th row of the fine table, and
     the lattice of n / 2^p steps as every 2^p-th row of the lattice of n.
     """
     return _readonly(_trig_block(L, K, np.arange(n + 1) * (L / n)))
-
-
-def _frequencies(coeffs) -> np.ndarray:
-    """The angular frequency 2 pi k / L of each column of A(x)."""
-    return np.tile(2.0 * np.pi * np.arange(coeffs.K + 1) / coeffs.L, 2)
-
-
-def _trig_derivative(coeffs, A: np.ndarray) -> np.ndarray:
-    """dA/dx = (2 pi k / L) [-sin | cos](2 pi k x / L), from A(x) = [cos | sin]."""
-    cos, sin = np.split(A, 2, axis=-1)
-    return np.concatenate((-sin, cos), axis=-1) * _frequencies(coeffs)
 
 
 def _eval_2d(r: Realization2D, x1, x2):
@@ -535,54 +525,6 @@ def _window_classifier(r: Realization2D, A1, A2, size: int, zero_tol: float):
         return positive, np.logical_not(flagged, out=flagged)
 
     return classify
-
-
-def _jet_bands(r: Realization2D, A1: np.ndarray, A2: np.ndarray):
-    """Yield ``(rows, u, du/dx1, du/dx2)`` on the tensor grid x1 (x) x2, band by band.
-
-    The grid is given by its tables A1 = A(x1) and A2 = A(x2); dA/dx is
-    formed once when both axes share one table.
-    """
-    W = r.weights
-    dA1 = _trig_derivative(r.coeffs, A1)
-    dA2 = dA1 if A2 is A1 else _trig_derivative(r.coeffs, A2)
-    left, dleft = A1 @ W, dA1 @ W
-    right, dright = A2.T, dA2.T
-    for start in range(0, len(left), _BAND_ROWS):
-        rows = slice(start, start + _BAND_ROWS)
-        yield rows, left[rows] @ right, dleft[rows] @ right, left[rows] @ dright
-
-
-def _sign_definite(r: Realization2D, A1, A2, radius: float,
-                   zero_tol: float) -> np.ndarray:
-    """The sign u provably keeps around each point of the grid x1 (x) x2.
-
-    The grid is given by its tables A1 = A(x1) and A2 = A(x2).  Entry
-    (i, j) of the int8 result is the sign of u(c), c = (x1[i], x2[j]),
-    if every value of u within sup-distance ``radius`` of c, as this
-    module computes it, exceeds ``zero_tol`` in magnitude, and 0
-    (undecided) otherwise; a NaN value is never decided.
-
-    The proof is the second-order Taylor bound
-    |u(c + d) - u(c)| <= (|du/dx1(c)| + |du/dx2(c)|) rho
-    + rho^2 (H11 + 2 H12 + H22) / 2 for |d|_inf <= rho, with the global
-    bounds ``r.hessian_bounds``, plus twice ``r.rounding_bound``: once
-    for u(c) and once for the value at c + d.
-    """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
-    H11, H12, H22 = r.hessian_bounds
-    curvature = 0.5 * (H11 + 2.0 * H12 + H22)
-    slack = zero_tol + 2.0 * r.rounding_bound
-    out = np.zeros((len(A1), len(A2)), dtype=np.int8)
-    for rows, u, d1, d2 in _jet_bands(r, A1, A2):
-        grad = np.abs(d1, out=d1)
-        grad += np.abs(d2, out=d2)
-        band = out[rows]
-        # written as "exceeds", so NaN on either side stays undecided
-        band[np.abs(u) - slack > grad * radius + curvature * radius * radius] = 1
-        np.negative(band, out=band, where=u < 0)
-    return out
 
 
 def spectral_moments(coeffs):

@@ -200,6 +200,27 @@ class TestOrthant:
         assert payload["functional"] == pytest.approx(payload["limit"],
                                                       rel=0.05)
 
+    def test_pattern_dim_disagrees_with_dim(self, capsys):
+        code = main(["orthant", "--pattern", "crossover-1d", "--dim", "2",
+                     "--N", "3", "--delta", "0.01"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: pattern crossover-1d is 1D, but --dim is 2\n")
+
+    @pytest.mark.parametrize("pattern, file_dim", [("crossover-1d", 2),
+                                                   ("square", 1)])
+    def test_pattern_dim_disagrees_with_coeffs(self, capsys, tmp_path,
+                                               pattern, file_dim):
+        cpath = tmp_path / "c.json"
+        run(capsys, "gen", "--dim", str(file_dim), "--N", "3",
+            "--coeffs-out", str(cpath))
+        code = main(["orthant", "--pattern", pattern, "--coeffs", str(cpath),
+                     "--delta", "0.01"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: pattern {pattern} is {3 - file_dim}D, but the "
+            f"coefficient file {cpath} is {file_dim}D\n")
+
 
 class TestPatterns:
     def test_check_golden(self, capsys):

@@ -2,8 +2,8 @@
 
 In 2D the library evaluates the field as one banded block product,
 classifies signs band by band, and sweeps each dyadic level through one
-stencil-code array; ``validate_2d`` further skips the subsquares a Taylor
-bound proves sign-definite.  In 1D it evaluates every equispaced grid
+stencil-code array; ``validate_2d`` further skips the subsquares that their
+corner values prove sign-definite.  In 1D it evaluates every equispaced grid
 with one inverse FFT, and single points from the powers of one complex
 exponential, instead of cosine and sine sums, and it finds zeros by a
 few Newton steps, checked for a sign change, instead of bisection.  Betti
@@ -136,7 +136,7 @@ def test_validate_2d_cold_and_warm_tables():
 # rows or columns, so a subsquare whose own block is sign-definite never
 # violates.  This hand-built library forbids such a stencil (two rows of +,
 # a sign change in the third), which makes those subsquares' half-side
-# shifts matter; only the halo radius of the bound covers them.
+# shifts matter; only the halo rule of the proof covers them.
 NOTCH = PatternCollection(
     B=COLL.B,
     I4=PatternLibrary.build("I4", COLL.I4.base_patterns + (SignPattern(
@@ -222,6 +222,17 @@ def test_pruning_engages(monkeypatch):
 # The trial seeds of the benchmark's criterion-6 pool, then more draws of
 # the same law.
 NESTED_SEEDS = [fields.derive_seed(s, 0) for s in range(200)]
+
+
+def test_pruning_power_on_pool():
+    """The 60 trials of the criterion-6 pool (N = 3, M = 32, D = 6) leave
+    exactly this many of their 60 * 512^2 level-n0 subsquares undecided."""
+    coeffs = trig_coeffs(2, 3)
+    zero_tol = default_zero_tol(coeffs)
+    undecided = sum(
+        len(adm._fine_pass(draw_realization(coeffs, seed), 32, 6, zero_tol).a)
+        for seed in NESTED_SEEDS[:60])
+    assert undecided == 287_178
 
 
 def _read_from_pass(r, M_max, D, zero_tol, coll=COLL):

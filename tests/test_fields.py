@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodalcheck import admissibility as adm
 from nodalcheck import fields
 from nodalcheck.fields import (CoeffSeq1D, CoeffSeq2D, Realization1D,
                                Realization2D, coeffs_from_json,
@@ -15,6 +16,7 @@ from nodalcheck.fields import (CoeffSeq1D, CoeffSeq2D, Realization1D,
                                evaluate_grid_1d, evaluate_grid_2d,
                                realization_from_json, realization_to_json,
                                spectral_moments, trig_coeffs)
+from nodalcheck.experiments import default_zero_tol
 
 
 def cosine_1d(L=1.0):
@@ -37,6 +39,21 @@ class TestCoeffSeq:
         expected = np.zeros((3, 3))
         expected[1:, 1:] = 1.0
         assert np.array_equal(c.a, expected)
+
+    def test_trig_cached(self):
+        """One frozen, read-only object per (dim, N), so its moments are
+        computed once per run."""
+        for dim, N in ((1, 10), (2, 3)):
+            c = trig_coeffs(dim, N)
+            assert trig_coeffs(dim, N) is c
+            assert c.moments is trig_coeffs(dim, N).moments
+            assert not c.a.flags.writeable
+            with pytest.raises(ValueError):
+                c.a[1] = 2.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                c.L = 1.0
+        assert trig_coeffs(1, 11) is not trig_coeffs(1, 10)
+        assert trig_coeffs(2, 10).K == 10
 
     def test_trig_degree_too_small(self):
         with pytest.raises(ValueError):
@@ -125,13 +142,6 @@ class TestEvaluate:
                 assert grid[i, j] == pytest.approx(r((x, y)), rel=1e-12)
 
 
-def jets(r, x1, x2):
-    """u, du/dx1 and du/dx2 at the point (x1, x2)."""
-    tables = fields._trig_blocks(r.coeffs, [x1], [x2])
-    ((_, u, d1, d2),) = fields._jet_bands(r, *tables)
-    return u[0, 0], d1[0, 0], d2[0, 0]
-
-
 def table(r, x):
     """The trig table A(x) of a 2D realization's law at the points x."""
     return fields._trig_block(r.coeffs.L, r.coeffs.K, x)
@@ -142,41 +152,31 @@ def nan_2d():
                          seed=0)
 
 
-class TestTaylorBound:
-    """The derivative block and the global Hessian bounds behind pruning."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 5), st.integers(0, 10**6), st.floats(0.05, 0.95),
-           st.floats(0.05, 0.95))
-    def test_derivative_matches_finite_differences(self, N, seed, f1, f2):
-        r = draw_realization(trig_coeffs(2, N), seed)
-        L = r.coeffs.L
-        x1, x2, h = f1 * L, f2 * L, 1e-5 * L
-        u, d1, d2 = jets(r, x1, x2)
-        fd1 = (r((x1 + h, x2)) - r((x1 - h, x2))) / (2 * h)
-        fd2 = (r((x1, x2 + h)) - r((x1, x2 - h))) / (2 * h)
-        H11, H12, H22 = r.hessian_bounds
-        tol = 1e-6 * (H11 + H12 + H22)  # h^2 times a third-derivative scale
-        assert u == pytest.approx(r((x1, x2)), abs=1e-12)
-        assert abs(d1 - fd1) <= tol and abs(d2 - fd2) <= tol
+class TestCornerProof:
+    """The bilinear interpolation bound behind pruning: a cell is proven
+    from its four corner values and the global Hessian bounds."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 10**6), st.floats(0, 1),
-           st.floats(0, 1), st.floats(-1, 1), st.floats(-1, 1),
+           st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
            st.floats(1e-4, 0.5))
-    def test_taylor_remainder_bound(self, N, seed, f1, f2, s1, s2, w):
+    def test_interpolation_bound(self, N, seed, f1, f2, t1, t2, delta):
+        """|u(p) - interpolant(p)| <= delta^2 (H11 + H22) / 8 plus twice
+        the rounding bound, at any point p of a cell of side delta."""
         r = draw_realization(trig_coeffs(2, N), seed)
         L = r.coeffs.L
-        c1, c2 = w + f1 * (L - 2 * w), w + f2 * (L - 2 * w)
-        d1, d2 = s1 * w, s2 * w  # |d|_inf <= w, c + d inside [0, L]^2
-        u, g1, g2 = jets(r, c1, c2)
-        H11, H12, H22 = r.hessian_bounds
-        remainder = r((c1 + d1, c2 + d2)) - u - g1 * d1 - g2 * d2
-        bound = 0.5 * w * w * (H11 + 2 * H12 + H22)
-        assert abs(remainder) <= bound + 2 * r.rounding_bound
+        x1, x2 = f1 * (L - delta), f2 * (L - delta)
+        (u00, u01), (u10, u11) = [[r((x1 + i * delta, x2 + j * delta))
+                                   for j in (0, 1)] for i in (0, 1)]
+        interpolant = ((1 - t1) * ((1 - t2) * u00 + t2 * u01)
+                       + t1 * ((1 - t2) * u10 + t2 * u11))
+        H11, H22 = r.hessian_bounds
+        error = r((x1 + t1 * delta, x2 + t2 * delta)) - interpolant
+        bound = delta * delta * (H11 + H22) / 8
+        assert abs(error) <= bound + 2 * r.rounding_bound
 
     def test_rounding_margin(self):
-        """u = 1 with zero gradient and Hessian: decided only when 1 exceeds
+        """u = 1, with no curvature: a cell is decided only when 1 exceeds
         zero_tol by more than twice the rounding bound."""
         g = np.zeros((3, 3, 4))
         g[0, 0, 0] = 1.0
@@ -184,38 +184,62 @@ class TestTaylorBound:
         r = Realization2D(coeffs=c, g=g, seed=0)
         A = table(r, np.linspace(0, c.L, 5))
         eps = r.rounding_bound
-        assert (fields._sign_definite(r, A, A, 0.5, 1 - 3 * eps) == 1).all()
-        assert not fields._sign_definite(r, A, A, 0.5, 1 - eps).any()
+        for zero_tol, sign in ((1 - 3 * eps, 1), (1 - eps, 0)):
+            coarse, proven = adm._corner_proof(r, A, c.L / 4, zero_tol)
+            assert coarse.all() and proven.shape == (4, 4)
+            assert (proven == sign).all(), zero_tol
+
+    def test_bound_is_sharp_on_a_cosine(self):
+        """u = t + cos(x1) on the cell [4 pi / 5, 6 pi / 5] around the
+        trough at pi: its corners exceed the trough by 1 - cos(pi / 5),
+        3% below the bound delta^2 H11 / 8 with H11 = 1.  The cell is
+        undecided while the trough dips below 0 and proven just above."""
+        g = np.zeros((2, 2, 4))
+        g[1, 0, 0] = 1.0  # cos(x1) cos(0 x2)
+        L = 2 * np.pi
+        A = fields._trig_block(L, 1, np.linspace(0, L, 6))
+        for t, sign in ((0.95, 0), (1.01, 1)):
+            g[0, 0, 0] = t
+            r = Realization2D(coeffs=CoeffSeq2D(L=L, a=np.ones((2, 2))),
+                              g=g, seed=0)
+            assert r.hessian_bounds == (1, 0)
+            coarse, proven = adm._corner_proof(r, A, L / 5, 0.0)
+            assert coarse.all()
+            assert (proven[2] == sign).all() and (proven[[0, 4]] == 1).all()
 
     def test_nan_field_never_decided(self):
         r = nan_2d()
         A = table(r, np.linspace(0, r.coeffs.L, 70))  # two bands
-        for radius in (0.0, 1e-3, 0.1):
-            sign = fields._sign_definite(r, A, A, radius, 0.0)
-            assert sign.shape == (70, 70) and not sign.any()
+        for delta in (0.0, 1e-3, 0.1):
+            coarse, proven = adm._corner_proof(r, A, delta, 0.0)
+            assert proven.shape == (69, 69) and not proven.any()
+            assert not coarse.any()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_decided_points_keep_their_sign(self, seed):
-        """Every fine point within the radius of a decided centre is
-        classified with the centre's sign and is not zero-flagged."""
+        """Every fine point of a cell proven on its own square, and of the
+        3 x 3 cells around a cell the halo rule keeps, is classified with
+        the cell's sign and is not zero-flagged."""
+        from test_equivalence import NOTCH  # a library that needs the halo
         r = draw_realization(trig_coeffs(2, 3), seed)
-        G, S = 512, 8
-        A = table(r, np.arange(G + 1) * (r.coeffs.L / G))
-        centres = A[S:-S:S]
-        own, halo = (fields._sign_definite(r, centres, centres,
-                                           m * S / 2 * r.coeffs.L / G, 1e-3)
-                     for m in (1, 2))
-        # a sign proven with the halo is proven on the own square too
-        assert np.array_equal(own[halo != 0], halo[halo != 0])
-        assert (halo == 0).any() and (own != halo).any() and halo.any()
-        for m, decided in ((1, own), (2, halo)):
-            a, b = np.nonzero(decided)
-            classify = fields._window_classifier(r, A, A, m * S + 1, 1e-3)
-            half = m * S // 2
-            positive, flagged = classify(S + a * S - half, S + b * S - half)
-            assert not flagged.any()
-            sign = (decided[a, b] > 0)[:, None, None]
-            assert np.array_equal(positive, np.broadcast_to(sign, positive.shape))
+        M, D, S = 8, 5, 8
+        G = M << (D + 1)
+        A = fields._lattice_table(r.coeffs.L, r.coeffs.K, G)
+        for zero_tol in (1e-3, default_zero_tol(r.coeffs)):
+            own = adm._fine_pass(r, M, D, zero_tol).proven
+            halo = adm._fine_pass(r, M, D, zero_tol, NOTCH).level
+            # a sign kept by the halo rule is proven on the own square too
+            assert np.array_equal(own[halo != 0], halo[halo != 0])
+            assert (halo == 0).any() and (own != halo).any() and halo.any()
+            for reach, decided in ((0, own), (1, halo)):
+                a, b = np.nonzero(decided)
+                size = (2 * reach + 1) * S + 1
+                classify = fields._window_classifier(r, A, A, size, zero_tol)
+                positive, flagged = classify((a - reach) * S, (b - reach) * S)
+                assert not flagged.any()
+                sign = (decided[a, b] > 0)[:, None, None]
+                assert np.array_equal(positive,
+                                      np.broadcast_to(sign, positive.shape))
 
     def test_window_classifier_matches_grid(self):
         r = draw_realization(trig_coeffs(2, 4), 3)
@@ -262,22 +286,18 @@ class TestLatticeTables:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_strided_rows_give_the_same_values(self, seed):
-        """validate_2d reads the subsquare centres and the coarse grid as
-        strided rows of the fine table; the products match fresh tables'."""
+        """validate_2d reads its coarse grid, the subsquare corners, as
+        every S-th row of the fine table; the products match a fresh
+        table's."""
         r = draw_realization(trig_coeffs(2, 3), seed)
         L, G = r.coeffs.L, 1024
         xs = np.arange(G + 1) * (L / G)
-        fine = fields._lattice_table(L, 3, G)
-        for rows in (slice(4, None, 8), slice(None, None, 8)):
-            A = fields._trig_block(L, 3, xs[rows])
-            got = [u.copy() for _, u in fields._grid_bands(r, fine[rows],
-                                                          fine[rows])]
-            want = [u.copy() for _, u in fields._grid_bands(r, A, A)]
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            got = list(fields._jet_bands(r, fine[rows], fine[rows]))
-            want = list(fields._jet_bands(r, A, A))
-            assert all(np.array_equal(g, w) for gs, ws in zip(got, want)
-                       for g, w in zip(gs[1:], ws[1:]))
+        fine = fields._lattice_table(L, 3, G)[::8]
+        A = fields._trig_block(L, 3, xs[::8])
+        got = [u.copy() for _, u in fields._grid_bands(r, fine, fine)]
+        want = [u.copy() for _, u in fields._grid_bands(r, A, A)]
+        assert len(got) == 3
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("L", [2 * np.pi, 3.7, 1.0, 10.0])
     def test_power_of_two_lattices_nest(self, L):
