@@ -586,31 +586,19 @@ _PRUNE_STEPS = 8
 _WINDOWS = 1024
 
 
-def _block_index(level: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Where each level-n0 subsquare finds its block in a stack of blocks.
-
-    The stack holds the len(a) evaluated blocks of the undecided
-    subsquares (a, b), then an all-negative and an all-positive block for
-    the subsquares ``level`` proves negative and positive.
-    """
-    index = np.where(level > 0, len(a) + 1, len(a))
-    index[a, b] = np.arange(len(a))
-    return index
-
-
-def _windows(own: np.ndarray, a: np.ndarray, b: np.ndarray,
-             level: np.ndarray, per_square: int):
+def _windows(fine: _FinePass, per_square: int):
     """Yield ``(positive, a, b, ring, margin)``: stacks of windows for ``_sweep``.
 
-    The windows are the level-n0 subsquares (a, b) that ``level`` leaves
-    undecided, S = own.shape[-1] - 1 fine steps wide,
-    ``per_square`` of them across a grid square.  ``own`` holds their
-    evaluated closed blocks; every other block is constant, the sign of
-    ``level``.  B windows are the subsquares of boundary grid squares,
-    their blocks alone.  I windows are the subsquares of interior grid
-    squares, with S/2 margins that are read from the neighbouring blocks.
+    The windows are the level-n0 subsquares (a, b) that ``fine.level``
+    leaves undecided, S fine steps wide, ``per_square`` of them across a
+    grid square.  ``fine.own`` holds their evaluated closed blocks; every
+    other block is constant, the sign of ``level``.  B windows are the
+    subsquares of boundary grid squares, their blocks alone.  I windows
+    are the subsquares of interior grid squares, with S/2 margins that are
+    read from the neighbouring blocks.
     """
-    Q, S = len(level), own.shape[-1] - 1
+    level, a, b, own, S = fine.level, fine.a, fine.b, fine.own, fine.S
+    Q = len(level)
 
     def interior(t):
         return (t >= per_square) & (t < Q - per_square)
@@ -628,7 +616,9 @@ def _windows(own: np.ndarray, a: np.ndarray, b: np.ndarray,
     blocks = np.concatenate((own[:, :S, :S], np.zeros((1, S, S), dtype=bool),
                              np.ones((1, S, S), dtype=bool)))
     block_rows = blocks.view(f"u{S}")[..., 0]
-    index = _block_index(level, a, b)
+    # where each subsquare finds its block in that stack
+    index = np.where(level > 0, len(a) + 1, len(a))
+    index[a, b] = np.arange(len(a))
     ia, ib = a[inner], b[inner]
     near = np.arange(-1, 2)
     window = slice(S // 2, S // 2 + 2 * S + 1)
@@ -686,38 +676,33 @@ def _corner_proof(r: Realization2D, grid: np.ndarray, delta: float,
         np.greater(values, zero_tol, out=coarse[rows])
         np.greater(values, margin, out=corners[0, 1:k + 1])
         np.less(values, -margin, out=corners[1, 1:k + 1])
-        up, down = _fold(corners[:, top:k + 1], np.minimum, 2, 1)
+        up, down = _fold(corners[:, top:k + 1], np.minimum, 2)
         np.subtract(up, down, out=proven[rows.start + top - 1:rows.stop - 1],
                     dtype=np.int8)
         corners[:, 0] = corners[:, k]
     return coarse, proven
 
 
-def _fold(signs: np.ndarray, extreme, width: int, step: int) -> np.ndarray:
-    """``extreme`` of ``signs[..., step i + k, step j + l]``, k, l < width."""
-    m, n = ((size - width) // step + 1 for size in signs.shape[-2:])
-    rows = reduce(extreme, [signs[..., k:k + step * m:step, :]
-                            for k in range(width)])
-    return reduce(extreme, [rows[..., k:k + step * n:step]
-                            for k in range(width)])
+def _fold(signs: np.ndarray, extreme, width: int) -> np.ndarray:
+    """``extreme`` of ``signs[..., i + k, j + l]``, k, l < width."""
+    m, n = (size - width + 1 for size in signs.shape[-2:])
+    rows = reduce(extreme, [signs[..., k:k + m, :] for k in range(width)])
+    return reduce(extreme, [rows[..., k:k + n] for k in range(width)])
 
 
-def _level(proven: np.ndarray, c: int, coll: PatternCollection) -> np.ndarray:
-    """The signs the sweep takes as given on the tiles of c x c cells.
+def _level(proven: np.ndarray, coll: PatternCollection) -> np.ndarray:
+    """The signs the sweep takes as given on the cells of ``proven``.
 
-    A tile gets the sign all its cells are proven with in ``proven``, and
-    0 (undecided) when they differ.  When the library forbids a stencil a
-    proven subsquare can hold (``PatternCollection.proven_blocks_admissible``
-    is False), a tile keeps its sign only if its 8 neighbours, undecided
-    beyond the edges, carry it too: they cover a halo of a whole tile,
-    more than the half-side shifts reach.
+    When the library forbids a stencil a proven subsquare can hold
+    (``PatternCollection.proven_blocks_admissible`` is False), a cell keeps
+    its sign only if its 8 neighbours, undecided beyond the edges, carry
+    it too: they cover a halo of a whole cell, more than the half-side
+    shifts reach.
     """
-    if c == 1 and coll.proven_blocks_admissible:
+    if coll.proven_blocks_admissible:
         return proven
-    lo, hi = _fold(proven, np.minimum, c, c), _fold(proven, np.maximum, c, c)
-    if not coll.proven_blocks_admissible:
-        lo = _fold(np.pad(lo, 1), np.minimum, 3, 1)
-        hi = _fold(np.pad(hi, 1), np.maximum, 3, 1)
+    padded = np.pad(proven, 1)
+    lo, hi = _fold(padded, np.minimum, 3), _fold(padded, np.maximum, 3)
     return np.where(lo == hi, lo, 0)
 
 
@@ -726,14 +711,14 @@ class _FinePass:
     """The fine classification of one realization on the lattice of G steps.
 
     ``coarse`` is u > zero_tol on every S-th fine point, the corners of
-    the subsquares S fine steps wide.  ``proven`` is the sign each
-    subsquare provably keeps on its own closed square (0: undecided),
-    ``level`` the signs the sweep takes as given (:func:`_level`),
+    the subsquares S fine steps wide.  ``level`` is the sign the sweep
+    takes as given on each subsquare (0: undecided, :func:`_level`),
     ``a, b`` the subsquares it leaves undecided and ``own`` their
     evaluated closed blocks (u > zero_tol).  ``zeros[p]`` counts the
     zero-flagged fine points whose two indices are multiples of 2^p, each
-    point once.  Made by :func:`_fine_pass`; :func:`validate_2d` reads it
-    on the lattice of G / c steps for every power of two c.
+    point once.  Made by :func:`_fine_pass`; :func:`validate_2d` reads all
+    of it on this lattice, and ``zeros[log2 c]`` and every c-th point of
+    ``coarse`` on the lattice of G / c steps for every power of two c.
     """
 
     r: Realization2D
@@ -742,36 +727,11 @@ class _FinePass:
     G: int
     S: int
     coarse: np.ndarray
-    proven: np.ndarray
     level: np.ndarray
     a: np.ndarray
     b: np.ndarray
     own: np.ndarray
     zeros: np.ndarray
-
-    def blocks(self, c: int) -> tuple:
-        """``(level, a, b, own)`` on the lattice of G / c steps.
-
-        Its subsquares are tiles of c x c subsquares here (:func:`_level`).
-        A fine point of that lattice in a subsquare ``level`` proves here
-        gets the subsquare's sign, any other one its value evaluated here.
-        """
-        if c == 1:
-            return self.level, self.a, self.b, self.own
-        S, Q = self.S, len(self.level)
-        level = _level(self.proven, c, self.coll)
-        a, b = np.divmod(np.flatnonzero(level == 0), len(level))
-        stack = np.concatenate((self.own, np.zeros((2, S + 1, S + 1), bool)))
-        stack[-1] = True
-        index = _block_index(self.level, self.a, self.b)
-        # the fine index here of each point of the blocks (a, b), the
-        # subsquare holding it (the last one at the far edge) and the
-        # point's offset in that subsquare
-        x, y = (c * (S * t[:, None] + np.arange(S + 1)) for t in (a, b))
-        bx, by = (np.minimum(t // S, Q - 1) for t in (x, y))
-        own = stack[index[bx[:, :, None], by[:, None]],
-                    (x - S * bx)[:, :, None], (y - S * by)[:, None]]
-        return level, a, b, own
 
 
 def _fine_pass(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
@@ -782,7 +742,7 @@ def _fine_pass(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     table = _lattice_table(r.coeffs.L, r.coeffs.K, G)
     coarse, proven = _corner_proof(r, table[::S], S * (r.coeffs.L / G),
                                    zero_tol)
-    level = _level(proven, 1, coll)
+    level = _level(proven, coll)
     a, b = np.divmod(np.flatnonzero(level == 0), len(level))
     classify = _window_classifier(r, table, table, S + 1, zero_tol)
     own = np.empty((len(a), S + 1, S + 1), dtype=bool)
@@ -799,8 +759,7 @@ def _fine_pass(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
             xy = (a[sel][w] * S + i) | (b[sel][w] * S + j)
             zeros += [np.count_nonzero(xy & ((1 << p) - 1) == 0)
                       for p in range(len(zeros))]
-    return _FinePass(r, zero_tol, coll, G, S, coarse, proven, level, a, b,
-                     own, zeros)
+    return _FinePass(r, zero_tol, coll, G, S, coarse, level, a, b, own, zeros)
 
 
 def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
@@ -841,12 +800,11 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     then that of its flagged points with both indices multiples of c
     (a proven subsquare holds none), and the coarse grid is every c-th
     point of its coarse grid.  Only when those leave the verdict open
-    are this lattice's subsquares proven, each one when the c x c
-    subsquares of the pass that tile it are all proven with one sign,
-    and the fine points of its undecided subsquares read from the
-    pass.  A pass on any other lattice, or with another S, is not
-    used: this call builds its own.  A pass of another realization,
-    ``zero_tol`` or pattern collection raises ``ValueError``.
+    does this call build its own pass, about 1/c^2 the cost of the given
+    one, for the proven subsquares and the windows.  A pass on any other
+    lattice, or with another S, is not used: this call builds its own.
+    A pass of another realization, ``zero_tol`` or pattern collection
+    raises ``ValueError``.
     """
     coll = patterns or default_patterns()
     S, G = _lattice(M, D, coll)
@@ -870,10 +828,10 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
                  in _sweep(positive, M, 1, 0, n0 - 1, coll, collect_all)]
     if found and not collect_all:
         return _verdict(D, found)
-    level, a, b, own = fine.blocks(c)
+    if c > 1:
+        fine = _fine_pass(r, M, D, zero_tol, coll)
     depth = S.bit_length() - 2  # window levels 0..depth are n0..D
-    for positive, wa, wb, ring, margin in _windows(own, a, b, level,
-                                                  1 << n0):
+    for positive, wa, wb, ring, margin in _windows(fine, 1 << n0):
         found += [((int(wa[w]) >> n0, int(wb[w]) >> n0), n0 + n, pid)
                   for (w, _, _), n, pid in _sweep(positive, 1, ring, margin,
                                                   depth, coll, collect_all)]

@@ -13,12 +13,11 @@ import sys
 
 import numpy as np
 
-from . import __version__, admissibility, bounds, experiments, fields
+from . import (__version__, admissibility, bounds, experiments, fields,
+               orthant)
 from .cubical import SignGrid, sign_grid
 from .homology import betti_pair
-from .orthant import (PATTERNS, OrthantQuery, asymptotic_functional,
-                      orthant_exact_small, orthant_numeric, pattern_cov,
-                      prop41_limit)
+from .orthant import PATTERNS, prop41_limit
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -144,20 +143,16 @@ def _cmd_bound(args):
 
 
 def _cmd_orthant(args):
+    if not args.delta > 0:
+        raise ValueError("--delta must be positive")
     coeffs = _load_coeffs(args)
     pattern = PATTERNS[args.pattern]
     if coeffs.dim != pattern.dim:
         source = (f"the coefficient file {args.coeffs} is {coeffs.dim}D"
                   if args.coeffs else f"--dim is {coeffs.dim}")
         raise ValueError(f"pattern {args.pattern} is {pattern.dim}D, but {source}")
-    cov = pattern_cov(coeffs, coeffs.L, pattern.points(args.delta))
-    q = OrthantQuery(signs=pattern.signs, cov=cov)
-    if pattern.n <= 3:
-        estimate, stderr = orthant_exact_small(q), 0.0
-    else:
-        estimate, stderr = orthant_numeric(q, args.samples, args.seed)
-    functional = asymptotic_functional(coeffs, coeffs.L, pattern, args.delta,
-                                       samples=args.samples, seed=args.seed)
+    estimate, stderr, functional = orthant._functional(
+        coeffs, coeffs.L, pattern, args.delta, args.samples, args.seed)
     _emit({"estimate": estimate, "stderr": stderr, "functional": functional,
            "limit": prop41_limit(pattern.signs, pattern.v1_limit)})
     return EXIT_OK

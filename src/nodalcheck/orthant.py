@@ -28,10 +28,8 @@ __all__ = [
     "StencilPattern",
     "PATTERNS",
     "pattern_cov",
-    "orthant_mc",
     "orthant_exact_small",
     "orthant_numeric",
-    "orthant_genz",
     "prop41_limit",
     "expected_expansion",
     "expansion_check",
@@ -167,37 +165,6 @@ def pattern_cov(coeffs, L: float, points) -> CovMatrix:
     return CovMatrix(n=n, entries=np.asarray(C, dtype=float))
 
 
-def _factor(cov: CovMatrix) -> np.ndarray:
-    """A matrix F with F F^T = cov (Cholesky, or eigh for semidefinite input)."""
-    try:
-        return np.linalg.cholesky(cov.entries)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov.entries)
-        floor = -1e-10 * max(vals.max(), 1.0)
-        if vals.min() < floor:
-            raise np.linalg.LinAlgError(
-                "covariance is not positive semi-definite") from None
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
-def orthant_mc(q: OrthantQuery, samples: int, seed: int) -> tuple:
-    """Monte Carlo orthant probability: (estimate, stderr)."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    F = _factor(q.cov)
-    s = np.asarray(q.signs, dtype=float)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    hits = 0
-    left = samples
-    while left > 0:
-        batch = min(left, 1 << 20)
-        z = rng.standard_normal((batch, q.cov.n)) @ F.T
-        hits += int(np.count_nonzero(np.all(s * z >= 0.0, axis=1)))
-        left -= batch
-    p = hits / samples
-    return p, math.sqrt(p * (1.0 - p) / samples)
-
-
 def orthant_exact_small(q: OrthantQuery) -> float:
     """Closed-form orthant probability for n <= 3 (arcsine formulas)."""
     n = q.cov.n
@@ -214,24 +181,6 @@ def orthant_exact_small(q: OrthantQuery) -> float:
     if n == 2:
         return 0.25 + math.asin(off[0]) / (2.0 * math.pi)
     return 0.125 + float(np.sum(np.arcsin(off))) / (4.0 * math.pi)
-
-
-def orthant_genz(q: OrthantQuery, releps: float = 1e-6) -> float:
-    """Quasi-Monte Carlo orthant probability (Genz algorithm via scipy).
-
-    Accurate for well-conditioned covariances; loses all precision on
-    the near-degenerate stencil covariances at small delta, where
-    orthant_numeric should be used instead.
-    """
-    # imported here: scipy.stats costs about 0.4 s and 70 MB to import
-    from scipy.stats import multivariate_normal
-
-    s = np.asarray(q.signs, dtype=float)
-    C = q.cov.entries * np.outer(s, s)
-    # upper-orthant mass of N(0, C) equals the CDF at 0 by central symmetry
-    return float(multivariate_normal.cdf(
-        np.zeros(q.cov.n), mean=np.zeros(q.cov.n), cov=C,
-        maxpts=20_000_000, abseps=0.0, releps=releps))
 
 
 def orthant_numeric(q: OrthantQuery, samples: int = 1_000_000,
@@ -436,6 +385,11 @@ def asymptotic_functional(coeffs, L, pattern, delta: float,
     n <= 3 and from the importance-sampled estimator for larger n (the
     probabilities there are far below plain-Monte-Carlo reach).
     """
+    return _functional(coeffs, L, pattern, delta, samples, seed)[2]
+
+
+def _functional(coeffs, L, pattern, delta, samples, seed) -> tuple:
+    """``(P, stderr of P, functional)`` of :func:`asymptotic_functional`."""
     if isinstance(pattern, str):
         pattern = PATTERNS[pattern]
     C = pattern_cov(coeffs, L, pattern.points(delta))
@@ -449,7 +403,7 @@ def asymptotic_functional(coeffs, L, pattern, delta: float,
     q = OrthantQuery(signs=pattern.signs, cov=C)
     n = pattern.n
     if n <= 3:
-        P = orthant_exact_small(q)
+        P, stderr = orthant_exact_small(q), 0.0
     else:
-        P, _ = orthant_numeric(q, samples, seed)
-    return P * math.sqrt(det / lam1**n)
+        P, stderr = orthant_numeric(q, samples, seed)
+    return P, stderr, P * math.sqrt(det / lam1**n)

@@ -12,6 +12,10 @@ The second half keeps the slow, straightforward formulations of the 1D
 and 2D evaluators, the dyadic sweeps, the component count and the
 labelling Betti path, which the library replaced with fused code; the
 equivalence tests compare against them.
+
+Last come two general-purpose orthant estimators, plain Monte Carlo and
+Genz's quasi-Monte Carlo integrator, which cross-check the closed forms
+and the importance sampler of ``nodalcheck.orthant``.
 """
 
 import math
@@ -19,6 +23,7 @@ from collections import deque
 
 import numpy as np
 from scipy import ndimage
+from scipy.stats import multivariate_normal
 
 from nodalcheck import fields
 from nodalcheck.cubical import CubicalSet
@@ -395,3 +400,49 @@ def jet_1d_trig(r, x):
     gs[1:] = coeffs.a[1:] * r.g[2 * k[1:] - 1]
     cos, sin = np.cos(phase), np.sin(phase)
     return cos @ gc + sin @ gs, cos @ (omega * gs) - sin @ (omega * gc)
+
+
+def _factor(cov):
+    """A matrix F with F F^T = cov (Cholesky, or eigh for semidefinite input)."""
+    try:
+        return np.linalg.cholesky(cov.entries)
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(cov.entries)
+        floor = -1e-10 * max(vals.max(), 1.0)
+        if vals.min() < floor:
+            raise np.linalg.LinAlgError(
+                "covariance is not positive semi-definite") from None
+        return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
+def orthant_mc(q, samples, seed):
+    """Monte Carlo orthant probability of an ``OrthantQuery``: (estimate, stderr)."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    F = _factor(q.cov)
+    s = np.asarray(q.signs, dtype=float)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    hits = 0
+    left = samples
+    while left > 0:
+        batch = min(left, 1 << 20)
+        z = rng.standard_normal((batch, q.cov.n)) @ F.T
+        hits += int(np.count_nonzero(np.all(s * z >= 0.0, axis=1)))
+        left -= batch
+    p = hits / samples
+    return p, math.sqrt(p * (1.0 - p) / samples)
+
+
+def orthant_genz(q, releps=1e-6):
+    """Quasi-Monte Carlo orthant probability (Genz algorithm via scipy).
+
+    Accurate for well-conditioned covariances; loses all precision on
+    the near-degenerate stencil covariances at small delta, where
+    ``orthant.orthant_numeric`` is needed.
+    """
+    s = np.asarray(q.signs, dtype=float)
+    C = q.cov.entries * np.outer(s, s)
+    # upper-orthant mass of N(0, C) equals the CDF at 0 by central symmetry
+    return float(multivariate_normal.cdf(
+        np.zeros(q.cov.n), mean=np.zeros(q.cov.n), cov=C,
+        maxpts=20_000_000, abseps=0.0, releps=releps))

@@ -207,6 +207,13 @@ class TestOrthant:
         assert capsys.readouterr().err == (
             "error: pattern crossover-1d is 1D, but --dim is 2\n")
 
+    @pytest.mark.parametrize("delta", ["0", "-0.05", "nan"])
+    def test_delta_must_be_positive(self, capsys, delta):
+        code = main(["orthant", "--pattern", "five-point", "--N", "3",
+                     "--delta", delta])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --delta must be positive\n"
+
     @pytest.mark.parametrize("pattern, file_dim", [("crossover-1d", 2),
                                                    ("square", 1)])
     def test_pattern_dim_disagrees_with_coeffs(self, capsys, tmp_path,

@@ -264,8 +264,8 @@ def test_fine_pass_matches_standalone_on_pool():
 
 def test_fine_pass_matches_dense():
     """D = 3, so that the dense sweep stays small; both tolerances.  Some
-    coarser lattices certify, so their undecided blocks are read from the
-    pass without ``collect_all`` too."""
+    coarser lattices certify, so they build their own pass after the
+    coarse sweep without ``collect_all`` too."""
     nested_certified = 0
     for k, seed in enumerate(NESTED_SEEDS):
         r = draw_realization(trig_coeffs(2, 2 + k % 3), seed)
@@ -306,17 +306,23 @@ def test_fine_pass_planted_zeros(M_max):
     assert _read_from_pass(r, M_max, 4, 0.0)[4, True].status != "Degenerate"
 
 
+def _count_builds(monkeypatch) -> list:
+    """The M of every ``_fine_pass`` built from now on, in order."""
+    built = []
+    for module in (adm, experiments):
+        fine_pass = module._fine_pass
+        monkeypatch.setattr(module, "_fine_pass", lambda r, M, *args,
+                            f=fine_pass: built.append(M) or f(r, M, *args))
+    return built
+
+
 @pytest.mark.parametrize("M_list, builds", [((8, 12, 16), [16, 12]),
                                             ((8, 12, 24), [24, 8])])
 def test_fine_pass_falls_back_off_the_nest(monkeypatch, M_list, builds):
     """A lattice whose step count divides the pass's by 4/3 or by 3 does
     not nest in it bit for bit, so its M builds its own pass; the trial's
     outcomes are the standalone ones."""
-    built, outcomes = [], []
-    for module in (adm, experiments):
-        fine_pass = module._fine_pass
-        monkeypatch.setattr(module, "_fine_pass", lambda r, M, *args,
-                            f=fine_pass: built.append(M) or f(r, M, *args))
+    built, outcomes = _count_builds(monkeypatch), []
 
     def validate(r, M, *args, **kwargs):
         out = validate_2d(r, M, *args, **kwargs)
@@ -329,6 +335,29 @@ def test_fine_pass_falls_back_off_the_nest(monkeypatch, M_list, builds):
     assert [M for _, M, _ in outcomes] == list(M_list) * 3
     for r, M, out in outcomes:
         assert out == validate_2d(r, M, 6, default_zero_tol(r.coeffs)), M
+
+
+def test_fine_pass_leaves_a_nested_m_open(monkeypatch):
+    """Trial 75 of the criterion-6 suite (seed 103) passes the coarse
+    sweep of M = 16 read from its M = 32 pass, so ``validate_2d`` builds
+    the M = 16 pass itself, once, and certifies as a standalone call."""
+    r = draw_realization(trig_coeffs(2, 3), fields.derive_seed(103, 75))
+    zero_tol = default_zero_tol(r.coeffs)
+    fine = adm._fine_pass(r, 32, 6, zero_tol)
+    built = _count_builds(monkeypatch)
+    out = validate_2d(r, 16, 6, zero_tol, fine=fine)
+    assert out.certified and built == [16]
+    assert out == validate_2d(r, 16, 6, zero_tol)
+
+
+def test_fine_pass_built_once_per_pool_trial(monkeypatch):
+    """On the benchmark's 2D pool the zero count and the coarse sweep
+    decide every nested M, so a trial builds only the pass at M = 32."""
+    built = _count_builds(monkeypatch)
+    for seed in range(60):
+        experiments.homology_experiment(2, 3, (8, 16, 32), trials=1,
+                                        seed=seed)
+    assert built == [32] * 60
 
 
 def test_fine_pass_of_another_field_raises():

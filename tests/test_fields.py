@@ -226,7 +226,7 @@ class TestCornerProof:
         G = M << (D + 1)
         A = fields._lattice_table(r.coeffs.L, r.coeffs.K, G)
         for zero_tol in (1e-3, default_zero_tol(r.coeffs)):
-            own = adm._fine_pass(r, M, D, zero_tol).proven
+            own = adm._fine_pass(r, M, D, zero_tol).level
             halo = adm._fine_pass(r, M, D, zero_tol, NOTCH).level
             # a sign kept by the halo rule is proven on the own square too
             assert np.array_equal(own[halo != 0], halo[halo != 0])

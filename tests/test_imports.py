@@ -1,10 +1,9 @@
 """Import footprint: which scipy parts the library loads, and when.
 
-``scipy.stats`` and ``scipy.optimize`` take about 0.7 s and 120 MB to
-import and serve only ``orthant.orthant_genz`` and
+``scipy.optimize`` takes about 0.3 s and 50 MB to import and serves only
 ``orthant.expansion_check``; the library itself never imports
-``scipy.ndimage``.  Each case runs in a fresh interpreter, because this
-one has imported all three long before.
+``scipy.stats`` or ``scipy.ndimage``.  Each case runs in a fresh
+interpreter, because this one has imported all three long before.
 """
 
 import json
@@ -13,8 +12,6 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
-
-import pytest
 
 from nodalcheck.fields import trig_coeffs
 from nodalcheck.orthant import PATTERNS, expansion_check, expected_expansion
@@ -85,6 +82,10 @@ def test_orthant_functions_load_their_scipy_parts():
     got = _fresh("""
         from nodalcheck import fields, orthant
         out = {"before": loaded()}
+        plane = fields.trig_coeffs(2, 3)
+        orthant.asymptotic_functional(plane, plane.L, "five-point", 0.05,
+                                      samples=10_000)
+        out["after asymptotic_functional"] = loaded()
         coeffs = fields.trig_coeffs(1, 3)
         pat = orthant.PATTERNS["crossover-1d"]
         rep = orthant.expansion_check(
@@ -92,18 +93,12 @@ def test_orthant_functions_load_their_scipy_parts():
             orthant.expected_expansion("crossover-1d", coeffs))
         out["ok"], out["det_coefficient"] = rep.ok, rep.det_coefficient
         out["after expansion_check"] = loaded()
-        q = orthant.OrthantQuery(signs=pat.signs, cov=orthant.pattern_cov(
-            coeffs, coeffs.L, pat.points(0.5)))
-        out["genz"] = orthant.orthant_genz(q)
-        out["exact"] = orthant.orthant_exact_small(q)
-        out["after genz"] = loaded()
         print(json.dumps(out))
     """)
     assert got["before"] == []
+    # five points: the importance sampler, which needs no scipy
+    assert got["after asymptotic_functional"] == []
     assert got["after expansion_check"] == ["scipy.optimize"]
-    # scipy.stats itself imports scipy.optimize and scipy.ndimage
-    assert "scipy.stats" in got["after genz"]
-    assert got["genz"] == pytest.approx(got["exact"], rel=1e-3)
     coeffs = trig_coeffs(1, 3)
     rep = expansion_check(coeffs, 2 * math.pi, PATTERNS["crossover-1d"],
                           [0.1 * 2.0**-j for j in range(6)],

@@ -7,8 +7,8 @@ from nodalcheck.fields import spectral_moments, trig_coeffs
 from nodalcheck.orthant import (PATTERNS, CovMatrix, OrthantQuery,
                                 asymptotic_functional, expansion_check,
                                 expected_expansion, orthant_exact_small,
-                                orthant_genz, orthant_mc, orthant_numeric,
-                                pattern_cov, prop41_limit)
+                                orthant_numeric, pattern_cov, prop41_limit)
+from oracles import orthant_genz, orthant_mc
 
 L = 2 * math.pi
 COEFFS = trig_coeffs(1, 3)
