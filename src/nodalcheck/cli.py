@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 = success, 1 = error (bad input, crash), 2 = a validation
-ran and the outcome was not Certified.  Structured results go to stdout
-as JSON; experiment tables go to files as CSV/JSON.
+Exit codes: 0 = success, 1 = error (bad input or usage, crash), 2 = a
+validation ran and the outcome was not Certified.  Structured results go
+to stdout as JSON; experiment tables go to files as CSV/JSON.
 """
 
 from __future__ import annotations
@@ -145,6 +145,8 @@ def _cmd_bound(args):
 def _cmd_orthant(args):
     if not args.delta > 0:
         raise ValueError("--delta must be positive")
+    if args.samples < 1:
+        raise ValueError("--samples must be positive")
     coeffs = _load_coeffs(args)
     pattern = PATTERNS[args.pattern]
     if coeffs.dim != pattern.dim:
@@ -209,8 +211,17 @@ def _add_field_source(p, need_dim=True):
     p.add_argument("--seed", type=int, default=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_ERROR on a usage error; argparse's own code, 2, is
+    the code of a validation that is not Certified."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nodalcheck",
         description="Validated homology computation for nodal domains of "
                     "random periodic fields.")

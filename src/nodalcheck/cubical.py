@@ -1,10 +1,11 @@
-"""Sign grids on the equidistant M-discretization and their cubical sets.
+"""Sign grids on the equidistant M-discretization and their cell masks.
 
 Grid points are x_k = k * L / M componentwise.  The cubical set for a
-sign sigma contains, for every compatible grid index k in {0..M}^dim,
-the unit cell attached to the upper-right of k in index space, so the
-cell complex tiles [0, M+1]^dim.  A zero-flagged sample is compatible
-with both signs (the defining inequality is weak).
+sign sigma is a boolean mask over {0..M}^dim: cell k, the unit cell
+attached to the upper-right of k in index space, belongs to it iff the
+sample at k is compatible with sigma, so the cells tile [0, M+1]^dim.
+A zero-flagged sample is compatible with both signs (the defining
+inequality is weak).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .fields import (Realization1D, Realization2D, _classify_grid,
                      _json_object, _lattice_table, evaluate_grid_1d)
 
-__all__ = ["SignGrid", "CubicalSet", "sign_grid", "cubical_approx"]
+__all__ = ["SignGrid", "sign_grid", "cubical_approx"]
 
 PLUS = 1
 MINUS = -1
@@ -33,7 +34,12 @@ class SignGrid:
     signs: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.signs, dtype=np.int8).copy()
+        raw = np.asarray(self.signs)
+        # checked before the int8 cast, which wraps 255 to -1 and 0.5 to 0
+        if raw.dtype.kind not in "biu" or (
+                raw.size and not MINUS <= raw.min() <= raw.max() <= PLUS):
+            raise ValueError("signs must be integers in {-1, 0, +1}")
+        s = raw.astype(np.int8)
         s.flags.writeable = False
         object.__setattr__(self, "signs", s)
         if s.shape != (self.M + 1,) * self.dim:
@@ -72,32 +78,6 @@ class SignGrid:
         return SignGrid(dim=payload["dim"], M=payload["M"], signs=signs)
 
 
-@dataclass(frozen=True)
-class CubicalSet:
-    """Top-dimensional cells of a cubical approximation, as a boolean mask over {0..M}^dim."""
-
-    dim: int
-    M: int
-    cells: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.cells, dtype=bool).copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "cells", c)
-        if c.shape != (self.M + 1,) * self.dim:
-            raise ValueError("cell mask shape must be (M+1,)^dim")
-
-    @property
-    def cell_indices(self) -> list:
-        idx = np.argwhere(self.cells)
-        if self.dim == 1:
-            return [int(i) for (i,) in idx]
-        return [tuple(int(v) for v in row) for row in idx]
-
-    def to_json(self) -> str:
-        return json.dumps({"dim": self.dim, "M": self.M, "cells": self.cell_indices})
-
-
 def sign_grid(r, M: int, zero_tol: float = 0.0) -> SignGrid:
     """Sample the sign of a realization at the M-discretization of [0, L]^dim.
 
@@ -128,9 +108,10 @@ def sign_grid(r, M: int, zero_tol: float = 0.0) -> SignGrid:
     return SignGrid(dim=r.dim, M=M, signs=signs)
 
 
-def cubical_approx(grid: SignGrid, sigma: int) -> CubicalSet:
-    """Cells whose grid sample is compatible with sigma (zero-flagged fits both)."""
+def cubical_approx(grid: SignGrid, sigma: int) -> np.ndarray:
+    """Read-only mask of the cells compatible with sigma (zero-flagged fits both)."""
     if sigma not in (PLUS, MINUS):
         raise ValueError("sigma must be +1 or -1")
     cells = (grid.signs == sigma) | (grid.signs == ZERO_FLAGGED)
-    return CubicalSet(dim=grid.dim, M=grid.M, cells=cells)
+    cells.flags.writeable = False
+    return cells

@@ -28,7 +28,6 @@ from .fields import (derive_seed, draw_realization, evaluate_grid_1d,
                      jet_1d, spectral_moments, trig_coeffs)
 from .homology import (betti_pair, default_reference_M, homology_match,
                        reference_betti)
-from .orthant import PATTERNS, asymptotic_functional, prop41_limit
 
 __all__ = [
     "CSV_COLUMNS",
@@ -39,7 +38,6 @@ __all__ = [
     "default_zero_tol",
     "zero_stats",
     "homology_experiment",
-    "orthant_convergence",
     "write_results",
     "read_results",
 ]
@@ -91,7 +89,13 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.D < 0:
             raise ValueError("D must be nonnegative")
-        if self.kind != "ZeroStats" and not self.M_list:
+        if self.kind == "ZeroStats":
+            for name, unused in (("M_list", self.M_list),
+                                 ("zero_tol", self.zero_tol is not None),
+                                 ("D", self.D != DEFAULT_DEPTH)):
+                if unused:
+                    raise ValueError(f"{name} does not apply to ZeroStats")
+        elif not self.M_list:
             raise ValueError(f"{self.kind} needs a nonempty M_list")
         floor = 3 if self.kind == "Homology2D" else 1
         if any(M < floor for M in self.M_list):
@@ -336,27 +340,6 @@ def homology_experiment(dim: int, N: int, M_list, trials: int,
                    meta=_metadata(D, zero_tol),
                    extra={"soundness_exceptions": exceptions,
                           "M_ref": M_ref, "records": records})
-
-
-def orthant_convergence(pattern, coeffs, delta_list, samples: int,
-                        seed: int) -> Summary:
-    """Rescaled orthant probability along shrinking deltas vs its limit."""
-    if isinstance(pattern, str):
-        pattern = PATTERNS[pattern]
-    deltas = sorted(delta_list, reverse=True)
-    if deltas != list(delta_list):
-        raise ValueError("delta_list must be decreasing")
-    limit = prop41_limit(pattern.signs, pattern.v1_limit)
-    values = [asymptotic_functional(coeffs, coeffs.L, pattern, d,
-                                    samples=samples, seed=derive_seed(seed, i))
-              for i, d in enumerate(deltas)]
-    extra = {"pattern": pattern.name, "deltas": deltas,
-             "functional": values, "limit": limit}
-    row = dict.fromkeys(CSV_COLUMNS, "")
-    row.update(experiment="orthant_convergence", dim=pattern.dim,
-               trials=samples, seed=seed)
-    return Summary(kind="OrthantConvergence", rows=(row,),
-                   meta=_metadata(0, 0.0), extra=extra)
 
 
 def _format_cell(v) -> str:

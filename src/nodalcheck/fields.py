@@ -466,24 +466,25 @@ def evaluate_grid_2d(r: Realization2D, x1: np.ndarray, x2: np.ndarray) -> np.nda
     return out
 
 
-def classify_grid_2d(r: Realization2D, x1, x2, zero_tol: float,
-                     flagged: np.ndarray | None = None) -> tuple:
+def classify_grid_2d(r: Realization2D, x1, x2, zero_tol: float) -> tuple:
     """Sign classes of a 2D realization on the tensor grid x1 (x) x2.
 
     Returns ``(positive, zeros)``: the boolean grid of u > zero_tol and
     the number of zero-flagged points, where neither u > zero_tol nor
-    u < -zero_tol holds (so NaN is flagged).  If ``flagged`` is given, a
-    boolean array of the grid's shape, it receives the zero-flag mask.
-    The values are those of :func:`evaluate_grid_2d`, classified band by
-    band, so no float grid of the full size is ever formed.
+    u < -zero_tol holds (so NaN is flagged).  The values are those of
+    :func:`evaluate_grid_2d`, classified band by band, so no float grid
+    of the full size is ever formed.
     """
-    return _classify_grid(r, *_trig_blocks(r.coeffs, x1, x2), zero_tol,
-                            flagged)
+    return _classify_grid(r, *_trig_blocks(r.coeffs, x1, x2), zero_tol)
 
 
 def _classify_grid(r: Realization2D, A1, A2, zero_tol: float,
-                     flagged: np.ndarray | None = None) -> tuple:
-    """:func:`classify_grid_2d` on the tables A1 = A(x1) and A2 = A(x2)."""
+                   flagged: np.ndarray | None = None) -> tuple:
+    """:func:`classify_grid_2d` on the tables A1 = A(x1) and A2 = A(x2).
+
+    If ``flagged`` is given, a boolean array of the grid's shape, it
+    receives the zero-flag mask.
+    """
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
     positive = np.empty((len(A1), len(A2)), dtype=bool)

@@ -1,4 +1,4 @@
-"""Betti numbers of cubical sets.
+"""Betti numbers of cubical sets, given as cell masks.
 
 Connectivity is through shared faces of any dimension (two cells
 touching only at a corner are connected), which matches the topology of
@@ -24,14 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubical import CubicalSet, cubical_approx, sign_grid
+from .cubical import cubical_approx, sign_grid
 
 __all__ = [
-    "CubicalComplex",
     "BettiVector",
-    "close_faces",
     "cell_betti",
-    "betti",
     "betti_pair",
     "reference_betti",
     "homology_match",
@@ -44,72 +41,12 @@ def connected_components(mask: np.ndarray) -> int:
 
 
 @dataclass(frozen=True)
-class CubicalComplex:
-    """Face closure of a cubical set, stored as boolean incidence grids.
-
-    ``faces`` is the top-cell mask; ``edges_x``/``edges_y`` mark unit
-    edges in the two axis directions and ``vertices`` the integer
-    points.  In 1D only ``vertices`` and ``edges_x`` are populated.
-    """
-
-    dim: int
-    vertices: np.ndarray
-    edges_x: np.ndarray
-    edges_y: np.ndarray | None
-    faces: np.ndarray | None
-
-    @property
-    def n_vertices(self) -> int:
-        return int(np.count_nonzero(self.vertices))
-
-    @property
-    def n_edges(self) -> int:
-        n = int(np.count_nonzero(self.edges_x))
-        if self.edges_y is not None:
-            n += int(np.count_nonzero(self.edges_y))
-        return n
-
-    @property
-    def n_faces(self) -> int:
-        return 0 if self.faces is None else int(np.count_nonzero(self.faces))
-
-    def euler(self) -> int:
-        return self.n_vertices - self.n_edges + self.n_faces
-
-
-@dataclass(frozen=True)
 class BettiVector:
     b0: int
     b1: int = 0
 
     def as_list(self) -> list:
         return [self.b0, self.b1]
-
-
-def close_faces(cs: CubicalSet) -> CubicalComplex:
-    """All faces (vertices, edges, squares) of the cells of ``cs``, deduplicated."""
-    cells = cs.cells
-    if cs.dim == 1:
-        n = cells.size
-        verts = np.zeros(n + 1, dtype=bool)
-        verts[:-1] |= cells
-        verts[1:] |= cells
-        return CubicalComplex(dim=1, vertices=verts, edges_x=cells.copy(),
-                              edges_y=None, faces=None)
-    n = cells.shape[0]
-    verts = np.zeros((n + 1, n + 1), dtype=bool)
-    for di in (0, 1):
-        for dj in (0, 1):
-            verts[di : n + di, dj : n + dj] |= cells
-    # edge from (i, j) to (i+1, j): bounds cells (i, j-1) and (i, j)
-    ex = np.zeros((n, n + 1), dtype=bool)
-    ex[:, :-1] |= cells
-    ex[:, 1:] |= cells
-    ey = np.zeros((n + 1, n), dtype=bool)
-    ey[:-1, :] |= cells
-    ey[1:, :] |= cells
-    return CubicalComplex(dim=2, vertices=verts, edges_x=ex, edges_y=ey,
-                          faces=cells.copy())
 
 
 def cell_betti(mask: np.ndarray) -> BettiVector:
@@ -159,16 +96,10 @@ def cell_betti(mask: np.ndarray) -> BettiVector:
     return BettiVector(b0, E - R + b0)
 
 
-def betti(c: CubicalComplex) -> BettiVector:
-    """Betti numbers of a face closure; the empty complex gives (0, 0)."""
-    return cell_betti(c.faces if c.dim == 2 else c.edges_x)
-
-
 def betti_pair(grid) -> tuple:
-    """(betti(Q+), betti(Q-)) for a sign grid."""
-    plus = cell_betti(cubical_approx(grid, +1).cells)
-    minus = cell_betti(cubical_approx(grid, -1).cells)
-    return plus, minus
+    """(Betti(Q+), Betti(Q-)) for a sign grid."""
+    return (cell_betti(cubical_approx(grid, +1)),
+            cell_betti(cubical_approx(grid, -1)))
 
 
 def reference_betti(r, M_ref: int, zero_tol: float = 0.0):

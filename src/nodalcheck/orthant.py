@@ -140,10 +140,6 @@ _register("half-slant-x", 2, ((0, 0), (0.5, 0), (1, 0.5), (0.5, 0.5)),
           (1, -1, 1, -1), (0.5, -0.5, 0.5, -0.5))
 _register("half-slant-y", 2, ((0, 0), (0, 0.5), (0.5, 1), (0.5, 0.5)),
           (1, -1, 1, -1), (0.5, -0.5, 0.5, -0.5))
-_register("center-slant-x", 2, ((0, 0), (0.5, 0), (1, 0.5), (0.5, 0.5)),
-          (1, -1, 1, -1), (0.5, -0.5, 0.5, -0.5))
-_register("center-slant-y", 2, ((0, 0), (0, 0.5), (0.5, 1), (0.5, 0.5)),
-          (1, -1, 1, -1), (0.5, -0.5, 0.5, -0.5))
 # corners of the unit square all one sign, center the other
 _register("five-point", 2, ((0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)),
           (1, 1, 1, 1, -1), (_S20, _S20, _S20, _S20, -4 * _S20))

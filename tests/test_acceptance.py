@@ -20,10 +20,12 @@ from nodalcheck.bounds import (bound_1d_periodic, closed_form_scaling, min_M,
 from nodalcheck.cubical import SignGrid, cubical_approx
 from nodalcheck.experiments import homology_experiment, zero_stats
 from nodalcheck.fields import spectral_moments, trig_coeffs
-from nodalcheck.homology import betti, close_faces
+from nodalcheck.homology import cell_betti
 from nodalcheck.orthant import (PATTERNS, asymptotic_functional,
                                 expansion_check, expected_expansion,
                                 prop41_limit)
+
+from oracles import euler
 
 L = 2 * math.pi
 
@@ -277,12 +279,11 @@ def test_criterion_8_exhaustive_small_grids(report):
         grid = SignGrid(dim=2, M=3, signs=signs)
         # sigma = +1 covers both signs: the sweep includes every
         # complementary grid
-        cs = cubical_approx(grid, +1)
-        closed = close_faces(cs)
-        b = betti(closed)
-        if (b.b0, b.b1) != _oracle_betti(cs.cells):
+        cells = cubical_approx(grid, +1)
+        b = cell_betti(cells)
+        if (b.b0, b.b1) != _oracle_betti(cells):
             bad += 1
-        if b.b0 - b.b1 != closed.euler():
+        if b.b0 - b.b1 != euler(cells):
             bad += 1
     elapsed = time.perf_counter() - t0
     ok = bad == 0 and elapsed < 30.0

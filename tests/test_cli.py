@@ -214,6 +214,18 @@ class TestOrthant:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == "error: --delta must be positive\n"
 
+    @pytest.mark.parametrize("pattern", ["crossover-1d", "five-point"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_must_be_positive(self, capsys, pattern, samples):
+        """Closed forms (n <= 3) draw no samples, but the flag is checked
+        for every pattern alike."""
+        code = main(["orthant", "--pattern", pattern, "--N", "3",
+                     "--delta", "0.01", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == "error: --samples must be positive\n"
+
     @pytest.mark.parametrize("pattern, file_dim", [("crossover-1d", 2),
                                                    ("square", 1)])
     def test_pattern_dim_disagrees_with_coeffs(self, capsys, tmp_path,
@@ -296,6 +308,11 @@ class TestExperiment:
          "Homology1D needs a nonempty M_list"),
         ({"kind": "Homology1D", "N": 5, "M_list": [10], "D": -1},
          "D must be nonnegative"),
+        ({"kind": "ZeroStats", "N": 5, "D": 2, "zero_tol": 0.5, "M_list": [4]},
+         "M_list does not apply to ZeroStats"),
+        ({"kind": "ZeroStats", "N": 5, "zero_tol": 0.5},
+         "zero_tol does not apply to ZeroStats"),
+        ({"kind": "ZeroStats", "N": 5, "D": 2}, "D does not apply to ZeroStats"),
     ])
     def test_malformed_config(self, capsys, tmp_path, config, message):
         cfg = tmp_path / "bad.json"
@@ -311,7 +328,7 @@ class TestExperiment:
                                    "trials": 2}))
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "Homology2D", "--config", str(cfg)])
-        assert exc.value.code == 2
+        assert exc.value.code == EXIT_ERROR
 
 
 class TestParser:
@@ -319,7 +336,7 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--dim", "1", "--N", "3", "--M", "10",
                   "--bogus"])
-        assert exc.value.code == 2
+        assert exc.value.code == EXIT_ERROR
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
@@ -336,7 +353,23 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["--threads", "4", "bound", "--dim", "1", "--N", "3",
                   "--M", "20"])
-        assert exc.value.code == 2
+        assert exc.value.code == EXIT_ERROR
+
+    def test_usage_error_is_not_a_verdict(self, capsys):
+        """Exit code 2 means a validation ran and was not Certified; a
+        usage error, such as a missing --M, is an error (1)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--N", "3", "--dim", "2"])
+        assert exc.value.code == EXIT_ERROR
+        assert "the following arguments are required: --M" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["validate", "--help"]])
+    def test_help_and_version_exit_ok(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
 
 
 class TestZeroTol:

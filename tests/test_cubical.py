@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nodalcheck.cubical import (MINUS, PLUS, ZERO_FLAGGED, CubicalSet,
-                                SignGrid, cubical_approx, sign_grid)
+from nodalcheck.cubical import (MINUS, PLUS, ZERO_FLAGGED, SignGrid,
+                                cubical_approx, sign_grid)
 from nodalcheck.fields import (CoeffSeq1D, Realization1D, draw_realization,
                                trig_coeffs)
 
@@ -51,22 +51,51 @@ class TestSignGrid:
         back2 = SignGrid.from_json(g2.to_json())
         assert np.array_equal(back2.signs, g2.signs)
 
+    @pytest.mark.parametrize("dim, signs", [
+        (2, [[5, 5], [5, 5]]),
+        (1, np.array([255, 1])),  # an int8 cast would make it [-1, 1]
+        (1, np.array([-128, 1], dtype=np.int8)),
+        (1, [0.5, 1.0]),
+        (1, [np.nan, 1.0]),
+    ])
+    def test_values_outside_signs_rejected(self, dim, signs):
+        with pytest.raises(ValueError, match="signs must be integers"):
+            SignGrid(dim=dim, M=1, signs=signs)
+
+    def test_int64_signs_accepted(self):
+        raw = np.array([[1, 0], [-1, 1]])
+        grid = SignGrid(dim=2, M=1, signs=raw)
+        assert grid.signs.dtype == np.int8 and grid.zero_count == 1
+        assert np.array_equal(grid.signs, raw) and raw.flags.writeable
+
+
+def cell_indices(grid, sigma) -> list:
+    """Indices of the cells of a 1D grid's cubical set."""
+    return np.flatnonzero(cubical_approx(grid, sigma)).tolist()
+
 
 class TestCubicalApprox:
     def test_all_plus(self):
         grid = sign_grid(constant_1d(), M=5)
-        assert cubical_approx(grid, +1).cell_indices == list(range(6))
-        assert cubical_approx(grid, -1).cell_indices == []
+        assert cell_indices(grid, +1) == list(range(6))
+        assert cell_indices(grid, -1) == []
 
     def test_cosine_cells(self):
         grid = sign_grid(cosine_1d(), M=3)
-        assert cubical_approx(grid, +1).cell_indices == [0, 3]
-        assert cubical_approx(grid, -1).cell_indices == [1, 2]
+        assert cell_indices(grid, +1) == [0, 3]
+        assert cell_indices(grid, -1) == [1, 2]
 
     def test_zero_flag_in_both(self):
         grid = SignGrid(dim=1, M=2, signs=np.array([1, 0, -1], dtype=np.int8))
-        assert 1 in cubical_approx(grid, +1).cell_indices
-        assert 1 in cubical_approx(grid, -1).cell_indices
+        assert 1 in cell_indices(grid, +1)
+        assert 1 in cell_indices(grid, -1)
+
+    def test_read_only_mask(self):
+        r = draw_realization(trig_coeffs(2, 3), 1)
+        cells = cubical_approx(sign_grid(r, M=5), -1)
+        assert cells.dtype == bool and cells.shape == (6, 6)
+        with pytest.raises(ValueError):
+            cells[0, 0] = not cells[0, 0]
 
     def test_bad_sigma(self):
         grid = sign_grid(constant_1d(), M=2)
@@ -77,8 +106,8 @@ class TestCubicalApprox:
 @given(st.lists(st.sampled_from([1, -1]), min_size=2, max_size=12))
 def test_partition_without_zeros(signs):
     grid = SignGrid(dim=1, M=len(signs) - 1, signs=np.array(signs, np.int8))
-    plus = set(cubical_approx(grid, +1).cell_indices)
-    minus = set(cubical_approx(grid, -1).cell_indices)
+    plus = set(cell_indices(grid, +1))
+    minus = set(cell_indices(grid, -1))
     assert plus | minus == set(range(len(signs)))
     assert not (plus & minus)
 
@@ -87,8 +116,7 @@ def test_partition_without_zeros(signs):
 def test_negate_swaps(signs):
     grid = SignGrid(dim=1, M=len(signs) - 1, signs=np.array(signs, np.int8))
     flipped = SignGrid(dim=1, M=grid.M, signs=-grid.signs)
-    assert (cubical_approx(flipped, +1).cell_indices
-            == cubical_approx(grid, -1).cell_indices)
+    assert cell_indices(flipped, +1) == cell_indices(grid, -1)
 
 
 def test_refinement_consistency():
@@ -98,7 +126,3 @@ def test_refinement_consistency():
     assert g1.zero_count == 0 and g2.zero_count == 0
     assert np.array_equal(g1.signs, g2.signs[::2])
 
-
-def test_cell_mask_shape_validation():
-    with pytest.raises(ValueError):
-        CubicalSet(dim=1, M=3, cells=np.ones(3, dtype=bool))

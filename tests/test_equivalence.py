@@ -434,7 +434,7 @@ def test_connected_components_matches_union_find(seed):
 
 
 def _label_pair(grid):
-    return tuple(BettiVector(*oracles.betti_label(cubical_approx(grid, s).cells))
+    return tuple(BettiVector(*oracles.betti_label(cubical_approx(grid, s)))
                  for s in (+1, -1))
 
 

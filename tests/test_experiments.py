@@ -6,9 +6,9 @@ import pytest
 from nodalcheck import admissibility, experiments, fields
 from nodalcheck.experiments import (CSV_COLUMNS, ExperimentConfig,
                                     TrialRecord, default_zero_tol,
-                                    homology_experiment, orthant_convergence,
-                                    read_results, wilson_interval,
-                                    write_results, zero_stats)
+                                    homology_experiment, read_results,
+                                    wilson_interval, write_results,
+                                    zero_stats)
 from nodalcheck.fields import spectral_moments, trig_coeffs
 
 
@@ -68,6 +68,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="D must be nonnegative"):
             ExperimentConfig(kind="Homology2D", N=3, M_list=(8,), D=-1)
         ExperimentConfig(kind="Homology2D", N=3, M_list=(8,), D=0)
+
+    @pytest.mark.parametrize("key, value", [("M_list", [4]), ("zero_tol", 0.5),
+                                            ("zero_tol", 0.0), ("D", 2)])
+    def test_zero_stats_rejects_unused_keys(self, key, value):
+        """Zero statistics take no grid, tolerance or depth; a setting
+        for one would be ignored and stamped with another value."""
+        with pytest.raises(ValueError,
+                           match=f"^{key} does not apply to ZeroStats$"):
+            ExperimentConfig.from_json(json.dumps(
+                {"kind": "ZeroStats", "N": 5, key: value}))
+        cfg = ExperimentConfig.from_json(json.dumps(
+            {"kind": "ZeroStats", "N": 5, "D": 6, "M_list": [],
+             "zero_tol": None}))
+        assert cfg.D == 6 and cfg.M_list == () and cfg.zero_tol is None
 
 
 def test_trial_record_invariant():
@@ -221,21 +235,6 @@ class TestHomologyExperiment:
                          ("validate_2d", 16), ("betti_pair", 16),
                          ("validate_2d", 32), ("betti_pair", 32)]
         assert lattices == [4096]
-
-
-class TestOrthantConvergence:
-    def test_monotone_setup(self):
-        with pytest.raises(ValueError):
-            orthant_convergence("crossover-1d", trig_coeffs(1, 3),
-                                [0.01, 0.1], samples=1000, seed=0)
-
-    def test_values_approach_limit(self):
-        s = orthant_convergence("crossover-1d", trig_coeffs(1, 3),
-                                [0.1, 0.05, 0.01], samples=50_000, seed=4)
-        vals = s.extra["functional"]
-        limit = s.extra["limit"]
-        assert abs(vals[-1] - limit) < abs(vals[0] - limit) + 0.02
-        assert vals[-1] == pytest.approx(limit, rel=0.1)
 
 
 class TestPersistence:

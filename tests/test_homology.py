@@ -3,22 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodalcheck.cubical import CubicalSet, SignGrid, cubical_approx, sign_grid
+from nodalcheck.cubical import SignGrid, cubical_approx, sign_grid
 from nodalcheck.fields import (CoeffSeq2D, Realization2D, draw_realization,
                                trig_coeffs)
-from nodalcheck.homology import (BettiVector, betti, betti_pair, cell_betti,
-                                 close_faces, connected_components,
-                                 default_reference_M, homology_match,
-                                 reference_betti)
+from nodalcheck.homology import (BettiVector, betti_pair, cell_betti,
+                                 connected_components, default_reference_M,
+                                 homology_match, reference_betti)
 
-from oracles import betti_bruteforce, connected_components_runs
+from oracles import betti_bruteforce, connected_components_runs, euler
 from test_cubical import constant_1d
 from test_fields import cosine_1d
-
-
-def cells_2d(mask) -> CubicalSet:
-    mask = np.asarray(mask, dtype=bool)
-    return CubicalSet(dim=2, M=mask.shape[0] - 1, cells=mask)
 
 
 def cosine_2d():
@@ -32,45 +26,50 @@ def cosine_2d():
 
 
 class TestCloseFaces:
+    """V - E + F of the face closure, by the oracle ``euler``."""
+
     def test_single_cell(self):
         mask = np.zeros((3, 3), dtype=bool)
         mask[1, 1] = True
-        c = close_faces(cells_2d(mask))
-        assert (c.n_vertices, c.n_edges, c.n_faces) == (4, 4, 1)
+        assert euler(mask) == 4 - 4 + 1
+        assert euler(mask[1]) == 2 - 1
 
     def test_edge_sharing(self):
         mask = np.zeros((3, 3), dtype=bool)
         mask[1, 1] = mask[1, 2] = True
-        c = close_faces(cells_2d(mask))
-        assert (c.n_vertices, c.n_edges, c.n_faces) == (6, 7, 2)
+        assert euler(mask) == 6 - 7 + 2
+        mask[1, 1], mask[1, 0] = False, True
+        assert euler(mask) == 8 - 8 + 2
+        assert euler(mask[1]) == 4 - 2
 
     def test_corner_sharing(self):
         mask = np.zeros((3, 3), dtype=bool)
         mask[0, 0] = mask[1, 1] = True
-        c = close_faces(cells_2d(mask))
-        assert (c.n_vertices, c.n_edges, c.n_faces) == (7, 8, 2)
+        assert euler(mask) == 7 - 8 + 2
+        ring = np.ones((3, 3), dtype=bool)
+        ring[1, 1] = False
+        assert euler(ring) == 16 - 24 + 8
 
 
 class TestBetti:
     def test_full_block(self):
         mask = np.ones((5, 5), dtype=bool)
-        assert betti(close_faces(cells_2d(mask))) == BettiVector(1, 0)
+        assert cell_betti(mask) == BettiVector(1, 0)
 
     def test_ring(self):
         mask = np.ones((3, 3), dtype=bool)
         mask[1, 1] = False
-        assert betti(close_faces(cells_2d(mask))) == BettiVector(1, 1)
+        assert cell_betti(mask) == BettiVector(1, 1)
 
     def test_diagonal_pair(self):
         mask = np.zeros((3, 3), dtype=bool)
         mask[0, 0] = mask[1, 1] = True
-        c = close_faces(cells_2d(mask))
-        assert c.euler() == 1
-        assert betti(c) == BettiVector(1, 0)
+        assert euler(mask) == 1
+        assert cell_betti(mask) == BettiVector(1, 0)
 
     def test_empty(self):
         mask = np.zeros((3, 3), dtype=bool)
-        assert betti(close_faces(cells_2d(mask))) == BettiVector(0, 0)
+        assert cell_betti(mask) == BettiVector(0, 0)
 
     def test_1d_runs(self):
         grid = SignGrid(dim=1, M=6,
@@ -78,7 +77,7 @@ class TestBetti:
         plus, minus = betti_pair(grid)
         assert plus == BettiVector(3, 0)
         assert minus == BettiVector(2, 0)
-        assert betti(close_faces(cubical_approx(grid, +1))) == plus
+        assert cell_betti(cubical_approx(grid, +1)) == plus
 
 
 @settings(max_examples=150)
@@ -88,9 +87,9 @@ def test_random_grids_match_bruteforce(bits):
         np.array([(bits >> i) & 1 for i in range(25)]).reshape(5, 5), 1, -1)
     grid = SignGrid(dim=2, M=4, signs=signs.astype(np.int8))
     for sigma in (+1, -1):
-        cs = cubical_approx(grid, sigma)
-        got = betti(close_faces(cs))
-        b0, b1 = betti_bruteforce(cs.cells)
+        cells = cubical_approx(grid, sigma)
+        got = cell_betti(cells)
+        b0, b1 = betti_bruteforce(cells)
         assert (got.b0, got.b1) == (b0, b1)
 
 
@@ -100,7 +99,7 @@ def test_euler_identity(n, density, seed):
     """b0 - b1 of the run graph equals V - E + F of the face closure."""
     cells = np.random.default_rng(seed).random((n, n)) < density
     b = cell_betti(cells)
-    assert b.b0 - b.b1 == close_faces(cells_2d(cells)).euler()
+    assert b.b0 - b.b1 == euler(cells)
 
 
 @settings(max_examples=50)

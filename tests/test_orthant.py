@@ -165,8 +165,17 @@ class TestRegistry:
     def test_expected_names(self):
         expect = {"crossover-1d", "line-x", "line-y", "square",
                   "half-square", "half-slant-x", "half-slant-y",
-                  "center-slant-x", "center-slant-y", "five-point"}
+                  "five-point"}
         assert expect <= set(PATTERNS)
+
+    def test_no_duplicate_stencils(self):
+        """No two names register the same signed points, in any order:
+        the orthant event depends on nothing else."""
+        stencils = {}
+        for name, pat in PATTERNS.items():
+            key = (pat.dim, frozenset(zip(pat.offsets, pat.signs)))
+            assert key not in stencils, (name, stencils.get(key))
+            stencils[key] = name
 
     def test_points_scaling(self):
         pat = PATTERNS["square"]
