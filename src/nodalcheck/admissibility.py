@@ -170,9 +170,15 @@ class PatternLibrary:
         """512-entry bool table: code -> contains some pattern of the closure."""
         return self._table
 
+    @cached_property
+    def _ids(self) -> tuple:
+        """Entry c: the ids of the closure patterns matching code c, in order."""
+        return tuple(tuple(self.closure[k].id for k in np.flatnonzero(column))
+                     for column in self._match_table.T)
+
     def pattern_ids(self, code: int) -> list:
         """Ids of the closure patterns matched by a 9-bit stencil code."""
-        return [self.closure[k].id for k in np.flatnonzero(self._match_table[:, code])]
+        return list(self._ids[code])
 
 
 @dataclass(frozen=True)
@@ -719,6 +725,9 @@ class _FinePass:
     point once.  Made by :func:`_fine_pass`; :func:`validate_2d` reads all
     of it on this lattice, and ``zeros[log2 c]`` and every c-th point of
     ``coarse`` on the lattice of G / c steps for every power of two c.
+    :func:`~nodalcheck.cubical.sign_grid` reads the signs of the lattice
+    of G / c steps from every c/S-th point of ``coarse`` when c is a
+    multiple of S (:meth:`nest` gives c).
     """
 
     r: Realization2D
@@ -732,6 +741,25 @@ class _FinePass:
     b: np.ndarray
     own: np.ndarray
     zeros: np.ndarray
+
+    def nest(self, r, zero_tol: float, n: int,
+             coll: PatternCollection | None = None) -> int:
+        """The power of two c with n c = G, or 0 if there is none.
+
+        With c > 0 the lattice of n steps is every c-th point of this
+        one, bit for bit: fl(L / (c n)) = fl(L / n) / c, so row c i of
+        this pass's trig table is row i of that lattice's.  Its
+        zero-flagged points number ``zeros[log2 c]``, since a proven
+        subsquare holds none.  Raises ``ValueError`` when the pass
+        belongs to another realization or ``zero_tol``, or, if ``coll``
+        is given, to another pattern collection.
+        """
+        if (self.r is not r or self.zero_tol != zero_tol
+                or coll is not None and self.coll is not coll):
+            raise ValueError("the fine pass belongs to another realization, "
+                             "zero_tol or pattern collection")
+        c = self.G // n if self.G % n == 0 else 0
+        return 0 if c & (c - 1) else c
 
 
 def _fine_pass(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
@@ -808,13 +836,8 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     """
     coll = patterns or default_patterns()
     S, G = _lattice(M, D, coll)
-    if fine is not None and (fine.r is not r or fine.zero_tol != zero_tol
-                             or fine.coll is not coll):
-        raise ValueError("the fine pass belongs to another realization, "
-                         "zero_tol or pattern collection")
-    c = (fine.G // G if fine is not None and fine.S == S and fine.G % G == 0
-         else 0)
-    if not c or c & (c - 1):
+    c = 0 if fine is None else fine.nest(r, zero_tol, G, coll)
+    if not c or fine.S != S:
         fine, c = _fine_pass(r, M, D, zero_tol, coll), 1
     zeros = int(fine.zeros[c.bit_length() - 1])
     if zeros:

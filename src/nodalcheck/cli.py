@@ -29,7 +29,7 @@ def _load_coeffs(args):
         with open(args.coeffs, encoding="utf-8") as fh:
             return fields.coeffs_from_json(fh.read())
     if args.N is None:
-        raise SystemExit("either --coeffs or --N is required")
+        raise ValueError("either --coeffs or --N is required")
     return fields.trig_coeffs(args.dim, args.N)
 
 
@@ -71,7 +71,7 @@ def _cmd_eval(args):
         value = float(r(float(args.x)))
     else:
         if args.y is None:
-            raise SystemExit("--y is required for 2D realizations")
+            raise ValueError("--y is required for 2D realizations")
         value = float(r((float(args.x), float(args.y))))
     _emit({"value": value})
     return EXIT_OK

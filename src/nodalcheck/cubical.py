@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fields import (Realization1D, Realization2D, _classify_grid,
                      _json_object, _lattice_table, evaluate_grid_1d)
+
+if TYPE_CHECKING:
+    from .admissibility import _FinePass
 
 __all__ = ["SignGrid", "sign_grid", "cubical_approx"]
 
@@ -58,9 +62,15 @@ class SignGrid:
     @staticmethod
     def from_json(text: str) -> "SignGrid":
         payload = _json_object(text, "sign grid", ("dim", "M", "rows"))
+        dim, M = payload["dim"], payload["M"]
+        # type(...) is int also turns away True, False and 2.0
+        if type(dim) is not int or dim not in (1, 2):
+            raise ValueError(f"sign grid dim must be 1 or 2, not {dim!r}")
+        if type(M) is not int:
+            raise ValueError(f"sign grid M must be an integer, not {M!r}")
         lut = {"+": PLUS, "-": MINUS, "0": ZERO_FLAGGED}
         rows = payload["rows"]
-        if payload["dim"] == 1 and len(rows) != 1:
+        if dim == 1 and len(rows) != 1:
             raise ValueError(f"a 1D sign grid has one row, not {len(rows)}")
         for i, row in enumerate(rows):
             if not isinstance(row, str):
@@ -73,39 +83,55 @@ class SignGrid:
                 raise ValueError(f"sign grid row {i} has {len(row)} signs,"
                                  f" row 0 has {len(rows[0])}")
         signs = np.asarray([[lut[c] for c in row] for row in rows], dtype=np.int8)
-        if payload["dim"] == 1:
+        if dim == 1:
             signs = signs[0]
-        return SignGrid(dim=payload["dim"], M=payload["M"], signs=signs)
+        return SignGrid(dim=dim, M=M, signs=signs)
 
 
-def sign_grid(r, M: int, zero_tol: float = 0.0) -> SignGrid:
+def sign_grid(r, M: int, zero_tol: float = 0.0, *,
+              fine: _FinePass | None = None) -> SignGrid:
     """Sample the sign of a realization at the M-discretization of [0, L]^dim.
 
     A sample is zero-flagged when neither u > zero_tol nor u < -zero_tol
     holds: values in [-zero_tol, zero_tol], and NaN.  With the strict
     default only exact floating-point zeros are flagged.  1D grids come
     from one inverse FFT (:func:`~nodalcheck.fields.evaluate_grid_1d`).
+
+    A 2D grid is read from the fine pass ``fine`` of
+    :func:`~nodalcheck.admissibility.validate_2d`, when one is given, if
+    the pass nests it and counts no zero flag on it: M S c = G for a
+    power of two c, so that its points are every c-th point of the
+    pass's coarse grid.  The signs are those of a classification of the
+    grid itself, bit for bit (``_FinePass.nest``).  Otherwise, with zero
+    flags or off the nest, the grid is classified here.  A pass of
+    another realization or ``zero_tol`` raises ``ValueError``.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
+    # every c-th point of the pass's coarse grid, c S fine steps apart
+    c = 0 if fine is None else fine.nest(r, zero_tol, M) // fine.S
     if isinstance(r, Realization1D):
         vals = evaluate_grid_1d(r, M)
         signs = np.zeros(vals.shape, dtype=np.int8)
         signs[vals > zero_tol] = PLUS
         signs[vals < -zero_tol] = MINUS
-    elif isinstance(r, Realization2D):
+        return SignGrid(dim=1, M=M, signs=signs)
+    if not isinstance(r, Realization2D):
+        raise TypeError("r must be a realization")
+    if c and not fine.zeros[(c * fine.S).bit_length() - 1]:
+        positive, flagged = fine.coarse[::c, ::c], None
+    else:
         A = _lattice_table(r.coeffs.L, r.coeffs.K, M)
         flagged = np.empty((M + 1, M + 1), dtype=bool)
         positive, _ = _classify_grid(r, A, A, zero_tol, flagged)
-        # PLUS where positive, MINUS elsewhere, built in int8
-        signs = positive.view(np.int8) * np.int8(2)
-        signs -= 1
+    # PLUS where positive, MINUS elsewhere, built in int8
+    signs = positive.view(np.int8) * np.int8(2)
+    signs -= 1
+    if flagged is not None:
         signs[flagged] = ZERO_FLAGGED
-    else:
-        raise TypeError("r must be a realization")
-    return SignGrid(dim=r.dim, M=M, signs=signs)
+    return SignGrid(dim=2, M=M, signs=signs)
 
 
 def cubical_approx(grid: SignGrid, sigma: int) -> np.ndarray:

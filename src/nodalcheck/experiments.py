@@ -268,8 +268,11 @@ def homology_experiment(dim: int, N: int, M_list, trials: int,
 
     Per trial: one reference Betti pair from the fine-grid oracle, then
     per M the cubical Betti pair, the match flag, and the validation
-    verdict.  In 2D one fine pass at the largest M serves every M whose
-    validation lattice it nests (see ``validate_2d``).  Degenerate and
+    verdict.  In 2D one fine pass at the largest M, built first, is
+    handed to every call: each M whose validation lattice it nests reads
+    it (see ``validate_2d``), and so do the sign grids of the reference
+    and of every M that lie on its coarse grid (see ``sign_grid``), so a
+    trial without zero flags classifies the field once.  Degenerate and
     oracle-unresolved trials are tallied but excluded from the rates.
     Certified-but-mismatched resolved trials are soundness exceptions and
     reported with their seeds.
@@ -290,12 +293,12 @@ def homology_experiment(dim: int, N: int, M_list, trials: int,
     for t in range(trials):
         trial_seed = derive_seed(seed, t)
         r = draw_realization(coeffs, trial_seed)
-        ref = reference_betti(r, M_ref, zero_tol)
-        # in 2D, every M that nests in the finest one reads its fine pass
+        # in 2D, every grid that nests in the finest M's pass reads it
         fine = _fine_pass(r, M_list[-1], D, zero_tol) if dim == 2 else None
+        ref = reference_betti(r, M_ref, zero_tol, fine=fine)
         per_M = {}
         for M in M_list:
-            grid = sign_grid(r, M, zero_tol)
+            grid = sign_grid(r, M, zero_tol, fine=fine)
             outcome = (validate_1d(r, M, D, zero_tol) if dim == 1
                        else validate_2d(r, M, D, zero_tol, fine=fine))
             unresolved = ref is None

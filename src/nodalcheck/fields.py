@@ -373,9 +373,11 @@ def evaluate_grid_1d(r: Realization1D, n: int) -> np.ndarray:
     ``Realization1D.spectrum``.  The transform runs at size = n m,
     m = ceil((2K + 1) / n), so that every frequency k <= K lies below the
     Nyquist one; every m-th value is kept, and v[n] = v[0] by
-    periodicity.  The values agree with :func:`evaluate` at those points
-    to rounding level, at O(n log n) cost instead of K complex products
-    per point.
+    periodicity.  The transform writes into a buffer of size + m values
+    whose entry ``size`` is then set to its first, so the result is a
+    view of every m-th entry, with no copy.  The values agree with
+    :func:`evaluate` at those points to rounding level, at O(n log n)
+    cost instead of K complex products per point.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -384,8 +386,10 @@ def evaluate_grid_1d(r: Realization1D, n: int) -> np.ndarray:
     size = n * m
     X = 0.5 * size * c
     X[0] = size * c[0]
-    v = np.fft.irfft(X, size)[::m]
-    return np.append(v, v[0])
+    out = np.empty(size + m)
+    np.fft.irfft(X, size, out=out[:size])
+    out[size] = out[0]
+    return out[::m]
 
 
 def _trig_block(L: float, K: int, x) -> np.ndarray:
@@ -409,13 +413,16 @@ def _lattice_table(L: float, K: int, n: int) -> np.ndarray:
 
     The 2D grids of a Monte Carlo run lie on a few lattices that depend
     on (L, K) and the resolution only, not on the draw: a 2D homology
-    trial at M = 8, 16, 32, D = 6 reads 6 of them, its sign grids (n = 8,
-    16, 32), its reference grids (256, 512) and the fine lattice of its
-    validations (4096).  At most 16 tables are kept, the least recently
-    used dropped first.  A table holds 16 (K + 1)(n + 1) bytes, so the
-    cache holds at most 256 (K + 1)(n + 1) bytes for the largest K and n
-    in it: 4.2 MB at K = 3, n = 4096, where the 6 tables of that trial
-    take 0.3 MB.  A table is no larger than the product A(x) W its caller
+    trial at M = 8, 16, 32, D = 6 reads one of them, the fine lattice of
+    its validations (n = 4096).  Its sign grids (n = 8, 16, 32) and
+    reference grids (256, 512) are read from its fine pass
+    (:func:`~nodalcheck.cubical.sign_grid`); only a grid with zero flags,
+    or off that pass's nest, reads a table of its own.  At most 16 tables
+    are kept, the least recently used dropped first.  A table holds
+    16 (K + 1)(n + 1) bytes, so the cache holds at most
+    256 (K + 1)(n + 1) bytes for the largest K and n in it: 4.2 MB at
+    K = 3, n = 4096, where the one table of that trial takes 0.26 MB.
+    A table is no larger than the product A(x) W its caller
     forms from it.  A is computed point by point, so a strided run of
     rows is the table of those points: ``validate_2d`` reads its coarse
     grid (its subsquare corners) as every S-th row of the fine table, and

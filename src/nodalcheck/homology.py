@@ -21,10 +21,14 @@ determines the homology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cubical import cubical_approx, sign_grid
+
+if TYPE_CHECKING:
+    from .admissibility import _FinePass
 
 __all__ = [
     "BettiVector",
@@ -102,16 +106,20 @@ def betti_pair(grid) -> tuple:
             cell_betti(cubical_approx(grid, -1)))
 
 
-def reference_betti(r, M_ref: int, zero_tol: float = 0.0):
+def reference_betti(r, M_ref: int, zero_tol: float = 0.0, *,
+                    fine: _FinePass | None = None):
     """Fine-grid ground-truth Betti pair for the nodal domains of ``r``.
 
     Computes the Betti pair at resolution M_ref and again at 2*M_ref;
     returns the pair only if the two agree (and neither grid has
     zero-flagged samples), else None ("unresolved", the trial should be
-    discarded and counted separately).
+    discarded and counted separately).  A 2D fine pass ``fine`` of
+    :func:`~nodalcheck.admissibility.validate_2d` is handed to both
+    :func:`~nodalcheck.cubical.sign_grid` calls, which read the grids it
+    nests from it; the pair is the same as without it.
     """
-    g1 = sign_grid(r, M_ref, zero_tol)
-    g2 = sign_grid(r, 2 * M_ref, zero_tol)
+    g1 = sign_grid(r, M_ref, zero_tol, fine=fine)
+    g2 = sign_grid(r, 2 * M_ref, zero_tol, fine=fine)
     if g1.zero_count or g2.zero_count:
         return None
     pair1 = betti_pair(g1)

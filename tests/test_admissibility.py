@@ -148,6 +148,14 @@ class TestForbiddenInStencil:
             assert COLL.B.pattern_ids(code) == [
                 p.id for p in COLL.B.closure if p.matches(signs)]
 
+    def test_pattern_ids_of_every_code(self):
+        """The ids of every code, in closure order, for every library."""
+        for code in range(512):
+            signs = [1 if code >> i & 1 else -1 for i in range(9)]
+            for lib in (COLL.B, COLL.I4, COLL.I5, COLL.I):
+                assert lib.pattern_ids(code) == [
+                    p.id for p in lib.closure if p.matches(signs)], code
+
 
 def square_matches(r, square, lib) -> list:
     """Ids of the patterns of ``lib`` in the own stencil of one square."""

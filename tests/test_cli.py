@@ -40,8 +40,11 @@ class TestBound:
         assert json.loads(torus)["bound"] > json.loads(full)["bound"]
 
     def test_missing_source(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["bound", "--dim", "1", "--M", "10"])
+        code = main(["bound", "--dim", "1", "--M", "10"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == "error: either --coeffs or --N is required\n"
 
     @pytest.mark.parametrize("file_dim, dim", [(2, 1), (1, 2)])
     def test_dim_disagrees_with_coeffs(self, capsys, tmp_path, file_dim, dim):
@@ -141,6 +144,14 @@ class TestRoundTrips:
         ({"dim": 2, "M": 1}, "sign grid file has no 'rows' key"),
         ({"M": 1, "rows": ["+"]}, "sign grid file has no 'dim' key"),
         (["+-", "-+"], "a sign grid file must hold a JSON object"),
+        ({"dim": 2, "M": "1", "rows": ["+-", "-+"]},
+         "sign grid M must be an integer, not '1'"),
+        ({"dim": 2, "M": 2.0, "rows": ["+-", "-+"]},
+         "sign grid M must be an integer, not 2.0"),
+        ({"dim": 2, "M": True, "rows": ["+-", "-+"]},
+         "sign grid M must be an integer, not True"),
+        ({"dim": 3, "M": 1, "rows": ["+-", "-+"]},
+         "sign grid dim must be 1 or 2, not 3"),
     ])
     def test_betti_bad_grid(self, capsys, tmp_path, payload, message):
         gpath = tmp_path / "g.json"
@@ -182,8 +193,11 @@ class TestRoundTrips:
     def test_eval_2d_needs_y(self, capsys, tmp_path):
         rpath = tmp_path / "r2.json"
         run(capsys, "gen", "--dim", "2", "--N", "3", "--out", str(rpath))
-        with pytest.raises(SystemExit):
-            main(["eval", "--realization", str(rpath), "--x", "1.0"])
+        code = main(["eval", "--realization", str(rpath), "--x", "1.0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == "error: --y is required for 2D realizations\n"
         code, out = run(capsys, "eval", "--realization", str(rpath),
                         "--x", "1.0", "--y", "2.0")
         assert code == EXIT_OK

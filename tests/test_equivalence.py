@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import oracles
 from nodalcheck import admissibility as adm
-from nodalcheck import experiments, fields
+from nodalcheck import cubical, experiments, fields
 from nodalcheck.admissibility import (PatternCollection, PatternLibrary,
                                       SignPattern, b_admissible,
                                       default_patterns, i_admissible,
@@ -37,7 +37,8 @@ from nodalcheck.fields import (CoeffSeq1D, CoeffSeq2D, Realization1D,
                                evaluate, evaluate_grid_1d, evaluate_grid_2d,
                                trig_coeffs)
 from nodalcheck.homology import (BettiVector, betti_pair,
-                                 connected_components, reference_betti)
+                                 connected_components, default_reference_M,
+                                 reference_betti)
 
 from test_homology import cosine_2d
 
@@ -369,6 +370,92 @@ def test_fine_pass_of_another_field_raises():
                          ((r, 8, 4, zero_tol), {"patterns": NOTCH})):
         with pytest.raises(ValueError, match="another realization"):
             validate_2d(*args, **kwargs, fine=fine)
+
+
+def _count_classifications(monkeypatch) -> list:
+    """The row count of every grid ``_classify_grid`` classifies from now on."""
+    classified = []
+    for module in (fields, cubical):
+        classify = module._classify_grid
+        monkeypatch.setattr(module, "_classify_grid", lambda r, A1, *args,
+                            f=classify: classified.append(len(A1) - 1)
+                            or f(r, A1, *args))
+    return classified
+
+
+def _same_grid(a, b) -> bool:
+    return (a.dim, a.M) == (b.dim, b.M) and np.array_equal(a.signs, b.signs)
+
+
+def test_sign_grids_read_from_pass():
+    """The criterion-6 pass at M = 32, D = 6 nests the sign grids of every
+    M and both reference grids; read from it, they are the classified
+    ones bit for bit."""
+    coeffs = trig_coeffs(2, 3)
+    zero_tol = default_zero_tol(coeffs)
+    for seed in NESTED_SEEDS:
+        r = draw_realization(coeffs, seed)
+        fine = adm._fine_pass(r, 32, 6, zero_tol)
+        for M in (8, 16, 32, 256, 512):
+            assert _same_grid(sign_grid(r, M, zero_tol, fine=fine),
+                              sign_grid(r, M, zero_tol)), (seed, M)
+        assert (reference_betti(r, 256, zero_tol, fine=fine)
+                == reference_betti(r, 256, zero_tol)), seed
+
+
+@pytest.mark.parametrize("case", ["planted zeros", "M_list 8, 12, 24",
+                                  "M_ref = 16 N", "D = 4"])
+def test_sign_grids_fall_back_to_classifying(monkeypatch, case):
+    """Grids with zero flags, or off the pass's coarse grid, are classified
+    as without a pass; the grids and the reference pair stay the same."""
+    r, M_list, D, want = {
+        # the rows x1 = pi/2, 3 pi/2 are flagged on every lattice
+        "planted zeros": (cosine_2d(), (8, 16, 32), 6,
+                          [8, 16, 32, 256, 512]),
+        # a pass at 3072 fine steps nests 12, 24, 192 and 384, not 8
+        "M_list 8, 12, 24": (draw_realization(trig_coeffs(2, 3), 4),
+                             (8, 12, 24), 6, [8]),
+        # M_ref = 16 N = 80 does not divide the 1024 steps of M = 8
+        "M_ref = 16 N": (draw_realization(trig_coeffs(2, 5), 5),
+                         (4, 8), 6, [80, 160]),
+        # the coarse grid of M = 32 at D = 4 has 128 steps
+        "D = 4": (draw_realization(trig_coeffs(2, 3), 6), (8, 16, 32), 4,
+                  [256, 512]),
+    }[case]
+    zero_tol = default_zero_tol(r.coeffs)
+    fine = adm._fine_pass(r, M_list[-1], D, zero_tol)
+    M_ref = default_reference_M(M_list[-1], r.coeffs.K)
+    assert (reference_betti(r, M_ref, zero_tol, fine=fine)
+            == reference_betti(r, M_ref, zero_tol))
+    grids = M_list + (M_ref, 2 * M_ref)
+    classified = _count_classifications(monkeypatch)
+    got = [sign_grid(r, M, zero_tol, fine=fine) for M in grids]
+    assert classified == want
+    for M, grid in zip(grids, got):
+        assert _same_grid(grid, sign_grid(r, M, zero_tol)), M
+
+
+def test_pool_trial_classifies_no_grid(monkeypatch):
+    """On the benchmark's 2D pool every grid of a trial is read from its one
+    fine pass."""
+    classified = _count_classifications(monkeypatch)
+    for seed in range(60):
+        experiments.homology_experiment(2, 3, (8, 16, 32), trials=1,
+                                        seed=seed)
+    assert classified == []
+
+
+def test_sign_grid_pass_of_another_field_raises():
+    r, other = (draw_realization(trig_coeffs(2, 3), s) for s in (1, 2))
+    zero_tol = default_zero_tol(r.coeffs)
+    fine = adm._fine_pass(r, 16, 4, zero_tol)
+    r1 = draw_realization(trig_coeffs(1, 3), 1)
+    for call in (lambda: sign_grid(other, 8, zero_tol, fine=fine),
+                 lambda: sign_grid(r, 8, 0.0, fine=fine),
+                 lambda: sign_grid(r1, 8, zero_tol, fine=fine),
+                 lambda: reference_betti(other, 128, zero_tol, fine=fine)):
+        with pytest.raises(ValueError, match="another realization"):
+            call()
 
 
 def test_square_checks_match_oracle():

@@ -190,8 +190,9 @@ class TestHomologyExperiment:
     def test_2d_trials_share_trig_tables(self, monkeypatch):
         """The trig tables of a 2D trial's lattices depend on the field's
         law, not on the draw: a cold trial of the criterion-6 suite builds
-        one per lattice, a repeated one builds none.  Its validations all
-        read the fine lattice of M = 32, the finest."""
+        one, a repeated one builds none.  Its validations all read the
+        fine lattice of M = 32, the finest, and its sign grids (M = 8, 16,
+        32) and reference grids (256, 512) are read from that pass."""
         built = []
         trig_block = fields._trig_block
         monkeypatch.setattr(fields, "_trig_block", lambda L, K, x: built.append(
@@ -202,7 +203,7 @@ class TestHomologyExperiment:
             built.clear()
             homology_experiment(2, 3, (8, 16, 32), trials=1, seed=seed)
             builds.append(sorted(built))
-        assert builds == [[8, 16, 32, 256, 512, 4096], [], []]
+        assert builds == [[4096], [], []]
 
     def test_2d_trial_call_order(self, monkeypatch):
         """What a caller that wraps the module's bindings sees of a 2D

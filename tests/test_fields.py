@@ -131,6 +131,21 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_grid_1d(cosine_1d(), 0)
 
+    @pytest.mark.parametrize("n", [1, 5, 21, 6400])
+    def test_grid_1d_values_unchanged(self, n):
+        """The values are those of the transform followed by a copy that
+        appends v[0], bit for bit; at n = 1 and 5 the transform keeps
+        every m-th of m n > n points."""
+        r = draw_realization(trig_coeffs(1, 10), n)
+        c = r.spectrum
+        m = -(-(2 * c.size - 1) // n)
+        X = 0.5 * n * m * c
+        X[0] = n * m * c[0]
+        v = np.fft.irfft(X, n * m)[::m]
+        got = evaluate_grid_1d(r, n)
+        assert got.shape == (n + 1,)
+        assert np.array_equal(got, np.append(v, v[0]))
+
     def test_grid_matches_pointwise(self):
         c = trig_coeffs(2, 3)
         r = draw_realization(c, 11)
