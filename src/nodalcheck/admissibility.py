@@ -8,7 +8,12 @@ sweeps over millions of subsquares reduce to strided slicing plus a
 table lookup.  Subsquares that their four corner values and a bound on
 the curvature prove sign-definite hold only the uniform codes 0 and 511,
 which no pattern may forbid, so the whole-grid check evaluates and
-sweeps only the rest.
+sweeps only the rest.  Of those it sweeps only the windows whose signs
+are not a *staircase*, monotone in one direction along every row and in
+one along every column: every stencil in a staircase window is a
+staircase code, and the shipped library forbids none of these 66 codes
+(``PatternCollection.staircases_admissible``).  A library that forbids
+one, as a ``$NODALCHECK_PATTERNS`` file may, gets the full sweep.
 In 1D the sweep visits only the grid intervals in which the fine samples
 change sign twice or touch zero, since no other can hold a double
 crossover.
@@ -59,6 +64,10 @@ CHECKSUM_I4 = 92
 CHECKSUM_I = 90
 
 _B_BIT, _I_BIT = 1, 2  # bits of PatternCollection.code_table
+
+# entry (c, r, k): the sign bit of point (r, k) in stencil code c
+_STENCIL_BITS = ((np.arange(512)[:, None] >> np.arange(9)) & 1).reshape(
+    512, 3, 3)
 
 
 # the dihedral group of the square acting on row-major 3x3 positions
@@ -212,13 +221,26 @@ class PatternCollection:
         subsquare sign-definite on its closed square therefore holds no
         I-violation at any depth, whatever lies around it.
         """
-        bits = (np.arange(512)[:, None] >> np.arange(9)) & 1
-        stencils = bits.reshape(512, 3, 3)
+        stencils = _STENCIL_BITS
         pairs = (stencils[:, :2], stencils[:, 1:],
                  stencils[:, :, :2], stencils[:, :, 1:])
         uniform = np.any([p.min(axis=(1, 2)) == p.max(axis=(1, 2))
                           for p in pairs], axis=0)
         return not np.any(self.code_table[uniform] & _I_BIT)
+
+    @cached_property
+    def staircases_admissible(self) -> bool:
+        """Whether no B- or I-forbidden code is a staircase code.
+
+        A staircase code has its three rows all non-decreasing or all
+        non-increasing, and the same for its three columns.  A stencil
+        row at any level is a subsequence, in index order, of a row of
+        the window it lies in, so when the window's rows and columns are
+        monotone in this way every stencil in it is a staircase code.
+        When this holds, such a window holds no violation at any depth.
+        """
+        staircase = _staircase_blocks(_STENCIL_BITS.astype(bool))
+        return not np.any(self.code_table[staircase])
 
 
 @dataclass(frozen=True)
@@ -592,6 +614,77 @@ _PRUNE_STEPS = 8
 _WINDOWS = 1024
 
 
+# times a word of 0/1 bytes, moves byte k to bit 56 + k
+_PACK = np.uint64(0x0102040810204080)
+
+
+def _block_flags(blocks: np.ndarray) -> np.ndarray:
+    """One uint64 flag set per S x S bool block, S <= 8.
+
+    Bits 0-7 hold the block's first row, 8-15 its last row, 16-23 its
+    first column and 24-31 its last column, bit k the k-th point.  Bits
+    32 and 33 are set when some row falls (a positive point followed by
+    a negative one) and when some row rises, bits 34 and 35 the same for
+    the columns.  Each block is read as one 64-bit word, bit 8 r + c its
+    point (r, c).
+    """
+    S = blocks.shape[-1]
+    if S < 8:
+        blocks = np.pad(blocks, ((0, 0), (0, 8 - S), (0, 8 - S)))
+    word = np.packbits(blocks, bitorder="little").view("<u8")
+    ones = sum(1 << 8 * r for r in range(S))  # column 0
+    right = ones * ((1 << S - 1) - 1)  # the points with a right neighbour
+    below = (ones >> 8) * ((1 << S) - 1)  # those with a neighbour below
+    flags = word & 0xFF | (word >> 8 * (S - 1)) << 8
+    for c, shift in ((0, 16), (S - 1, 24)):
+        flags |= (word >> c & ones) * _PACK >> 56 << shift
+    inverse = ~word
+    for k, turn in enumerate((word & inverse >> 1 & right,
+                              inverse & word >> 1 & right,
+                              word & inverse >> 8 & below,
+                              inverse & word >> 8 & below)):
+        flags |= (turn != 0).astype(np.uint64) << 32 + k
+    return flags
+
+
+def _staircases(flags: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+    """Whether each mosaic of blocks ``nbrs[:, :, w]`` (3 x 3) is a staircase.
+
+    A staircase has its rows all non-decreasing or all non-increasing,
+    and its columns too.  ``flags`` are the blocks' :func:`_block_flags`.
+    Beside the turns inside each block, a row falls across the seam of
+    two blocks side by side where the last column of the left one is
+    positive and the first column of the right one is not; likewise a
+    row rises, and a column falls or rises across the seam of two
+    blocks one above the other.
+    """
+    f = np.take(flags, nbrs)
+    turns = np.bitwise_or.reduce(f, axis=(0, 1)) >> 32
+    shifted = f >> 8  # the last row in bits 0-7, the last column in 16-23
+    clean = np.ones(nbrs.shape[-1], dtype=bool)
+    for k, (last, first) in enumerate(((shifted[:, :-1], f[:, 1:]),
+                                       (shifted[:-1], f[1:]))):
+        seam = 0xFF << 16 * (1 - k)
+        falls = turns >> 2 * k & 1 | np.bitwise_or.reduce(
+            last & ~first, axis=(0, 1)) & seam
+        rises = turns >> 2 * k + 1 & 1 | np.bitwise_or.reduce(
+            first & ~last, axis=(0, 1)) & seam
+        clean &= (falls == 0) | (rises == 0)
+    return clean
+
+
+def _staircase_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Whether each bool block has its rows all non-decreasing or all
+    non-increasing, and its columns too."""
+    points = np.ascontiguousarray(blocks.transpose(1, 2, 0))
+    clean = np.ones(len(blocks), dtype=bool)
+    for lo, hi in ((points[:, :-1], points[:, 1:]),
+                   (points[:-1], points[1:])):
+        clean &= ~(np.any(lo > hi, axis=(0, 1))
+                   & np.any(lo < hi, axis=(0, 1)))
+    return clean
+
+
 def _windows(fine: _FinePass, per_square: int):
     """Yield ``(positive, a, b, ring, margin)``: stacks of windows for ``_sweep``.
 
@@ -602,6 +695,18 @@ def _windows(fine: _FinePass, per_square: int):
     subsquares of boundary grid squares, their blocks alone.  I windows
     are the subsquares of interior grid squares, with S/2 margins that are
     read from the neighbouring blocks.
+
+    When the library forbids no staircase code
+    (``PatternCollection.staircases_admissible``), only the windows that
+    are not staircases are yielded.  A B window is tested on its closed
+    block, an I window on the 3S x 3S mosaic of half-open blocks its
+    margins are read from (:func:`_staircases`), a superset of the
+    points the sweep reads.  A stencil row at any level is a
+    subsequence, in index order, of a row of the window, so it is
+    monotone the window row's way, and likewise for columns: every code
+    the sweep would look up in a staircase is a staircase code.  The
+    test runs here, at the window stage, and never in the fine pass
+    that every trial builds.
     """
     level, a, b, own, S = fine.level, fine.a, fine.b, fine.own, fine.S
     Q = len(level)
@@ -611,6 +716,9 @@ def _windows(fine: _FinePass, per_square: int):
 
     inner = interior(a) & interior(b)
     edge = np.flatnonzero(~inner)
+    skip_staircases = fine.coll.staircases_admissible
+    if skip_staircases:
+        edge = edge[~_staircase_blocks(own[edge])]
     for k in range(0, len(edge), _WINDOWS):
         sel = edge[k:k + _WINDOWS]
         yield own[sel], a[sel], b[sel], 1, 0
@@ -623,17 +731,21 @@ def _windows(fine: _FinePass, per_square: int):
                              np.ones((1, S, S), dtype=bool)))
     block_rows = blocks.view(f"u{S}")[..., 0]
     # where each subsquare finds its block in that stack
-    index = np.where(level > 0, len(a) + 1, len(a))
+    index = np.add(level > 0, len(a), dtype=np.int32)
     index[a, b] = np.arange(len(a))
     ia, ib = a[inner], b[inner]
     near = np.arange(-1, 2)
+    # nbrs[i, j, w]: block (i, j) of window w's 3 x 3 neighbourhood
+    nbrs = index[near[:, None, None] + ia, near[:, None] + ib]
+    if skip_staircases:
+        swept = np.flatnonzero(~_staircases(_block_flags(blocks), nbrs))
+        ia, ib, nbrs = ia[swept], ib[swept], nbrs[..., swept]
     window = slice(S // 2, S // 2 + 2 * S + 1)
     for k in range(0, len(ia), _WINDOWS):
         wa, wb = ia[k:k + _WINDOWS], ib[k:k + _WINDOWS]
         # the 3S x 3S mosaic of the block and its eight neighbours
-        rows = block_rows[index[wa[:, None, None] + near[:, None],
-                                wb[:, None, None] + near]]
-        mosaic = np.ascontiguousarray(rows.transpose(0, 1, 3, 2)).view(bool)
+        rows = block_rows[nbrs[..., k:k + _WINDOWS]]
+        mosaic = np.ascontiguousarray(rows.transpose(2, 0, 3, 1)).view(bool)
         mosaic = mosaic.reshape(-1, 3 * S, 3 * S)
         yield mosaic[:, window, window], wa, wb, 0, S // 2
 
@@ -816,7 +928,12 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     when the library forbids none of the latter
     (``PatternCollection.proven_blocks_admissible``), and otherwise only
     when its 8 neighbours, which cover the S/2 halo the shifts reach,
-    are proven with its sign too.  The outcome is the full sweep's.
+    are proven with its sign too.  Of the undecided subsquares, those
+    whose window is a staircase (rows all non-decreasing or all
+    non-increasing, and columns too) hold only staircase codes at every
+    level; they are skipped when the library forbids none of those
+    (``PatternCollection.staircases_admissible``, see :func:`_windows`),
+    and swept otherwise.  The outcome is the full sweep's.
 
     The proof, the coarse grid, the evaluated subsquares and the zero
     flags come from one fine pass, built here unless ``fine`` is given.

@@ -87,6 +87,31 @@ class TestPatternLoading:
         assert len(COLL.I4.closure) == 32
         assert len(COLL.I5.closure) == 2
 
+    def test_staircase_codes(self):
+        """Exactly 66 codes have their three rows all non-decreasing or all
+        non-increasing, and their columns too.  In the shipped file they
+        are the B survivors and lie inside the I survivors, so the window
+        sweep may skip staircases; the notch library forbids one."""
+        from test_equivalence import NOTCH
+
+        def one_way(lines):
+            return (all(p <= q for line in lines for p, q in zip(line, line[1:]))
+                    or all(p >= q for line in lines
+                           for p, q in zip(line, line[1:])))
+
+        staircases = set()
+        for code in range(512):
+            rows = [[code >> 3 * i + k & 1 for k in range(3)] for i in range(3)]
+            if one_way(rows) and one_way(list(zip(*rows))):
+                staircases.add(code)
+        assert len(staircases) == 66
+        b_survivors = set(np.flatnonzero(~COLL.B.forbidden_table()))
+        i_survivors = set(np.flatnonzero(~COLL.I.forbidden_table()))
+        assert staircases == b_survivors and staircases < i_survivors
+        assert COLL.staircases_admissible
+        assert not NOTCH.staircases_admissible
+        assert 0b011111111 in staircases  # the notch mask ++++++++-
+
     def test_count_surviving_trivial(self):
         empty = PatternLibrary.build("empty", ())
         assert count_surviving(empty) == 512

@@ -159,9 +159,12 @@ def test_pruned_matches_dense_with_halo_patterns():
 def test_proven_blocks_skip_i_windows(monkeypatch):
     """The shipped library lets the sweep skip interior subsquares proven
     on their own square; the notch library sweeps those not proven on
-    their halo, a superset."""
+    their halo, a superset.  Counted before the staircase filter, which
+    the notch library does not run, so that only the proof differs."""
     assert COLL.proven_blocks_admissible
     assert not NOTCH.proven_blocks_admissible
+    monkeypatch.setattr(adm, "_staircases",
+                        lambda flags, nbrs: np.zeros(nbrs.shape[-1], bool))
     swept = []
     windows = adm._windows
 
@@ -234,6 +237,260 @@ def test_pruning_power_on_pool():
         len(adm._fine_pass(draw_realization(coeffs, seed), 32, 6, zero_tol).a)
         for seed in NESTED_SEEDS[:60])
     assert undecided == 287_178
+
+
+def _count_swept(monkeypatch) -> list:
+    """``(ring, windows)`` of every window stack ``_sweep`` gets from now on."""
+    swept = []
+    sweep = adm._sweep
+
+    def counting(positive, nsq, ring, *args):
+        if positive.ndim == 3:
+            swept.append((ring, len(positive)))
+        return sweep(positive, nsq, ring, *args)
+
+    monkeypatch.setattr(adm, "_sweep", counting)
+    return swept
+
+
+def _one_way(lines) -> bool:
+    steps = np.diff(lines.astype(np.int8), axis=-1)
+    return bool(np.all(steps >= 0) or np.all(steps <= 0))
+
+
+def _is_staircase(points) -> bool:
+    """Every row monotone one way, and every column one way."""
+    return _one_way(points) and _one_way(points.T)
+
+
+def _synthetic_pass(points, level, S):
+    """A fine pass of Q x Q subsquares S steps wide with the proof
+    ``level``: the undecided ones evaluate to the closed blocks of the
+    bool ``points``, (Q S + 1)^2 of them."""
+    a, b = np.divmod(np.flatnonzero(level == 0), len(level))
+    own = np.array([points[i * S:(i + 1) * S + 1, j * S:(j + 1) * S + 1]
+                    for i, j in zip(a, b)], dtype=bool).reshape(-1, S + 1, S + 1)
+    return adm._FinePass(None, 0.0, COLL, len(level) * S, S, None, level, a, b,
+                         own, None)
+
+
+def _mosaic(fine, i, j):
+    """The 3S x 3S points around subsquare (i, j) as the sweep reads them:
+    the own block of an undecided subsquare and the sign of a proven one,
+    each without its closing row and column."""
+    S = fine.S
+    blocks = {(int(p), int(q)): own[:S, :S]
+              for p, q, own in zip(fine.a, fine.b, fine.own)}
+    return np.block([[blocks.get((p, q), np.full((S, S), fine.level[p, q] > 0))
+                      for q in range(j - 1, j + 2)] for p in range(i - 1, i + 2)])
+
+
+def _check_windows(fine) -> int:
+    """``_windows`` with one subsquare per grid square yields exactly the
+    windows that are no staircase, with the points the sweep would read;
+    returns their number."""
+    S, Q = fine.S, len(fine.level)
+    got = {(ring, int(i), int(j)): window
+           for positive, wa, wb, ring, _ in adm._windows(fine, 1)
+           for window, i, j in zip(positive, wa, wb)}
+    want = {}
+    for i, j, own in zip(fine.a, fine.b, fine.own):
+        if 0 < i < Q - 1 and 0 < j < Q - 1:
+            mosaic = _mosaic(fine, i, j)
+            if not _is_staircase(mosaic):
+                want[0, int(i), int(j)] = mosaic[S // 2:S // 2 + 2 * S + 1,
+                                                 S // 2:S // 2 + 2 * S + 1]
+        elif not _is_staircase(own):
+            want[1, int(i), int(j)] = own
+    assert got.keys() == want.keys()
+    for key, points in want.items():
+        assert np.array_equal(got[key], points), key
+    return len(want)
+
+
+def _proof(points, S):
+    """The sign of every subsquare whose closed block is of one sign."""
+    Q = (len(points) - 1) // S
+    level = np.zeros((Q, Q), dtype=np.int8)
+    for i in range(Q):
+        for j in range(Q):
+            block = points[i * S:(i + 1) * S + 1, j * S:(j + 1) * S + 1]
+            level[i, j] = 1 if block.all() else -1 if not block.any() else 0
+    return level
+
+
+@pytest.mark.parametrize("S", [2, 4, 8])
+def test_staircase_windows_match_bruteforce(S):
+    """Random neighbourhoods: thresholds of a plane through the points,
+    monotone along both axes, with a few points flipped; proven
+    subsquares left undecided or, now and then, given the wrong sign."""
+    rng = np.random.default_rng(S)
+    Q, swept = 5, 0
+    y, x = np.mgrid[:Q * S + 1, :Q * S + 1]
+    for _ in range(300):
+        u = rng.choice([-1, 1]) * rng.random() * x + rng.choice(
+            [-1, 1]) * rng.random() * y
+        points = u > rng.uniform(u.min(), u.max())
+        for _ in range(rng.integers(0, 3)):
+            points[tuple(rng.integers(0, Q * S + 1, 2))] ^= True
+        level = _proof(points, S)
+        level[rng.random((Q, Q)) < 0.2] = 0
+        if rng.random() < 0.2:
+            level[tuple(rng.integers(0, Q, 2))] *= -1
+        swept += _check_windows(_synthetic_pass(points, level, S))
+    assert swept > 300
+
+
+@pytest.mark.parametrize("S", [2, 4, 8])
+@pytest.mark.parametrize("fault", ["falling seam", "falling seam, transposed",
+                                   "proven neighbour", "flipped corner",
+                                   "saddle at a seam", "saddle in a block"])
+def test_staircase_windows_planted(S, fault):
+    """Faults of the 3 x 3 neighbourhood of subsquare (2, 2), or, for the
+    saddle in a block, of boundary subsquare (0, 0), that the staircase
+    test must not miss."""
+    Q = 5
+    y, x = np.mgrid[:Q * S + 1, :Q * S + 1]
+    level = None
+    if fault.startswith("falling seam"):
+        # rows rise inside block column 3 and fall from column 1 to 2,
+        # each block monotone on its own
+        points = (x < 2 * S) | (x >= 3 * S + S // 2)
+        if fault.endswith("transposed"):
+            points = points.T
+    elif fault == "proven neighbour":
+        # a staircase whose left neighbour is proven with the wrong sign
+        points = x >= 2 * S + S // 2
+        level = _proof(points, S)
+        assert level[2, 1] == -1
+        level[2, 1] = 1
+    elif fault == "flipped corner":
+        points = x >= 4 * S
+        points[2 * S, 2 * S] = True
+    else:
+        # every row and column monotone, in opposite directions
+        at = 2 * S if fault == "saddle at a seam" else S // 2
+        points = (x < at) == (y < at)
+    window = (1, 0, 0) if fault == "saddle in a block" else (0, 2, 2)
+    level = _proof(points, S) if level is None else level
+    level[window[1:]] = 0
+    fine = _synthetic_pass(points, level, S)
+    assert _check_windows(fine) > 0
+    assert window in {(ring, int(i), int(j)) for _, wa, wb, ring, _
+                      in adm._windows(fine, 1) for i, j in zip(wa, wb)}
+
+
+def test_staircase_filter_on_pool(monkeypatch):
+    """In the criterion-6 pool (N = 3, M = 32, D = 6) the 21 trials that
+    reach the window stage test 87,354 I windows and sweep 96 of them;
+    every B window they hold is a staircase."""
+    tested = []
+    staircases = adm._staircases
+    monkeypatch.setattr(adm, "_staircases", lambda flags, nbrs: tested.append(
+        nbrs.shape[-1]) or staircases(flags, nbrs))
+    swept = _count_swept(monkeypatch)
+    coeffs = trig_coeffs(2, 3)
+    zero_tol = default_zero_tol(coeffs)
+    for seed in NESTED_SEEDS[:60]:
+        validate_2d(draw_realization(coeffs, seed), 32, 6, zero_tol)
+    i_windows, b_windows = (sum(n for ring, n in swept if ring == b)
+                            for b in (0, 1))
+    assert (len(tested), sum(tested), i_windows, b_windows) == \
+        (21, 87_354, 96, 0)
+
+
+def test_staircase_test_runs_only_at_the_window_stage(monkeypatch):
+    """Across the criterion-6 pool the staircase test runs once in each
+    trial whose M = 32 validation reaches the window stage, and never
+    while a fine pass is being built."""
+    events, building = [], []
+    for module in (adm, experiments):
+        fine_pass = module._fine_pass
+
+        def building_pass(*args, f=fine_pass, **kwargs):
+            building.append(True)
+            try:
+                return f(*args, **kwargs)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(module, "_fine_pass", building_pass)
+    windows, staircases = adm._windows, adm._staircases
+
+    def reaching(*args):
+        events.append("windows")
+        yield from windows(*args)
+
+    def testing(flags, nbrs):
+        events.append("building" if building else "staircases")
+        return staircases(flags, nbrs)
+
+    monkeypatch.setattr(adm, "_windows", reaching)
+    monkeypatch.setattr(adm, "_staircases", testing)
+    per_trial = []
+    for seed in range(60):
+        events.clear()
+        experiments.homology_experiment(2, 3, (8, 16, 32), trials=1,
+                                        seed=seed)
+        per_trial.append(tuple(events))
+    assert set(per_trial) == {(), ("windows", "staircases")}
+    assert per_trial.count(()) == 39
+
+
+def test_notch_library_sweeps_every_undecided_window(monkeypatch):
+    """The notch library forbids a staircase, so the window stage sweeps
+    every subsquare its pass leaves undecided, as without the filter."""
+    for name in ("_staircases", "_staircase_blocks", "_block_flags"):
+        monkeypatch.setattr(adm, name, None)  # a call would raise
+    swept = _count_swept(monkeypatch)
+    for seed in NESTED_SEEDS[:5]:
+        r = draw_realization(trig_coeffs(2, 3), seed)
+        zero_tol = default_zero_tol(r.coeffs)
+        swept.clear()
+        out = validate_2d(r, 16, 6, zero_tol, collect_all=True,
+                          patterns=NOTCH)
+        fine = adm._fine_pass(r, 16, 6, zero_tol, NOTCH)
+        assert sum(n for _, n in swept) == len(fine.a) > 0, seed
+        assert out == oracles.validate_2d_dense(r, 16, 6, zero_tol, True,
+                                                NOTCH)
+
+
+def test_staircase_pruning_matches_dense_on_pool():
+    """The 60 trials of the criterion-6 pool at M = 32, D = 6."""
+    coeffs = trig_coeffs(2, 3)
+    zero_tol = default_zero_tol(coeffs)
+    for seed in NESTED_SEEDS[:60]:
+        r = draw_realization(coeffs, seed)
+        for collect_all in (False, True):
+            want = oracles.validate_2d_dense(r, 32, 6, zero_tol, collect_all,
+                                             COLL)
+            assert validate_2d(r, 32, 6, zero_tol, collect_all) == want, \
+                (seed, collect_all)
+
+
+def _random_sizes(rng):
+    """N in 2..6, M in 3..40 and D in 0..6, with at most 2048 fine steps."""
+    N, M = int(rng.integers(2, 7)), int(rng.integers(3, 41))
+    D = int(rng.integers(0, min(6, (2048 // M).bit_length() - 2) + 1))
+    return N, M, D
+
+
+def test_staircase_pruning_matches_dense():
+    """At least 200 random fields over S = 2, 4 and 8, both tolerances,
+    with and without ``collect_all``, every nested M read from one pass."""
+    rng = np.random.default_rng(19)
+    depths = set()
+    for k in range(200):
+        N, M_max, D = _random_sizes(rng)
+        depths.add(D)
+        r = draw_realization(trig_coeffs(2, N), derive_seed(19, k))
+        for zero_tol in _tolerances(r):
+            got = _read_from_pass(r, M_max, D, zero_tol)
+            for (M, collect_all), out in got.items():
+                want = oracles.validate_2d_dense(r, M, D, zero_tol,
+                                                 collect_all, COLL)
+                assert out == want, (k, N, M_max, M, D, zero_tol, collect_all)
+    assert depths == set(range(7))
 
 
 def _read_from_pass(r, M_max, D, zero_tol, coll=COLL):
