@@ -685,69 +685,99 @@ def _staircase_blocks(blocks: np.ndarray) -> np.ndarray:
     return clean
 
 
+def _mosaics(block_rows: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+    """The k S x k S mosaic of the blocks ``nbrs[:, :, w]`` (k x k) for each w.
+
+    Each row of an S x S bool block is read as one unsigned integer of S
+    bytes (``block_rows``), so that the mosaics are gathered and
+    transposed S points at a time.
+    """
+    k, S = len(nbrs), block_rows.dtype.itemsize
+    rows = block_rows[nbrs]
+    mosaic = np.ascontiguousarray(rows.transpose(2, 0, 3, 1)).view(bool)
+    return mosaic.reshape(-1, k * S, k * S)
+
+
 def _windows(fine: _FinePass, per_square: int):
     """Yield ``(positive, a, b, ring, margin)``: stacks of windows for ``_sweep``.
 
     The windows are the level-n0 subsquares (a, b) that ``fine.level``
     leaves undecided, S fine steps wide, ``per_square`` of them across a
-    grid square.  ``fine.own`` holds their evaluated closed blocks; every
-    other block is constant, the sign of ``level``.  B windows are the
-    subsquares of boundary grid squares, their blocks alone.  I windows
-    are the subsquares of interior grid squares, with S/2 margins that are
-    read from the neighbouring blocks.
+    grid square.  ``fine.own`` holds their evaluated half-open blocks and
+    ``fine.edge`` the lattice's far row and column; every other block is
+    constant, the sign of ``level``.  B windows are the subsquares of
+    boundary grid squares, their closed blocks alone.  A closed block is
+    read from the 2S x 2S mosaic of the block and the three after it, or,
+    past the lattice's last subsquares, from its far row and column.  I
+    windows are the subsquares of interior grid squares, with S/2 margins
+    that are read from the 3S x 3S mosaic of the block and its eight
+    neighbours.  A proven neighbour reads as its constant sign, which its
+    proof holds on its closed square.
 
     When the library forbids no staircase code
     (``PatternCollection.staircases_admissible``), only the windows that
     are not staircases are yielded.  A B window is tested on its closed
-    block, an I window on the 3S x 3S mosaic of half-open blocks its
-    margins are read from (:func:`_staircases`), a superset of the
-    points the sweep reads.  A stencil row at any level is a
-    subsequence, in index order, of a row of the window, so it is
+    block, an I window on its 3S x 3S mosaic (:func:`_staircases`), a
+    superset of the points the sweep reads.  A stencil row at any level
+    is a subsequence, in index order, of a row of the window, so it is
     monotone the window row's way, and likewise for columns: every code
     the sweep would look up in a staircase is a staircase code.  The
     test runs here, at the window stage, and never in the fine pass
     that every trial builds.
     """
     level, a, b, own, S = fine.level, fine.a, fine.b, fine.own, fine.S
-    Q = len(level)
+    Q, n = len(level), len(a)
+
+    # S x S blocks: the evaluated ones, all-negative and all-positive,
+    # then one per subsquare of the last row whose rows are all the far
+    # row below it, and one per subsquare of the last column whose
+    # columns are all the far column beside it
+    far = fine.edge[:, :-1].reshape(2, Q, S)
+    blocks = np.concatenate((own, np.zeros((1, S, S), dtype=bool),
+                             np.ones((1, S, S), dtype=bool),
+                             np.broadcast_to(far[0, :, None], (Q, S, S)),
+                             np.broadcast_to(far[1, :, :, None], (Q, S, S))))
+    block_rows = blocks.view(f"u{S}")[..., 0]
+    # where each subsquare, and each step past the lattice's last ones,
+    # finds its block in that stack
+    index = np.empty((Q + 1, Q + 1), dtype=np.int32)
+    np.add(level > 0, n, out=index[:Q, :Q], dtype=np.int32)
+    index[a, b] = np.arange(n)
+    index[Q, :Q] = n + 2 + np.arange(Q)
+    index[:Q, Q] = n + 2 + Q + np.arange(Q)
+    index[Q, Q] = n + fine.edge[0, -1]
 
     def interior(t):
         return (t >= per_square) & (t < Q - per_square)
 
     inner = interior(a) & interior(b)
-    edge = np.flatnonzero(~inner)
     skip_staircases = fine.coll.staircases_admissible
+    outer = np.flatnonzero(~inner)
+    near = np.arange(2)
+    closed = _mosaics(block_rows, index[near[:, None, None] + a[outer],
+                                        near[:, None] + b[outer]])
+    closed = closed[:, :S + 1, :S + 1]
     if skip_staircases:
-        edge = edge[~_staircase_blocks(own[edge])]
-    for k in range(0, len(edge), _WINDOWS):
-        sel = edge[k:k + _WINDOWS]
-        yield own[sel], a[sel], b[sel], 1, 0
+        kept = ~_staircase_blocks(closed)
+        outer, closed = outer[kept], closed[kept]
+    for k in range(0, len(outer), _WINDOWS):
+        sel = outer[k:k + _WINDOWS]
+        yield closed[k:k + _WINDOWS], a[sel], b[sel], 1, 0
 
-    # S x S blocks, the closing row and column left to the next block:
-    # the evaluated ones, then all-negative and all-positive.  A row of a
-    # block is read as one unsigned integer of S bytes, so that the
-    # mosaics below are gathered and transposed S points at a time.
-    blocks = np.concatenate((own[:, :S, :S], np.zeros((1, S, S), dtype=bool),
-                             np.ones((1, S, S), dtype=bool)))
-    block_rows = blocks.view(f"u{S}")[..., 0]
-    # where each subsquare finds its block in that stack
-    index = np.add(level > 0, len(a), dtype=np.int32)
-    index[a, b] = np.arange(len(a))
     ia, ib = a[inner], b[inner]
     near = np.arange(-1, 2)
     # nbrs[i, j, w]: block (i, j) of window w's 3 x 3 neighbourhood
     nbrs = index[near[:, None, None] + ia, near[:, None] + ib]
     if skip_staircases:
-        swept = np.flatnonzero(~_staircases(_block_flags(blocks), nbrs))
+        # no interior neighbourhood reaches the far row and column
+        flags = _block_flags(blocks[:n + 2])
+        swept = np.flatnonzero(~_staircases(flags, nbrs))
         ia, ib, nbrs = ia[swept], ib[swept], nbrs[..., swept]
     window = slice(S // 2, S // 2 + 2 * S + 1)
     for k in range(0, len(ia), _WINDOWS):
-        wa, wb = ia[k:k + _WINDOWS], ib[k:k + _WINDOWS]
-        # the 3S x 3S mosaic of the block and its eight neighbours
-        rows = block_rows[nbrs[..., k:k + _WINDOWS]]
-        mosaic = np.ascontiguousarray(rows.transpose(2, 0, 3, 1)).view(bool)
-        mosaic = mosaic.reshape(-1, 3 * S, 3 * S)
-        yield mosaic[:, window, window], wa, wb, 0, S // 2
+        mosaic = _mosaics(block_rows, nbrs[..., k:k + _WINDOWS])
+        yield (mosaic[:, window, window], ia[k:k + _WINDOWS],
+               ib[k:k + _WINDOWS], 0, S // 2)
 
 
 def _lattice(M: int, D: int, coll: PatternCollection) -> tuple:
@@ -831,12 +861,19 @@ class _FinePass:
     ``coarse`` is u > zero_tol on every S-th fine point, the corners of
     the subsquares S fine steps wide.  ``level`` is the sign the sweep
     takes as given on each subsquare (0: undecided, :func:`_level`),
-    ``a, b`` the subsquares it leaves undecided and ``own`` their
-    evaluated closed blocks (u > zero_tol).  ``zeros[p]`` counts the
-    zero-flagged fine points whose two indices are multiples of 2^p, each
-    point once.  Made by :func:`_fine_pass`; :func:`validate_2d` reads all
-    of it on this lattice, and ``zeros[log2 c]`` and every c-th point of
-    ``coarse`` on the lattice of G / c steps for every power of two c.
+    ``a, b`` the subsquares it leaves undecided (those of the last row or
+    column of subsquares after the others) and ``own`` their evaluated
+    half-open S x S blocks (u > zero_tol), without the closing row and
+    column that the next blocks hold.  ``edge`` is u > zero_tol on the
+    lattice's far row (``edge[0]``, first index G) and far column
+    (``edge[1]``, second index G), which no half-open block holds:
+    evaluated beside the undecided subsquares of the last row and column,
+    the sign of ``level`` beside the others.  ``zeros[p]`` counts the
+    zero-flagged fine points whose two indices are multiples of 2^p; each
+    point is evaluated, and counted, once.  Made by :func:`_fine_pass`;
+    :func:`validate_2d` reads all of it on this lattice, and
+    ``zeros[log2 c]`` and every c-th point of ``coarse`` on the lattice
+    of G / c steps for every power of two c.
     :func:`~nodalcheck.cubical.sign_grid` reads the signs of the lattice
     of G / c steps from every c/S-th point of ``coarse`` when c is a
     multiple of S (:meth:`nest` gives c).
@@ -852,6 +889,7 @@ class _FinePass:
     a: np.ndarray
     b: np.ndarray
     own: np.ndarray
+    edge: np.ndarray
     zeros: np.ndarray
 
     def nest(self, r, zero_tol: float, n: int,
@@ -876,30 +914,59 @@ class _FinePass:
 
 def _fine_pass(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
                patterns: PatternCollection | None = None) -> _FinePass:
-    """The fine classification ``validate_2d(r, M, D, zero_tol)`` reads."""
+    """The fine classification ``validate_2d(r, M, D, zero_tol)`` reads.
+
+    Each undecided subsquare is evaluated on its half-open S x S block,
+    those of the last row (column) of subsquares with the lattice's far
+    row (column) below (beside) it, so that every fine point is evaluated
+    once: the closing row and column of a block are the first of the
+    next one's.
+    """
     coll = patterns or default_patterns()
     S, G = _lattice(M, D, coll)
-    table = _lattice_table(r.coeffs.L, r.coeffs.K, G)
+    table, blocks = _lattice_table(r.coeffs.L, r.coeffs.K, G, S)
     coarse, proven = _corner_proof(r, table[::S], S * (r.coeffs.L / G),
                                    zero_tol)
     level = _level(proven, coll)
-    a, b = np.divmod(np.flatnonzero(level == 0), len(level))
-    classify = _window_classifier(r, table, table, S + 1, zero_tol)
-    own = np.empty((len(a), S + 1, S + 1), dtype=bool)
+    last = len(level) - 1
+    # the undecided subsquares by the window each is evaluated on: those
+    # clear of the last row and column of subsquares, then those of the
+    # last row with the far row below, those of the last column with the
+    # far column beside, and the corner subsquare with both
+    inside = np.divmod(np.flatnonzero(level[:last, :last] == 0), last)
+    row, col = (np.flatnonzero(line[:last] == 0)
+                for line in (level[last], level[:, last]))
+    corner = np.flatnonzero(level[last:, last] == 0) + last
+    groups = ((*inside, S, S), (np.full_like(row, last), row, S + 1, S),
+              (col, np.full_like(col, last), S, S + 1),
+              (corner, corner, S + 1, S + 1))
+    a, b = (np.concatenate([group[k] for group in groups]) for k in (0, 1))
+    classify = _window_classifier(r, table, blocks, zero_tol)
+    own = np.empty((len(a), S, S), dtype=bool)
+    edge = np.empty((2, G + 1), dtype=bool)
+    edge[0, :G] = np.repeat(level[last] > 0, S)
+    edge[1, :G] = np.repeat(level[:, last] > 0, S)
+    edge[:, G] = level[last, last] > 0
     zeros = np.zeros(G.bit_length(), dtype=np.int64)
-    for k in range(0, len(a), _WINDOWS):
-        sel = slice(k, k + _WINDOWS)
-        own[sel], flagged = classify(a[sel] * S, b[sel] * S)
-        # count each fine point once: the closing row and column of a
-        # block belong to the next block, except at the far edge
-        flagged[a[sel] < len(level) - 1, S] = False
-        flagged[b[sel] < len(level) - 1, :, S] = False
-        if flagged.any():
-            w, i, j = np.nonzero(flagged)
-            xy = (a[sel][w] * S + i) | (b[sel][w] * S + j)
-            zeros += [np.count_nonzero(xy & ((1 << p) - 1) == 0)
-                      for p in range(len(zeros))]
-    return _FinePass(r, zero_tol, coll, G, S, coarse, level, a, b, own, zeros)
+    done = 0
+    for ga, gb, rows, cols in groups:
+        for k in range(0, len(ga), _WINDOWS):
+            sa, sb = ga[k:k + _WINDOWS], gb[k:k + _WINDOWS]
+            positive, flagged = classify(sa, sb, rows, cols)
+            x, y = sa * S, sb * S
+            own[done:done + len(x)] = positive[:, :S, :S]
+            done += len(x)
+            if rows > S:
+                edge[0, y[:, None] + np.arange(cols)] = positive[:, S]
+            if cols > S:
+                edge[1, x[:, None] + np.arange(rows)] = positive[:, :, S]
+            if flagged.any():
+                w, i, j = np.nonzero(flagged)
+                xy = (x[w] + i) | (y[w] + j)
+                zeros += [np.count_nonzero(xy & ((1 << p) - 1) == 0)
+                          for p in range(len(zeros))]
+    return _FinePass(r, zero_tol, coll, G, S, coarse, level, a, b, own, edge,
+                     zeros)
 
 
 def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
@@ -919,8 +986,12 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     point, the corners of the level-n0 subsquares (S fine steps wide),
     from whose values an interpolation bound proves most subsquares
     sign-definite (:func:`_corner_proof`).  Fine points are evaluated
-    only in the subsquares not proven, which gives the exact zero-flag
-    count, and levels n0..D are swept on windows around those alone.
+    only in the subsquares not proven, each point once: a subsquare owns
+    its half-open block, and the lattice's far row and column belong to
+    the subsquares beside them.  That gives the exact zero-flag count,
+    and levels n0..D are swept on windows around those subsquares alone,
+    whose closed blocks and margins are read from their neighbours'
+    blocks (:func:`_windows`).
     Every half-side shift keeps two adjacent rows or columns of its
     stencil inside the subsquare, so a proven subsquare and its
     descendants hold only the uniform stencils and stencils with two

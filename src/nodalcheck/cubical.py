@@ -123,7 +123,7 @@ def sign_grid(r, M: int, zero_tol: float = 0.0, *,
     if c and not fine.zeros[(c * fine.S).bit_length() - 1]:
         positive, flagged = fine.coarse[::c, ::c], None
     else:
-        A = _lattice_table(r.coeffs.L, r.coeffs.K, M)
+        A, _ = _lattice_table(r.coeffs.L, r.coeffs.K, M)
         flagged = np.empty((M + 1, M + 1), dtype=bool)
         positive, _ = _classify_grid(r, A, A, zero_tol, flagged)
     # PLUS where positive, MINUS elsewhere, built in int8

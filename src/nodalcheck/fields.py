@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "CoeffSeq1D",
@@ -407,9 +407,25 @@ def _trig_blocks(coeffs, x1, x2) -> tuple:
                 else _trig_block(coeffs.L, coeffs.K, x2))
 
 
+def _column_blocks(A: np.ndarray, width: int) -> np.ndarray:
+    """A^T in blocks of ``width`` columns: entry q is
+    ``A[q * width:(q + 1) * width].T``, zero past the last row of A.
+
+    C-contiguous, so that a window's columns are gathered as whole
+    blocks, laid out as the window product reads them.
+    """
+    count = -(-len(A) // width)
+    padded = np.zeros((count * width, A.shape[1]))
+    padded[:len(A)] = A
+    return np.ascontiguousarray(
+        padded.reshape(count, width, -1).transpose(0, 2, 1))
+
+
 @lru_cache(maxsize=16)
-def _lattice_table(L: float, K: int, n: int) -> np.ndarray:
-    """A(x) on the lattice x = arange(n + 1) * (L / n), read-only and cached.
+def _lattice_table(L: float, K: int, n: int, width: int = 1) -> tuple:
+    """``(A, blocks)``: A(x) on the lattice x = arange(n + 1) * (L / n)
+    and its transpose in blocks of ``width`` columns
+    (:func:`_column_blocks`), read-only and cached.
 
     The 2D grids of a Monte Carlo run lie on a few lattices that depend
     on (L, K) and the resolution only, not on the draw: a 2D homology
@@ -417,18 +433,22 @@ def _lattice_table(L: float, K: int, n: int) -> np.ndarray:
     its validations (n = 4096).  Its sign grids (n = 8, 16, 32) and
     reference grids (256, 512) are read from its fine pass
     (:func:`~nodalcheck.cubical.sign_grid`); only a grid with zero flags,
-    or off that pass's nest, reads a table of its own.  At most 16 tables
-    are kept, the least recently used dropped first.  A table holds
-    16 (K + 1)(n + 1) bytes, so the cache holds at most
-    256 (K + 1)(n + 1) bytes for the largest K and n in it: 4.2 MB at
-    K = 3, n = 4096, where the one table of that trial takes 0.26 MB.
+    or off that pass's nest, reads a table of its own.  The blocks are
+    what :func:`_window_classifier` gathers the columns of its windows
+    from, one contiguous block per window of the pass's subsquare width.
+    At most 16 pairs are kept, the least recently used dropped first.  A
+    table holds 16 (K + 1)(n + 1) bytes and its blocks at most
+    16 (K + 1)(n + width) bytes, so the cache holds at most about
+    512 (K + 1)(n + 1) bytes for the largest K and n in it: 8.4 MB at
+    K = 3, n = 4096, where the one pair of that trial takes 0.52 MB.
     A table is no larger than the product A(x) W its caller
     forms from it.  A is computed point by point, so a strided run of
     rows is the table of those points: ``validate_2d`` reads its coarse
     grid (its subsquare corners) as every S-th row of the fine table, and
     the lattice of n / 2^p steps as every 2^p-th row of the lattice of n.
     """
-    return _readonly(_trig_block(L, K, np.arange(n + 1) * (L / n)))
+    table = _trig_block(L, K, np.arange(n + 1) * (L / n))
+    return _readonly(table), _readonly(_column_blocks(table, width))
 
 
 def _eval_2d(r: Realization2D, x1, x2):
@@ -507,26 +527,36 @@ def _classify_grid(r: Realization2D, A1, A2, zero_tol: float,
     return positive, zeros
 
 
-def _window_classifier(r: Realization2D, A1, A2, size: int, zero_tol: float):
+def _window_classifier(r: Realization2D, A1, blocks, zero_tol: float):
     """Sign classes of a 2D realization on stacks of windows of the grid x1 (x) x2.
 
-    The grid is given by its tables A1 = A(x1) and A2 = A(x2).  Returns
-    ``classify(i, j) -> (positive, flagged)``.  Window w is the
-    size x size tensor grid ``x1[i[w]:i[w] + size] (x) x2[j[w]:j[w] + size]``;
-    both results are (n, size, size) booleans with the zero-flag rule of
-    :func:`classify_grid_2d`.  The factors A(x1) W and A(x2)^T are formed
-    once; each window is the block product of a run of rows of the one
-    and of columns of the other.
+    The grid is given by the table A1 = A(x1) and ``blocks``, the table
+    A(x2) transposed in blocks of w columns (:func:`_column_blocks`).
+    Returns ``classify(a, b, rows, cols) -> (positive, flagged)``.
+    Window k is the rows x cols tensor grid
+    ``x1[a[k] w:a[k] w + rows] (x) x2[b[k] w:b[k] w + cols]``; both
+    results are (n, rows, cols) booleans with the zero-flag rule of
+    :func:`classify_grid_2d`.  The factor A(x1) W is formed once; each
+    window is the block product of a run of its rows, gathered from a
+    strided view made once per window height, and a run of blocks, one
+    contiguous block when the window is w columns wide.
     """
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
-    left, right = A1 @ r.weights, np.ascontiguousarray(A2.T)
-    # runs[i] = left[i:i + size] and columns[j] = right[:, j:j + size], as views
-    runs = sliding_window_view(left, size, axis=0).transpose(0, 2, 1)
-    columns = sliding_window_view(right, size, axis=1).transpose(1, 0, 2)
+    left = A1 @ r.weights
+    _, depth, width = blocks.shape
 
-    def classify(i, j):
-        values = np.matmul(runs[i], columns[j])
+    @cache
+    def runs(size):  # runs(size)[i] = left[i:i + size], as a view
+        (rows, cols), (step, item) = left.shape, left.strides
+        return as_strided(left, (rows - size + 1, size, cols),
+                          (step, step, item), writeable=False)
+
+    def classify(a, b, rows, cols):
+        span = -(-cols // width)
+        columns = blocks[b[:, None] + np.arange(span)].transpose(0, 2, 1, 3)
+        columns = columns.reshape(len(b), depth, span * width)[..., :cols]
+        values = np.matmul(runs(rows)[a * width], columns)
         positive = values > zero_tol
         flagged = values < -zero_tol
         flagged |= positive

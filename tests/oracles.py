@@ -22,6 +22,7 @@ import math
 from collections import deque
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 from scipy.stats import multivariate_normal
 
@@ -361,6 +362,19 @@ def betti_label(cells):
     dim = cells.ndim
     b0 = int(ndimage.label(cells, structure=np.ones((3,) * dim, dtype=bool))[1])
     return b0, b0 - euler(cells)
+
+
+def closed_blocks(fine):
+    """u > zero_tol on the closed (S + 1)^2 block of every subsquare a 2D
+    fine pass leaves undecided, each block evaluated whole, by the window
+    classifier the pass used before it held half-open blocks."""
+    r, S = fine.r, fine.S
+    size = S + 1
+    table = fields._lattice_table(r.coeffs.L, r.coeffs.K, fine.G)[0]
+    left, right = table @ r.weights, np.ascontiguousarray(table.T)
+    runs = sliding_window_view(left, size, axis=0).transpose(0, 2, 1)
+    columns = sliding_window_view(right, size, axis=1).transpose(1, 0, 2)
+    return np.matmul(runs[fine.a * S], columns[fine.b * S]) > fine.zero_tol
 
 
 def validate_2d_dense(r, M, D, zero_tol, collect_all, coll):

@@ -208,9 +208,9 @@ def test_pruning_engages(monkeypatch):
     def counting(*args):
         classify = window_classifier(*args)
 
-        def count(i, j):
+        def count(i, j, *shape):
             evaluated.append(len(i))
-            return classify(i, j)
+            return classify(i, j, *shape)
         return count
 
     monkeypatch.setattr(adm, "_window_classifier", counting)
@@ -265,24 +265,48 @@ def _is_staircase(points) -> bool:
 
 def _synthetic_pass(points, level, S):
     """A fine pass of Q x Q subsquares S steps wide with the proof
-    ``level``: the undecided ones evaluate to the closed blocks of the
-    bool ``points``, (Q S + 1)^2 of them."""
-    a, b = np.divmod(np.flatnonzero(level == 0), len(level))
-    own = np.array([points[i * S:(i + 1) * S + 1, j * S:(j + 1) * S + 1]
-                    for i, j in zip(a, b)], dtype=bool).reshape(-1, S + 1, S + 1)
-    return adm._FinePass(None, 0.0, COLL, len(level) * S, S, None, level, a, b,
-                         own, None)
+    ``level``: the undecided ones evaluate to the half-open blocks of the
+    bool ``points``, (Q S + 1)^2 of them, and the far row and column
+    to the points' last row and column there, to the sign of ``level``
+    elsewhere."""
+    Q = len(level)
+    a, b = np.divmod(np.flatnonzero(level == 0), Q)
+    own = np.array([points[i * S:(i + 1) * S, j * S:(j + 1) * S]
+                    for i, j in zip(a, b)], dtype=bool).reshape(-1, S, S)
+    edge = np.array([points[-1], points[:, -1]])
+    for side, signs in enumerate((level[-1], level[:, -1])):
+        proven = np.repeat(signs != 0, S)
+        edge[side, :-1][proven] = np.repeat(signs > 0, S)[proven]
+    if level[-1, -1]:
+        edge[:, -1] = level[-1, -1] > 0
+    return adm._FinePass(None, 0.0, COLL, Q * S, S, None, level, a, b, own,
+                         edge, None)
+
+
+def _read(fine):
+    """The (Q S + 1)^2 points as the sweep reads them: the own block of an
+    undecided subsquare and the sign of a proven one, each without its
+    closing row and column, then the far row and column."""
+    S = fine.S
+    blocks = {(int(p), int(q)): own for p, q, own in zip(fine.a, fine.b,
+                                                         fine.own)}
+    points = np.block([[blocks.get((p, q), np.full((S, S), sign > 0))
+                        for q, sign in enumerate(row)]
+                       for p, row in enumerate(fine.level)])
+    return np.block([[points, fine.edge[1, :-1, None]],
+                     [fine.edge[0, None]]])
 
 
 def _mosaic(fine, i, j):
-    """The 3S x 3S points around subsquare (i, j) as the sweep reads them:
-    the own block of an undecided subsquare and the sign of a proven one,
-    each without its closing row and column."""
+    """The 3S x 3S points around subsquare (i, j) as the sweep reads them."""
     S = fine.S
-    blocks = {(int(p), int(q)): own[:S, :S]
-              for p, q, own in zip(fine.a, fine.b, fine.own)}
-    return np.block([[blocks.get((p, q), np.full((S, S), fine.level[p, q] > 0))
-                      for q in range(j - 1, j + 2)] for p in range(i - 1, i + 2)])
+    return _read(fine)[(i - 1) * S:(i + 2) * S, (j - 1) * S:(j + 2) * S]
+
+
+def _closed(fine, i, j):
+    """The closed block of subsquare (i, j) as the sweep reads it."""
+    S = fine.S
+    return _read(fine)[i * S:(i + 1) * S + 1, j * S:(j + 1) * S + 1]
 
 
 def _check_windows(fine) -> int:
@@ -294,14 +318,16 @@ def _check_windows(fine) -> int:
            for positive, wa, wb, ring, _ in adm._windows(fine, 1)
            for window, i, j in zip(positive, wa, wb)}
     want = {}
-    for i, j, own in zip(fine.a, fine.b, fine.own):
+    for i, j in zip(fine.a, fine.b):
         if 0 < i < Q - 1 and 0 < j < Q - 1:
             mosaic = _mosaic(fine, i, j)
             if not _is_staircase(mosaic):
                 want[0, int(i), int(j)] = mosaic[S // 2:S // 2 + 2 * S + 1,
                                                  S // 2:S // 2 + 2 * S + 1]
-        elif not _is_staircase(own):
-            want[1, int(i), int(j)] = own
+        else:
+            closed = _closed(fine, i, j)
+            if not _is_staircase(closed):
+                want[1, int(i), int(j)] = closed
     assert got.keys() == want.keys()
     for key, points in want.items():
         assert np.array_equal(got[key], points), key
@@ -440,6 +466,7 @@ def test_staircase_test_runs_only_at_the_window_stage(monkeypatch):
 def test_notch_library_sweeps_every_undecided_window(monkeypatch):
     """The notch library forbids a staircase, so the window stage sweeps
     every subsquare its pass leaves undecided, as without the filter."""
+    assert not NOTCH.staircases_admissible  # cached before the patch below
     for name in ("_staircases", "_staircase_blocks", "_block_flags"):
         monkeypatch.setattr(adm, name, None)  # a call would raise
     swept = _count_swept(monkeypatch)
@@ -562,6 +589,110 @@ def test_fine_pass_planted_zeros(M_max):
         assert out.status == "Degenerate"
         assert out.zero_flag_count == 2 * (M * 32 + 1), M
     assert _read_from_pass(r, M_max, 4, 0.0)[4, True].status != "Degenerate"
+
+
+def _sine_2d(axis):
+    """u = sin(x1) (axis 0) or sin(x2) (axis 1) on [0, 2 pi]^2, which
+    vanishes on the first, middle and last row (column) of every lattice
+    with an even number of steps, the far one included."""
+    a = np.zeros((4, 4))
+    a[1, 0] = a[0, 1] = a[1, 1] = a[2, 3] = 1.0  # nondegenerate support
+    g = np.zeros((4, 4, 4))
+    if axis == 0:
+        g[1, 0, 2] = 1.0  # sin(x1) * cos(0)
+    else:
+        g[0, 1, 1] = 1.0  # cos(0) * sin(x2)
+    return Realization2D(coeffs=CoeffSeq2D(L=2 * np.pi, a=a), g=g, seed=0)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("M_max", [16, 32, 64])
+def test_fine_pass_far_edge_zeros(M_max, axis):
+    """Zeros planted on the far row (column) of the lattice, which no
+    half-open block holds: the pass counts them, on every nested lattice,
+    as a dense classification of the fine lattice does."""
+    r, D = _sine_2d(axis), 4
+    zero_tol = default_zero_tol(r.coeffs)
+    G = M_max << (D + 1)
+    xs = np.arange(G + 1) * (r.coeffs.L / G)
+    flagged = np.concatenate([
+        oracles.sign_array(oracles.evaluate_grid_2d(r, xs[k:k + 256], xs),
+                           zero_tol)[0] == 0 for k in range(0, G + 1, 256)])
+    assert flagged[-1].all() if axis == 0 else flagged[:, -1].all()
+    fine = adm._fine_pass(r, M_max, D, zero_tol)
+    assert list(fine.zeros) == [np.count_nonzero(flagged[::c, ::c])
+                                for c in 1 << np.arange(len(fine.zeros))]
+    for (M, _), out in _read_from_pass(r, M_max, D, zero_tol).items():
+        c = M_max // M
+        assert out.status == "Degenerate"
+        assert out.zero_flag_count == np.count_nonzero(flagged[::c, ::c]), M
+
+
+def test_fine_pass_evaluates_each_point_once(monkeypatch):
+    """On the criterion-6 pool (N = 3, M = 32, D = 6) the passes evaluate
+    no fine point twice: 64 points per undecided subsquare, its half-open
+    block, and the lattice's far row and column where the subsquares
+    beside them are undecided."""
+    recorded = []
+    window_classifier = adm._window_classifier
+
+    def recording(r, A1, blocks, zero_tol):
+        classify = window_classifier(r, A1, blocks, zero_tol)
+        S = blocks.shape[-1]
+
+        def record(a, b, rows, cols):
+            x = (a[:, None] * S + np.arange(rows))[:, :, None]
+            y = (b[:, None] * S + np.arange(cols))[:, None, :]
+            recorded.append((x * (1 << 13) + y).ravel())
+            return classify(a, b, rows, cols)
+        return record
+
+    monkeypatch.setattr(adm, "_window_classifier", recording)
+    coeffs = trig_coeffs(2, 3)
+    zero_tol = default_zero_tol(coeffs)
+    total = undecided = 0
+    for seed in NESTED_SEEDS[:60]:
+        recorded.clear()
+        fine = adm._fine_pass(draw_realization(coeffs, seed), 32, 6, zero_tol)
+        points = np.concatenate(recorded)
+        assert len(np.unique(points)) == len(points), seed
+        total += len(points)
+        undecided += len(fine.a)
+    # 1,043 of the subsquares lie beside the far row or column; the
+    # closed blocks evaluated before held 287,178 * 81 = 23,261,418 points
+    assert undecided == 287_178
+    assert total == 287_178 * 64 + 8_362
+
+
+@pytest.mark.parametrize("coll", [COLL, NOTCH], ids=["shipped", "notch"])
+def test_closed_b_blocks_match_closed_classifier(coll):
+    """Every subsquare is a B window when a grid square holds all of
+    them.  Its closed block, read from the half-open blocks after it and
+    the far row and column, is the (S + 1)^2 block evaluated whole, bit
+    for bit; the shipped library skips the staircases among them."""
+    rng = np.random.default_rng(20)
+    seen, far = set(), 0
+    for k in range(200):
+        D = int(rng.integers(0, 4))
+        N, M = int(rng.integers(2, 6)), int(rng.integers(3, 13))
+        r = draw_realization(trig_coeffs(2, N), derive_seed(20, k))
+        for zero_tol in _tolerances(r):
+            fine = adm._fine_pass(r, M, D, zero_tol, coll)
+            S, Q = fine.S, len(fine.level)
+            seen.add(S)
+            want = oracles.closed_blocks(fine)
+            assert np.array_equal(fine.own, want[:, :S, :S]), (k, zero_tol)
+            got = {(int(i), int(j)): window
+                   for positive, wa, wb, ring, _ in adm._windows(fine, Q)
+                   for window, i, j in zip(positive, wa, wb) if ring == 1}
+            kept = {(int(i), int(j)): block
+                    for i, j, block in zip(fine.a, fine.b, want)
+                    if coll is NOTCH or not _is_staircase(block)}
+            assert got.keys() == kept.keys(), (k, zero_tol)
+            for key, block in kept.items():
+                assert np.array_equal(got[key], block), (k, zero_tol, key)
+                far += Q - 1 in key
+    assert seen == {2, 4, 8} and far > 1000
 
 
 def _count_builds(monkeypatch) -> list:

@@ -239,7 +239,7 @@ class TestCornerProof:
         r = draw_realization(trig_coeffs(2, 3), seed)
         M, D, S = 8, 5, 8
         G = M << (D + 1)
-        A = fields._lattice_table(r.coeffs.L, r.coeffs.K, G)
+        A, blocks = fields._lattice_table(r.coeffs.L, r.coeffs.K, G, S)
         for zero_tol in (1e-3, default_zero_tol(r.coeffs)):
             own = adm._fine_pass(r, M, D, zero_tol).level
             halo = adm._fine_pass(r, M, D, zero_tol, NOTCH).level
@@ -249,8 +249,8 @@ class TestCornerProof:
             for reach, decided in ((0, own), (1, halo)):
                 a, b = np.nonzero(decided)
                 size = (2 * reach + 1) * S + 1
-                classify = fields._window_classifier(r, A, A, size, zero_tol)
-                positive, flagged = classify((a - reach) * S, (b - reach) * S)
+                classify = fields._window_classifier(r, A, blocks, zero_tol)
+                positive, flagged = classify(a - reach, b - reach, size, size)
                 assert not flagged.any()
                 sign = (decided[a, b] > 0)[:, None, None]
                 assert np.array_equal(positive,
@@ -261,38 +261,56 @@ class TestCornerProof:
         xs = np.linspace(0, r.coeffs.L, 40)
         i, j = np.array([0, 5, 5, 37]), np.array([3, 0, 20, 37])
         A = table(r, xs)
-        positive, flagged = fields._window_classifier(r, A, A, 3, 0.5)(i, j)
         values = evaluate_grid_2d(r, xs, xs)
-        for w in range(len(i)):
-            block = values[i[w]:i[w] + 3, j[w]:j[w] + 3]
-            assert np.array_equal(positive[w], block > 0.5)
-            assert np.array_equal(flagged[w], np.abs(block) <= 0.5)
+        for width in (1, 3, 4):
+            classify = fields._window_classifier(
+                r, A, fields._column_blocks(A, width), 0.5)
+            for rows, cols in ((3, 3), (1, 3), (3, 1), (2, 9), (4, 4)):
+                a, b = i // width, j // width
+                inside = ((a * width + rows <= len(xs))
+                          & (b * width + cols <= len(xs)))
+                a, b = a[inside], b[inside]
+                positive, flagged = classify(a, b, rows, cols)
+                assert positive.shape == flagged.shape == (len(a), rows, cols)
+                for w in range(len(a)):
+                    x, y = a[w] * width, b[w] * width
+                    block = values[x:x + rows, y:y + cols]
+                    assert np.array_equal(positive[w], block > 0.5)
+                    assert np.array_equal(flagged[w], np.abs(block) <= 0.5)
 
 
 class TestLatticeTables:
-    """The cached trig tables A(x) of the lattices arange(n + 1) * (L / n)."""
+    """The cached trig tables A(x) of the lattices arange(n + 1) * (L / n),
+    with their transposes in blocks of columns."""
 
     @pytest.mark.parametrize("L, K, n", [(2 * np.pi, 3, 4096), (2 * np.pi, 3, 8),
                                          (3.7, 5, 96), (1.0, 2, 1)])
     def test_equals_a_fresh_table(self, L, K, n):
         fields._lattice_table.cache_clear()
-        cold = fields._lattice_table(L, K, n)
-        warm = fields._lattice_table(L, K, n)
-        assert warm is cold
-        fresh = fields._trig_block(L, K, np.arange(n + 1) * (L / n))
-        assert cold.shape == (n + 1, 2 * (K + 1))
-        assert np.array_equal(cold, fresh)
+        for width in (1, 8):
+            cold, cold_blocks = fields._lattice_table(L, K, n, width)
+            warm, warm_blocks = fields._lattice_table(L, K, n, width)
+            assert warm is cold and warm_blocks is cold_blocks
+            fresh = fields._trig_block(L, K, np.arange(n + 1) * (L / n))
+            assert cold.shape == (n + 1, 2 * (K + 1))
+            assert np.array_equal(cold, fresh)
+            assert cold_blocks.flags.c_contiguous
+            assert cold_blocks.shape == (-(-(n + 1) // width), 2 * (K + 1),
+                                         width)
+            columns = np.concatenate(list(cold_blocks), axis=1)
+            assert np.array_equal(columns[:, :n + 1], fresh.T)
+            assert not columns[:, n + 1:].any()
 
     def test_read_only(self):
-        table = fields._lattice_table(2 * np.pi, 3, 16)
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0] = 1.0
+        for table in fields._lattice_table(2 * np.pi, 3, 16):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
 
     def test_keyed_by_period_and_degree(self):
-        base = fields._lattice_table(2 * np.pi, 3, 32)
-        other_L = fields._lattice_table(3.7, 3, 32)
-        other_K = fields._lattice_table(2 * np.pi, 4, 32)
+        base = fields._lattice_table(2 * np.pi, 3, 32)[0]
+        other_L = fields._lattice_table(3.7, 3, 32)[0]
+        other_K = fields._lattice_table(2 * np.pi, 4, 32)[0]
         assert other_L is not base and other_K is not base
         assert not np.array_equal(other_L, base)
         assert other_K.shape == (33, 10)
@@ -307,7 +325,7 @@ class TestLatticeTables:
         r = draw_realization(trig_coeffs(2, 3), seed)
         L, G = r.coeffs.L, 1024
         xs = np.arange(G + 1) * (L / G)
-        fine = fields._lattice_table(L, 3, G)[::8]
+        fine = fields._lattice_table(L, 3, G)[0][::8]
         A = fields._trig_block(L, 3, xs[::8])
         got = [u.copy() for _, u in fields._grid_bands(r, fine, fine)]
         want = [u.copy() for _, u in fields._grid_bands(r, A, A)]
@@ -320,10 +338,10 @@ class TestLatticeTables:
         lattice of n / 2^p steps, bit for bit, since fl(L / (2^p m)) =
         fl(L / m) / 2^p: validate_2d reads coarser lattices from the
         finest one's pass."""
-        fine = fields._lattice_table(L, 3, 4096)
+        fine = fields._lattice_table(L, 3, 4096)[0]
         for n in (2048, 1024, 512, 8):
             assert np.array_equal(fine[::4096 // n],
-                                  fields._lattice_table(L, 3, n)), n
+                                  fields._lattice_table(L, 3, n)[0]), n
 
     def test_bounded(self):
         assert fields._lattice_table.cache_info().maxsize >= 8
