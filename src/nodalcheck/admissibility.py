@@ -5,18 +5,14 @@ midpoints, center).  A stencil of strict signs is encoded as a 9-bit
 integer (bit i set iff position i is positive, row-major), and each
 pattern library is compiled to a 512-entry lookup table, so dyadic
 sweeps over millions of subsquares reduce to strided slicing plus a
-table lookup.  Subsquares that their four corner values and a bound on
-the curvature prove sign-definite hold only the uniform codes 0 and 511,
-which no pattern may forbid, so the whole-grid check evaluates and
-sweeps only the rest.  Of those it sweeps only the windows whose signs
-are not a *staircase*, monotone in one direction along every row and in
-one along every column: every stencil in a staircase window is a
-staircase code, and the shipped library forbids none of these 66 codes
-(``PatternCollection.staircases_admissible``).  A library that forbids
-one, as a ``$NODALCHECK_PATTERNS`` file may, gets the full sweep.
-In 1D the sweep visits only the grid intervals in which the fine samples
-change sign twice or touch zero, since no other can hold a double
-crossover.
+table lookup.  No pattern collection forbids a *staircase* code or an
+I code with two adjacent rows or columns of one sign
+(:class:`PatternCollection`), so the whole-grid check evaluates and
+sweeps neither the subsquares that their four corner values and a bound
+on the curvature prove sign-definite nor the windows whose signs are a
+staircase.  In 1D the sweep visits only the grid intervals in which the
+fine samples change sign twice or touch zero, since no other can hold a
+double crossover.
 
 Admissibility in the source definitions quantifies over all dyadic
 levels; a machine checks finitely many, so ``Certified`` here always
@@ -27,14 +23,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
 
-from .fields import (_BAND_ROWS, Realization1D, Realization2D, _grid_bands,
-                     _lattice_table, _window_classifier, classify_grid_2d,
-                     evaluate_grid_1d)
+from .fields import (_BAND_ROWS, Realization1D, Realization2D,
+                     _check_zero_tol, _grid_bands, _lattice_table,
+                     _window_classifier, classify_grid_2d, evaluate_grid_1d)
 
 __all__ = [
     "SignPattern",
@@ -67,7 +63,7 @@ _B_BIT, _I_BIT = 1, 2  # bits of PatternCollection.code_table
 
 # entry (c, r, k): the sign bit of point (r, k) in stencil code c
 _STENCIL_BITS = ((np.arange(512)[:, None] >> np.arange(9)) & 1).reshape(
-    512, 3, 3)
+    512, 3, 3).astype(bool)
 
 
 # the dihedral group of the square acting on row-major 3x3 positions
@@ -192,11 +188,41 @@ class PatternLibrary:
 
 @dataclass(frozen=True)
 class PatternCollection:
-    """The three libraries B, I4, I5 plus the combined interior library."""
+    """The three libraries B, I4, I5 plus the combined interior library.
+
+    ``validate_2d`` skips stencils that it takes as admissible, so every
+    collection must satisfy two rules, checked when it is built
+    (``ValueError`` otherwise):
+
+    - No B- or I-forbidden code is a *staircase* code, one whose three
+      rows are all non-decreasing or all non-increasing, and whose
+      three columns are too; the uniform codes 0 and 511 are staircases.
+      A stencil row at any level is a subsequence, in index order, of a
+      row of the window it lies in, so a window whose rows and columns
+      are monotone in this way holds only staircase codes.
+    - No I-forbidden code has two adjacent rows or columns of one sign.
+      Every half-side shift of a subsquare keeps two adjacent rows (or
+      columns) of its stencil inside the subsquare, so a subsquare
+      sign-definite on its closed square holds no I-violation at any
+      depth, whatever lies around it.
+    """
 
     B: PatternLibrary
     I4: PatternLibrary
     I5: PatternLibrary
+
+    def __post_init__(self):
+        stencils = _STENCIL_BITS
+        if np.any(self.code_table[_staircase_blocks(stencils)]):
+            raise ValueError("a pattern forbids a staircase stencil, "
+                             "such as a uniform one")
+        pairs = (stencils[:, :2], stencils[:, 1:],
+                 stencils[:, :, :2], stencils[:, :, 1:])
+        uniform = np.any([p.min(axis=(1, 2)) == p.max(axis=(1, 2))
+                          for p in pairs], axis=0)
+        if np.any(self.code_table[uniform] & _I_BIT):
+            raise ValueError("an I pattern forbids a stencil with two "
+                             "adjacent rows or columns of one sign")
 
     @cached_property
     def I(self) -> PatternLibrary:
@@ -211,36 +237,6 @@ class PatternCollection:
                  | self.I.forbidden_table() * _I_BIT).astype(np.uint8)
         table.flags.writeable = False
         return table
-
-    @cached_property
-    def proven_blocks_admissible(self) -> bool:
-        """Whether no I-forbidden code has two adjacent rows or columns of one sign.
-
-        Every half-side shift of a subsquare keeps two adjacent rows (or
-        columns) of its stencil inside the subsquare.  When this holds, a
-        subsquare sign-definite on its closed square therefore holds no
-        I-violation at any depth, whatever lies around it.
-        """
-        stencils = _STENCIL_BITS
-        pairs = (stencils[:, :2], stencils[:, 1:],
-                 stencils[:, :, :2], stencils[:, :, 1:])
-        uniform = np.any([p.min(axis=(1, 2)) == p.max(axis=(1, 2))
-                          for p in pairs], axis=0)
-        return not np.any(self.code_table[uniform] & _I_BIT)
-
-    @cached_property
-    def staircases_admissible(self) -> bool:
-        """Whether no B- or I-forbidden code is a staircase code.
-
-        A staircase code has its three rows all non-decreasing or all
-        non-increasing, and the same for its three columns.  A stencil
-        row at any level is a subsequence, in index order, of a row of
-        the window it lies in, so when the window's rows and columns are
-        monotone in this way every stencil in it is a staircase code.
-        When this holds, such a window holds no violation at any depth.
-        """
-        staircase = _staircase_blocks(_STENCIL_BITS.astype(bool))
-        return not np.any(self.code_table[staircase])
 
 
 @dataclass(frozen=True)
@@ -357,7 +353,8 @@ def load_patterns(text: str) -> PatternCollection:
     The file holds blocks ``#<lib>:<id>`` followed by three lines of
     three characters from ``{+, -, .}``; lines starting with ``//`` are
     comments.  A checksum mismatch rejects the whole file, since it
-    means the transcription is wrong.
+    means the transcription is wrong; it is checked before the rules of
+    :class:`PatternCollection`.
     """
     lines = [ln.rstrip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("//")]
@@ -388,24 +385,17 @@ def load_patterns(text: str) -> PatternCollection:
                 f"library {lib} has {len(by_lib[lib])} base patterns, expected {want}"
             )
 
-    coll = PatternCollection(
-        B=PatternLibrary.build("B", by_lib["B"]),
-        I4=PatternLibrary.build("I4", by_lib["I4"]),
-        I5=PatternLibrary.build("I5", by_lib["I5"]),
-    )
-    checks = [
-        (coll.B, CHECKSUM_B),
-        (coll.I4, CHECKSUM_I4),
-        (coll.I, CHECKSUM_I),
-    ]
-    for lib, want in checks:
-        got = count_surviving(lib)
+    libs = {lib: PatternLibrary.build(lib, by_lib[lib]) for lib in by_lib}
+    libs["I"] = PatternLibrary.build("I", by_lib["I4"] + by_lib["I5"])
+    for lib, want in (("B", CHECKSUM_B), ("I4", CHECKSUM_I4),
+                      ("I", CHECKSUM_I)):
+        got = count_surviving(libs[lib])
         if got != want:
             raise ValueError(
-                f"pattern library {lib.name} checksum mismatch: "
+                f"pattern library {lib} checksum mismatch: "
                 f"{got} surviving stencils, expected {want}"
             )
-    return coll
+    return PatternCollection(B=libs["B"], I4=libs["I4"], I5=libs["I5"])
 
 
 @lru_cache(maxsize=1)
@@ -593,8 +583,7 @@ def validate_1d(r: Realization1D, M: int, D: int, zero_tol: float = 0.0) -> Vali
         raise ValueError("M must be at least 1")
     if D < 0:
         raise ValueError("depth D must be nonnegative")
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
+    _check_zero_tol(zero_tol)
     unit = 1 << (D + 1)
     v = evaluate_grid_1d(r, M * unit)
     grid_vals = v[::unit]
@@ -702,28 +691,24 @@ def _windows(fine: _FinePass, per_square: int):
     """Yield ``(positive, a, b, ring, margin)``: stacks of windows for ``_sweep``.
 
     The windows are the level-n0 subsquares (a, b) that ``fine.level``
-    leaves undecided, S fine steps wide, ``per_square`` of them across a
-    grid square.  ``fine.own`` holds their evaluated half-open blocks and
-    ``fine.edge`` the lattice's far row and column; every other block is
-    constant, the sign of ``level``.  B windows are the subsquares of
-    boundary grid squares, their closed blocks alone.  A closed block is
-    read from the 2S x 2S mosaic of the block and the three after it, or,
-    past the lattice's last subsquares, from its far row and column.  I
-    windows are the subsquares of interior grid squares, with S/2 margins
-    that are read from the 3S x 3S mosaic of the block and its eight
-    neighbours.  A proven neighbour reads as its constant sign, which its
-    proof holds on its closed square.
+    leaves undecided and that are not staircases, S fine steps wide,
+    ``per_square`` of them across a grid square.  ``fine.own`` holds
+    their evaluated half-open blocks and ``fine.edge`` the lattice's far
+    row and column; every other block is constant, the sign of
+    ``level``.  B windows are the subsquares of boundary grid squares,
+    their closed blocks alone.  A closed block is read from the 2S x 2S
+    mosaic of the block and the three after it, or, past the lattice's
+    last subsquares, from its far row and column.  I windows are the
+    subsquares of interior grid squares, with S/2 margins that are read
+    from the 3S x 3S mosaic of the block and its eight neighbours.  A
+    proven neighbour reads as its constant sign, which its proof holds
+    on its closed square.
 
-    When the library forbids no staircase code
-    (``PatternCollection.staircases_admissible``), only the windows that
-    are not staircases are yielded.  A B window is tested on its closed
+    A staircase holds only staircase codes, which no collection forbids
+    (:class:`PatternCollection`).  A B window is tested on its closed
     block, an I window on its 3S x 3S mosaic (:func:`_staircases`), a
-    superset of the points the sweep reads.  A stencil row at any level
-    is a subsequence, in index order, of a row of the window, so it is
-    monotone the window row's way, and likewise for columns: every code
-    the sweep would look up in a staircase is a staircase code.  The
-    test runs here, at the window stage, and never in the fine pass
-    that every trial builds.
+    superset of the points the sweep reads.  The test runs here, at the
+    window stage, and never in the fine pass that every trial builds.
     """
     level, a, b, own, S = fine.level, fine.a, fine.b, fine.own, fine.S
     Q, n = len(level), len(a)
@@ -751,15 +736,13 @@ def _windows(fine: _FinePass, per_square: int):
         return (t >= per_square) & (t < Q - per_square)
 
     inner = interior(a) & interior(b)
-    skip_staircases = fine.coll.staircases_admissible
     outer = np.flatnonzero(~inner)
     near = np.arange(2)
     closed = _mosaics(block_rows, index[near[:, None, None] + a[outer],
                                         near[:, None] + b[outer]])
     closed = closed[:, :S + 1, :S + 1]
-    if skip_staircases:
-        kept = ~_staircase_blocks(closed)
-        outer, closed = outer[kept], closed[kept]
+    kept = ~_staircase_blocks(closed)
+    outer, closed = outer[kept], closed[kept]
     for k in range(0, len(outer), _WINDOWS):
         sel = outer[k:k + _WINDOWS]
         yield closed[k:k + _WINDOWS], a[sel], b[sel], 1, 0
@@ -768,11 +751,9 @@ def _windows(fine: _FinePass, per_square: int):
     near = np.arange(-1, 2)
     # nbrs[i, j, w]: block (i, j) of window w's 3 x 3 neighbourhood
     nbrs = index[near[:, None, None] + ia, near[:, None] + ib]
-    if skip_staircases:
-        # no interior neighbourhood reaches the far row and column
-        flags = _block_flags(blocks[:n + 2])
-        swept = np.flatnonzero(~_staircases(flags, nbrs))
-        ia, ib, nbrs = ia[swept], ib[swept], nbrs[..., swept]
+    # no interior neighbourhood reaches the far row and column
+    swept = np.flatnonzero(~_staircases(_block_flags(blocks[:n + 2]), nbrs))
+    ia, ib, nbrs = ia[swept], ib[swept], nbrs[..., swept]
     window = slice(S // 2, S // 2 + 2 * S + 1)
     for k in range(0, len(ia), _WINDOWS):
         mosaic = _mosaics(block_rows, nbrs[..., k:k + _WINDOWS])
@@ -780,15 +761,12 @@ def _windows(fine: _FinePass, per_square: int):
                ib[k:k + _WINDOWS], 0, S // 2)
 
 
-def _lattice(M: int, D: int, coll: PatternCollection) -> tuple:
+def _lattice(M: int, D: int) -> tuple:
     """(S, G) of ``validate_2d(r, M, D)``, after checking its arguments."""
     if M < 3:
         raise ValueError("M must be at least 3 so that interior squares exist")
     if D < 0:
         raise ValueError("depth D must be nonnegative")
-    if coll.code_table[0] or coll.code_table[511]:
-        raise ValueError("a pattern forbids a uniform stencil, so sign-definite "
-                         "subsquares cannot be skipped")
     unit = 1 << (D + 1)
     return min(_PRUNE_STEPS, unit), M * unit
 
@@ -809,8 +787,7 @@ def _corner_proof(r: Realization2D, grid: np.ndarray, delta: float,
     with one sign; a NaN corner is never decided.  Band by band, with the
     last row of the band before, so no float grid of the full size forms.
     """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
+    _check_zero_tol(zero_tol)
     H11, H22 = r.hessian_bounds
     margin = (delta * delta * (H11 + H22) / 8 + zero_tol
               + 2.0 * r.rounding_bound)
@@ -824,34 +801,13 @@ def _corner_proof(r: Realization2D, grid: np.ndarray, delta: float,
         np.greater(values, zero_tol, out=coarse[rows])
         np.greater(values, margin, out=corners[0, 1:k + 1])
         np.less(values, -margin, out=corners[1, 1:k + 1])
-        up, down = _fold(corners[:, top:k + 1], np.minimum, 2)
+        signs = corners[:, top:k + 1]
+        pairs = signs[:, :-1] & signs[:, 1:]  # corner above and below
+        up, down = pairs[..., :-1] & pairs[..., 1:]
         np.subtract(up, down, out=proven[rows.start + top - 1:rows.stop - 1],
                     dtype=np.int8)
         corners[:, 0] = corners[:, k]
     return coarse, proven
-
-
-def _fold(signs: np.ndarray, extreme, width: int) -> np.ndarray:
-    """``extreme`` of ``signs[..., i + k, j + l]``, k, l < width."""
-    m, n = (size - width + 1 for size in signs.shape[-2:])
-    rows = reduce(extreme, [signs[..., k:k + m, :] for k in range(width)])
-    return reduce(extreme, [rows[..., k:k + n] for k in range(width)])
-
-
-def _level(proven: np.ndarray, coll: PatternCollection) -> np.ndarray:
-    """The signs the sweep takes as given on the cells of ``proven``.
-
-    When the library forbids a stencil a proven subsquare can hold
-    (``PatternCollection.proven_blocks_admissible`` is False), a cell keeps
-    its sign only if its 8 neighbours, undecided beyond the edges, carry
-    it too: they cover a halo of a whole cell, more than the half-side
-    shifts reach.
-    """
-    if coll.proven_blocks_admissible:
-        return proven
-    padded = np.pad(proven, 1)
-    lo, hi = _fold(padded, np.minimum, 3), _fold(padded, np.maximum, 3)
-    return np.where(lo == hi, lo, 0)
 
 
 @dataclass(eq=False)
@@ -859,8 +815,8 @@ class _FinePass:
     """The fine classification of one realization on the lattice of G steps.
 
     ``coarse`` is u > zero_tol on every S-th fine point, the corners of
-    the subsquares S fine steps wide.  ``level`` is the sign the sweep
-    takes as given on each subsquare (0: undecided, :func:`_level`),
+    the subsquares S fine steps wide.  ``level`` is the sign
+    :func:`_corner_proof` proves on each subsquare (0: undecided),
     ``a, b`` the subsquares it leaves undecided (those of the last row or
     column of subsquares after the others) and ``own`` their evaluated
     half-open S x S blocks (u > zero_tol), without the closing row and
@@ -881,7 +837,6 @@ class _FinePass:
 
     r: Realization2D
     zero_tol: float
-    coll: PatternCollection
     G: int
     S: int
     coarse: np.ndarray
@@ -892,8 +847,7 @@ class _FinePass:
     edge: np.ndarray
     zeros: np.ndarray
 
-    def nest(self, r, zero_tol: float, n: int,
-             coll: PatternCollection | None = None) -> int:
+    def nest(self, r, zero_tol: float, n: int) -> int:
         """The power of two c with n c = G, or 0 if there is none.
 
         With c > 0 the lattice of n steps is every c-th point of this
@@ -901,19 +855,17 @@ class _FinePass:
         this pass's trig table is row i of that lattice's.  Its
         zero-flagged points number ``zeros[log2 c]``, since a proven
         subsquare holds none.  Raises ``ValueError`` when the pass
-        belongs to another realization or ``zero_tol``, or, if ``coll``
-        is given, to another pattern collection.
+        belongs to another realization or ``zero_tol``.
         """
-        if (self.r is not r or self.zero_tol != zero_tol
-                or coll is not None and self.coll is not coll):
-            raise ValueError("the fine pass belongs to another realization, "
-                             "zero_tol or pattern collection")
+        if self.r is not r or self.zero_tol != zero_tol:
+            raise ValueError("the fine pass belongs to another realization "
+                             "or zero_tol")
         c = self.G // n if self.G % n == 0 else 0
         return 0 if c & (c - 1) else c
 
 
-def _fine_pass(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
-               patterns: PatternCollection | None = None) -> _FinePass:
+def _fine_pass(r: Realization2D, M: int, D: int,
+               zero_tol: float = 0.0) -> _FinePass:
     """The fine classification ``validate_2d(r, M, D, zero_tol)`` reads.
 
     Each undecided subsquare is evaluated on its half-open S x S block,
@@ -922,12 +874,10 @@ def _fine_pass(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     once: the closing row and column of a block are the first of the
     next one's.
     """
-    coll = patterns or default_patterns()
-    S, G = _lattice(M, D, coll)
+    S, G = _lattice(M, D)
     table, blocks = _lattice_table(r.coeffs.L, r.coeffs.K, G, S)
-    coarse, proven = _corner_proof(r, table[::S], S * (r.coeffs.L / G),
-                                   zero_tol)
-    level = _level(proven, coll)
+    coarse, level = _corner_proof(r, table[::S], S * (r.coeffs.L / G),
+                                  zero_tol)
     last = len(level) - 1
     # the undecided subsquares by the window each is evaluated on: those
     # clear of the last row and column of subsquares, then those of the
@@ -965,8 +915,7 @@ def _fine_pass(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
                 xy = (x[w] + i) | (y[w] + j)
                 zeros += [np.count_nonzero(xy & ((1 << p) - 1) == 0)
                           for p in range(len(zeros))]
-    return _FinePass(r, zero_tol, coll, G, S, coarse, level, a, b, own, edge,
-                     zeros)
+    return _FinePass(r, zero_tol, G, S, coarse, level, a, b, own, edge, zeros)
 
 
 def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
@@ -991,27 +940,17 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     the subsquares beside them.  That gives the exact zero-flag count,
     and levels n0..D are swept on windows around those subsquares alone,
     whose closed blocks and margins are read from their neighbours'
-    blocks (:func:`_windows`).
-    Every half-side shift keeps two adjacent rows or columns of its
-    stencil inside the subsquare, so a proven subsquare and its
-    descendants hold only the uniform stencils and stencils with two
-    uniform rows or columns.  A proven subsquare is therefore skipped
-    when the library forbids none of the latter
-    (``PatternCollection.proven_blocks_admissible``), and otherwise only
-    when its 8 neighbours, which cover the S/2 halo the shifts reach,
-    are proven with its sign too.  Of the undecided subsquares, those
-    whose window is a staircase (rows all non-decreasing or all
-    non-increasing, and columns too) hold only staircase codes at every
-    level; they are skipped when the library forbids none of those
-    (``PatternCollection.staircases_admissible``, see :func:`_windows`),
-    and swept otherwise.  The outcome is the full sweep's.
+    blocks (:func:`_windows`), except those whose window is a staircase.
+    The rules every :class:`PatternCollection` keeps make the proven
+    subsquares and the staircases admissible, so the outcome is the full
+    sweep's.
 
     The proof, the coarse grid, the evaluated subsquares and the zero
-    flags come from one fine pass, built here unless ``fine`` is given.
-    A pass of the same realization, ``zero_tol`` and patterns on a
-    lattice of c G steps, c a power of two, serves this call, so that
-    several M of one experiment share the finest M's pass.  Its lattice
-    nests this one bit for bit: fl(L / (c G)) = fl(L / G) / c, so row
+    flags come from one fine pass, built here unless ``fine`` is given;
+    the pass does not depend on ``patterns``.  A pass of the same
+    realization and ``zero_tol`` on a lattice of c G steps, c a power of
+    two, serves this call, so that several M of one experiment share the
+    finest M's pass.  Its lattice nests this one bit for bit: fl(L / (c G)) = fl(L / G) / c, so row
     c i of its trig table is row i of this one's.  The zero count is
     then that of its flagged points with both indices multiples of c
     (a proven subsquare holds none), and the coarse grid is every c-th
@@ -1019,14 +958,13 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     does this call build its own pass, about 1/c^2 the cost of the given
     one, for the proven subsquares and the windows.  A pass on any other
     lattice, or with another S, is not used: this call builds its own.
-    A pass of another realization, ``zero_tol`` or pattern collection
-    raises ``ValueError``.
+    A pass of another realization or ``zero_tol`` raises ``ValueError``.
     """
     coll = patterns or default_patterns()
-    S, G = _lattice(M, D, coll)
-    c = 0 if fine is None else fine.nest(r, zero_tol, G, coll)
+    S, G = _lattice(M, D)
+    c = 0 if fine is None else fine.nest(r, zero_tol, G)
     if not c or fine.S != S:
-        fine, c = _fine_pass(r, M, D, zero_tol, coll), 1
+        fine, c = _fine_pass(r, M, D, zero_tol), 1
     zeros = int(fine.zeros[c.bit_length() - 1])
     if zeros:
         return ValidationOutcome(DEGENERATE, D, zero_flag_count=zeros)
@@ -1040,7 +978,7 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     if found and not collect_all:
         return _verdict(D, found)
     if c > 1:
-        fine = _fine_pass(r, M, D, zero_tol, coll)
+        fine = _fine_pass(r, M, D, zero_tol)
     depth = S.bit_length() - 2  # window levels 0..depth are n0..D
     for positive, wa, wb, ring, margin in _windows(fine, 1 << n0):
         found += [((int(wa[w]) >> n0, int(wb[w]) >> n0), n0 + n, pid)

@@ -16,8 +16,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fields import (Realization1D, Realization2D, _classify_grid,
-                     _json_object, _lattice_table, evaluate_grid_1d)
+from .fields import (Realization1D, Realization2D, _check_zero_tol,
+                     _classify_grid, _json_object, _lattice_table,
+                     evaluate_grid_1d)
 
 if TYPE_CHECKING:
     from .admissibility import _FinePass
@@ -104,12 +105,12 @@ def sign_grid(r, M: int, zero_tol: float = 0.0, *,
     pass's coarse grid.  The signs are those of a classification of the
     grid itself, bit for bit (``_FinePass.nest``).  Otherwise, with zero
     flags or off the nest, the grid is classified here.  A pass of
-    another realization or ``zero_tol`` raises ``ValueError``.
+    another realization or ``zero_tol`` raises ``ValueError``, and so
+    does a negative, NaN or infinite ``zero_tol``.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
+    _check_zero_tol(zero_tol)
     # every c-th point of the pass's coarse grid, c S fine steps apart
     c = 0 if fine is None else fine.nest(r, zero_tol, M) // fine.S
     if isinstance(r, Realization1D):

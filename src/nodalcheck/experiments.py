@@ -24,8 +24,8 @@ from .admissibility import (CERTIFIED, DEGENERATE, _fine_pass,
                             validate_2d)
 from .bounds import bound_1d_periodic, bound_2d_periodic
 from .cubical import sign_grid
-from .fields import (derive_seed, draw_realization, evaluate_grid_1d,
-                     jet_1d, spectral_moments, trig_coeffs)
+from .fields import (_check_zero_tol, derive_seed, draw_realization,
+                     evaluate_grid_1d, jet_1d, spectral_moments, trig_coeffs)
 from .homology import (betti_pair, default_reference_M, homology_match,
                        reference_betti)
 
@@ -83,6 +83,8 @@ class ExperimentConfig:
                 or isinstance(self.zero_tol, numbers.Real)
                 and not isinstance(self.zero_tol, bool)):
             raise ValueError("zero_tol must be a number or null")
+        if self.zero_tol is not None:
+            _check_zero_tol(self.zero_tol)
         if not (self.out is None or isinstance(self.out, str)):
             raise ValueError("out must be a path or null")
         if self.trials < 1:

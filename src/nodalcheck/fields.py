@@ -505,6 +505,13 @@ def classify_grid_2d(r: Realization2D, x1, x2, zero_tol: float) -> tuple:
     return _classify_grid(r, *_trig_blocks(r.coeffs, x1, x2), zero_tol)
 
 
+def _check_zero_tol(zero_tol: float) -> None:
+    """Raise ``ValueError`` unless ``zero_tol`` is finite and nonnegative;
+    a NaN or infinite tolerance would flag every point."""
+    if not 0 <= zero_tol < np.inf:
+        raise ValueError("zero_tol must be finite and nonnegative")
+
+
 def _classify_grid(r: Realization2D, A1, A2, zero_tol: float,
                    flagged: np.ndarray | None = None) -> tuple:
     """:func:`classify_grid_2d` on the tables A1 = A(x1) and A2 = A(x2).
@@ -512,8 +519,7 @@ def _classify_grid(r: Realization2D, A1, A2, zero_tol: float,
     If ``flagged`` is given, a boolean array of the grid's shape, it
     receives the zero-flag mask.
     """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
+    _check_zero_tol(zero_tol)
     positive = np.empty((len(A1), len(A2)), dtype=bool)
     negative = np.empty((min(len(A1), _BAND_ROWS), len(A2)), dtype=bool)
     zeros = 0
@@ -541,8 +547,7 @@ def _window_classifier(r: Realization2D, A1, blocks, zero_tol: float):
     strided view made once per window height, and a run of blocks, one
     contiguous block when the window is w columns wide.
     """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
+    _check_zero_tol(zero_tol)
     left = A1 @ r.weights
     _, depth, width = blocks.shape
 

@@ -90,9 +90,8 @@ class TestPatternLoading:
     def test_staircase_codes(self):
         """Exactly 66 codes have their three rows all non-decreasing or all
         non-increasing, and their columns too.  In the shipped file they
-        are the B survivors and lie inside the I survivors, so the window
-        sweep may skip staircases; the notch library forbids one."""
-        from test_equivalence import NOTCH
+        are the B survivors and lie inside the I survivors, so the
+        loader's checksums leave no room for a file that forbids one."""
 
         def one_way(lines):
             return (all(p <= q for line in lines for p, q in zip(line, line[1:]))
@@ -108,9 +107,24 @@ class TestPatternLoading:
         b_survivors = set(np.flatnonzero(~COLL.B.forbidden_table()))
         i_survivors = set(np.flatnonzero(~COLL.I.forbidden_table()))
         assert staircases == b_survivors and staircases < i_survivors
-        assert COLL.staircases_admissible
-        assert not NOTCH.staircases_admissible
-        assert 0b011111111 in staircases  # the notch mask ++++++++-
+
+    @pytest.mark.parametrize("lib, mask, message", [
+        # ++++++++- is a staircase code; it is I-forbidden only here
+        ("I4", (1, 1, 1, 1, 1, 1, 1, 1, -1), "staircase"),
+        # ++- / ... / ... matches the staircase ++- / +-- / ---
+        ("B", (1, 1, -1, 0, 0, 0, 0, 0, 0), "staircase"),
+        # +++ / +++ / +-+ is no staircase, but two rows are all +
+        ("I4", (1, 1, 1, 1, 1, 1, 1, -1, 1), "adjacent rows"),
+    ], ids=["notch", "b-staircase", "i-two-rows"])
+    def test_collection_contract_enforced(self, lib, mask, message):
+        """A collection whose library forbids a stencil that the sweep
+        skips is refused when it is built."""
+        libs = {"B": COLL.B, "I4": COLL.I4, "I5": COLL.I5}
+        extra = SignPattern(mask=mask, id="extra")
+        libs[lib] = PatternLibrary.build(lib, libs[lib].base_patterns
+                                         + (extra,))
+        with pytest.raises(ValueError, match=message):
+            PatternCollection(**libs)
 
     def test_count_surviving_trivial(self):
         empty = PatternLibrary.build("empty", ())
@@ -292,6 +306,37 @@ def test_violation_budget():
         assert len(out.violations) <= budget * per_stencil_max
 
 
+_BAD_ZERO_TOLS = pytest.mark.parametrize(
+    "zero_tol", [-1e-9, np.nan, np.inf], ids=["negative", "nan", "inf"])
+
+
+@_BAD_ZERO_TOLS
+@pytest.mark.parametrize("entry", [
+    "validate_1d", "validate_2d", "b_admissible", "i_admissible",
+    "sign_grid_1d", "sign_grid_2d", "classify_grid_2d", "fine_pass"])
+def test_bad_zero_tol_rejected(entry, zero_tol):
+    """A negative, NaN or infinite tolerance is refused by every entry
+    point; NaN and infinity would otherwise flag every point."""
+    from nodalcheck.fields import classify_grid_2d
+    r1, r2 = cosine_1d(), draw_realization(trig_coeffs(2, 3), 1)
+    xs = np.linspace(0.0, r2.coeffs.L, 9)
+    calls = {
+        "validate_1d": lambda: validate_1d(r1, 10, 2, zero_tol),
+        "validate_2d": lambda: validate_2d(r2, 4, 2, zero_tol),
+        "b_admissible": lambda: b_admissible(r2, ((0.0, 0.0), 1.0), 2,
+                                             zero_tol),
+        "i_admissible": lambda: i_admissible(r2, ((1.0, 1.0), 1.0), 2,
+                                             zero_tol),
+        "sign_grid_1d": lambda: sign_grid(r1, 8, zero_tol),
+        "sign_grid_2d": lambda: sign_grid(r2, 8, zero_tol),
+        "classify_grid_2d": lambda: classify_grid_2d(r2, xs, xs, zero_tol),
+        "fine_pass": lambda: adm._fine_pass(r2, 4, 2, zero_tol),
+    }
+    with pytest.raises(ValueError, match="zero_tol must be finite and "
+                                         "nonnegative"):
+        calls[entry]()
+
+
 class TestValidate1D:
     def test_cosine_m3_certified(self):
         r = cosine_1d()
@@ -362,15 +407,15 @@ class TestValidate2D:
 
     def test_uniform_stencil_pattern_rejected(self):
         """Skipping sign-definite subsquares is sound only while codes 0
-        and 511 are admissible; a library forbidding one is refused."""
+        and 511 are admissible; a collection forbidding one is refused
+        when it is built."""
         assert not COLL.code_table[0] and not COLL.code_table[511]
         plus = SignPattern(mask=(1,) * 9, id="all-plus")
         # built by hand, so the checksums of load_patterns do not apply
-        coll = PatternCollection(B=PatternLibrary.build("B", (plus,)),
-                                 I4=COLL.I4, I5=COLL.I5)
-        assert coll.code_table[511] and coll.code_table[0]  # polarity closure
-        with pytest.raises(ValueError, match="uniform stencil"):
-            validate_2d(constant_2d(), M=4, D=2, patterns=coll)
+        lib = PatternLibrary.build("B", (plus,))
+        assert lib.forbidden_table()[[0, 511]].all()  # polarity closure
+        with pytest.raises(ValueError, match="staircase"):
+            PatternCollection(B=lib, I4=COLL.I4, I5=COLL.I5)
 
     def test_memory_bounded(self):
         """No fine-grid-sized array: at M = 64, D = 6 the dense sweep's

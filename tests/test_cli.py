@@ -422,6 +422,17 @@ class TestZeroTol:
         assert code == EXIT_OK
         assert json.loads(out)["rows"][0][0] == "+"
 
+    @pytest.mark.parametrize("command", ["grid", "betti", "validate"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.001"])
+    def test_bad_zero_tol_is_an_error(self, capsys, near_zero, command,
+                                      value):
+        """A tolerance that would flag every point is bad input (exit 1),
+        not an outcome: no grid of zeros, no Degenerate verdict."""
+        _, path = near_zero
+        code, out = run(capsys, command, "--realization", path, "--M", "8",
+                        "--zero-tol", value)
+        assert code == EXIT_ERROR and out == ""
+
     def test_help_names_default(self, capsys):
         with pytest.raises(SystemExit):
             main(["validate", "--help"])

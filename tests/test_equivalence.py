@@ -26,10 +26,9 @@ import oracles
 from nodalcheck import admissibility as adm
 from nodalcheck import cubical, experiments, fields
 from nodalcheck.admissibility import (PatternCollection, PatternLibrary,
-                                      SignPattern, b_admissible,
-                                      default_patterns, i_admissible,
-                                      interval_admissible, validate_1d,
-                                      validate_2d)
+                                      b_admissible, default_patterns,
+                                      i_admissible, interval_admissible,
+                                      validate_1d, validate_2d)
 from nodalcheck.cubical import SignGrid, cubical_approx, sign_grid
 from nodalcheck.experiments import default_zero_tol
 from nodalcheck.fields import (CoeffSeq1D, CoeffSeq2D, Realization1D,
@@ -133,58 +132,6 @@ def test_validate_2d_cold_and_warm_tables():
             assert cold == warm == want, (r.seed, r.coeffs.L, M, D)
 
 
-# With the shipped library no I-forbidden stencil has two uniform adjacent
-# rows or columns, so a subsquare whose own block is sign-definite never
-# violates.  This hand-built library forbids such a stencil (two rows of +,
-# a sign change in the third), which makes those subsquares' half-side
-# shifts matter; only the halo rule of the proof covers them.
-NOTCH = PatternCollection(
-    B=COLL.B,
-    I4=PatternLibrary.build("I4", COLL.I4.base_patterns + (SignPattern(
-        mask=(1, 1, 1, 1, 1, 1, 1, 1, -1), id="notch"),)),
-    I5=COLL.I5)
-
-
-def test_pruned_matches_dense_with_halo_patterns():
-    for seed in range(10):
-        r = draw_realization(trig_coeffs(2, 3), seed)
-        zero_tol = default_zero_tol(r.coeffs)
-        for collect_all in (False, True):
-            got = validate_2d(r, 4, 6, zero_tol, collect_all, patterns=NOTCH)
-            want = oracles.validate_2d_dense(r, 4, 6, zero_tol, collect_all,
-                                             NOTCH)
-            assert got == want, (seed, collect_all)
-
-
-def test_proven_blocks_skip_i_windows(monkeypatch):
-    """The shipped library lets the sweep skip interior subsquares proven
-    on their own square; the notch library sweeps those not proven on
-    their halo, a superset.  Counted before the staircase filter, which
-    the notch library does not run, so that only the proof differs."""
-    assert COLL.proven_blocks_admissible
-    assert not NOTCH.proven_blocks_admissible
-    monkeypatch.setattr(adm, "_staircases",
-                        lambda flags, nbrs: np.zeros(nbrs.shape[-1], bool))
-    swept = []
-    windows = adm._windows
-
-    def counting(*args):
-        for stack in windows(*args):
-            _, wa, _, ring, _ = stack
-            swept.append(0 if ring else len(wa))
-            yield stack
-
-    monkeypatch.setattr(adm, "_windows", counting)
-    r = draw_realization(trig_coeffs(2, 3), 1003)
-    zero_tol = default_zero_tol(r.coeffs)
-    counts = []
-    for coll in (COLL, NOTCH):
-        swept.clear()
-        validate_2d(r, 32, 6, zero_tol, collect_all=True, patterns=coll)
-        counts.append(sum(swept))
-    assert 0 < counts[0] < 0.6 * counts[1], counts
-
-
 def test_first_violating_level_across_window_stacks():
     """Boundary windows are swept before interior ones.  Boundary square
     (4, 3) first violates at level 2, interior squares at level 0, so
@@ -279,8 +226,8 @@ def _synthetic_pass(points, level, S):
         edge[side, :-1][proven] = np.repeat(signs > 0, S)[proven]
     if level[-1, -1]:
         edge[:, -1] = level[-1, -1] > 0
-    return adm._FinePass(None, 0.0, COLL, Q * S, S, None, level, a, b, own,
-                         edge, None)
+    return adm._FinePass(None, 0.0, Q * S, S, None, level, a, b, own, edge,
+                         None)
 
 
 def _read(fine):
@@ -463,25 +410,6 @@ def test_staircase_test_runs_only_at_the_window_stage(monkeypatch):
     assert per_trial.count(()) == 39
 
 
-def test_notch_library_sweeps_every_undecided_window(monkeypatch):
-    """The notch library forbids a staircase, so the window stage sweeps
-    every subsquare its pass leaves undecided, as without the filter."""
-    assert not NOTCH.staircases_admissible  # cached before the patch below
-    for name in ("_staircases", "_staircase_blocks", "_block_flags"):
-        monkeypatch.setattr(adm, name, None)  # a call would raise
-    swept = _count_swept(monkeypatch)
-    for seed in NESTED_SEEDS[:5]:
-        r = draw_realization(trig_coeffs(2, 3), seed)
-        zero_tol = default_zero_tol(r.coeffs)
-        swept.clear()
-        out = validate_2d(r, 16, 6, zero_tol, collect_all=True,
-                          patterns=NOTCH)
-        fine = adm._fine_pass(r, 16, 6, zero_tol, NOTCH)
-        assert sum(n for _, n in swept) == len(fine.a) > 0, seed
-        assert out == oracles.validate_2d_dense(r, 16, 6, zero_tol, True,
-                                                NOTCH)
-
-
 def test_staircase_pruning_matches_dense_on_pool():
     """The 60 trials of the criterion-6 pool at M = 32, D = 6."""
     coeffs = trig_coeffs(2, 3)
@@ -524,7 +452,7 @@ def _read_from_pass(r, M_max, D, zero_tol, coll=COLL):
     """``{(M, collect_all): outcome}`` at every M = M_max / 2^p >= 3, all
     read from one fine pass at M_max, each checked against a standalone
     call."""
-    fine = adm._fine_pass(r, M_max, D, zero_tol, coll)
+    fine = adm._fine_pass(r, M_max, D, zero_tol)
     got = {}
     M = M_max
     while M >= 3:
@@ -563,18 +491,6 @@ def test_fine_pass_matches_dense():
                 assert out == want, (seed, M, zero_tol, collect_all)
                 nested_certified += M < M_max and out.certified
     assert nested_certified > 10
-
-
-def test_fine_pass_with_halo_patterns():
-    """The notch library proves subsquares on their halo."""
-    for seed in NESTED_SEEDS[:20]:
-        r = draw_realization(trig_coeffs(2, 3), seed)
-        zero_tol = default_zero_tol(r.coeffs)
-        got = _read_from_pass(r, 16, 4, zero_tol, NOTCH)
-        for (M, collect_all), out in got.items():
-            want = oracles.validate_2d_dense(r, M, 4, zero_tol, collect_all,
-                                             NOTCH)
-            assert out == want, (seed, M, collect_all)
 
 
 @pytest.mark.parametrize("M_max", [16, 32, 64])
@@ -664,12 +580,11 @@ def test_fine_pass_evaluates_each_point_once(monkeypatch):
     assert total == 287_178 * 64 + 8_362
 
 
-@pytest.mark.parametrize("coll", [COLL, NOTCH], ids=["shipped", "notch"])
-def test_closed_b_blocks_match_closed_classifier(coll):
+def test_closed_b_blocks_match_closed_classifier():
     """Every subsquare is a B window when a grid square holds all of
     them.  Its closed block, read from the half-open blocks after it and
     the far row and column, is the (S + 1)^2 block evaluated whole, bit
-    for bit; the shipped library skips the staircases among them."""
+    for bit; the staircases among them are skipped."""
     rng = np.random.default_rng(20)
     seen, far = set(), 0
     for k in range(200):
@@ -677,7 +592,7 @@ def test_closed_b_blocks_match_closed_classifier(coll):
         N, M = int(rng.integers(2, 6)), int(rng.integers(3, 13))
         r = draw_realization(trig_coeffs(2, N), derive_seed(20, k))
         for zero_tol in _tolerances(r):
-            fine = adm._fine_pass(r, M, D, zero_tol, coll)
+            fine = adm._fine_pass(r, M, D, zero_tol)
             S, Q = fine.S, len(fine.level)
             seen.add(S)
             want = oracles.closed_blocks(fine)
@@ -687,7 +602,7 @@ def test_closed_b_blocks_match_closed_classifier(coll):
                    for window, i, j in zip(positive, wa, wb) if ring == 1}
             kept = {(int(i), int(j)): block
                     for i, j, block in zip(fine.a, fine.b, want)
-                    if coll is NOTCH or not _is_staircase(block)}
+                    if not _is_staircase(block)}
             assert got.keys() == kept.keys(), (k, zero_tol)
             for key, block in kept.items():
                 assert np.array_equal(got[key], block), (k, zero_tol, key)
@@ -753,11 +668,35 @@ def test_fine_pass_of_another_field_raises():
     r, other = (draw_realization(trig_coeffs(2, 3), s) for s in (1, 2))
     zero_tol = default_zero_tol(r.coeffs)
     fine = adm._fine_pass(r, 16, 4, zero_tol)
-    for args, kwargs in (((other, 16, 4, zero_tol), {}),
-                         ((r, 8, 4, 0.0), {}),
-                         ((r, 8, 4, zero_tol), {"patterns": NOTCH})):
+    for args in ((other, 16, 4, zero_tol), (r, 8, 4, 0.0)):
         with pytest.raises(ValueError, match="another realization"):
-            validate_2d(*args, **kwargs, fine=fine)
+            validate_2d(*args, fine=fine)
+
+
+def test_fine_pass_serves_every_collection():
+    """The fine pass does not depend on the pattern library.  One pass
+    at M = 16 serves the shipped collection and one without the I4
+    pattern full-slant-1, which keeps the rules of ``PatternCollection``;
+    at every nested M each gets the dense sweep's outcome with its own
+    library, and the two outcomes differ."""
+    fewer = PatternCollection(
+        B=COLL.B, I4=PatternLibrary.build("I4", COLL.I4.base_patterns[1:]),
+        I5=COLL.I5)
+    assert COLL.I4.base_patterns[0].id == "full-slant-1"
+    differ = 0
+    for seed in NESTED_SEEDS[:20]:
+        r = draw_realization(trig_coeffs(2, 3), seed)
+        zero_tol = default_zero_tol(r.coeffs)
+        fine = adm._fine_pass(r, 16, 4, zero_tol)
+        for M in (16, 8, 4):
+            for collect_all in (False, True):
+                got = [validate_2d(r, M, 4, zero_tol, collect_all, coll,
+                                   fine=fine) for coll in (COLL, fewer)]
+                for coll, out in zip((COLL, fewer), got):
+                    assert out == oracles.validate_2d_dense(
+                        r, M, 4, zero_tol, collect_all, coll), (seed, M)
+                differ += got[0] != got[1]
+    assert differ > 20
 
 
 def _count_classifications(monkeypatch) -> list:

@@ -69,6 +69,16 @@ class TestConfig:
             ExperimentConfig(kind="Homology2D", N=3, M_list=(8,), D=-1)
         ExperimentConfig(kind="Homology2D", N=3, M_list=(8,), D=0)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1e-9"])
+    def test_bad_zero_tol(self, value):
+        """JSON's NaN and Infinity parse as floats; like a negative value
+        they would make every point zero-flagged or raise mid-run."""
+        text = ('{"kind": "Homology2D", "N": 3, "M_list": [8], '
+                f'"zero_tol": {value}}}')
+        with pytest.raises(ValueError,
+                           match="zero_tol must be finite and nonnegative"):
+            ExperimentConfig.from_json(text)
+
     @pytest.mark.parametrize("key, value", [("M_list", [4]), ("zero_tol", 0.5),
                                             ("zero_tol", 0.0), ("D", 2)])
     def test_zero_stats_rejects_unused_keys(self, key, value):
@@ -186,6 +196,13 @@ class TestHomologyExperiment:
         for dim in (1, 2):
             with pytest.raises(ValueError, match="M_list must not be empty"):
                 homology_experiment(dim, 3, [], trials=1)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nan_zero_tol(self, dim):
+        """Refused as a tolerance, not reported as a foreign fine pass."""
+        with pytest.raises(ValueError,
+                           match="zero_tol must be finite and nonnegative"):
+            homology_experiment(dim, 3, [8], trials=1, zero_tol=math.nan)
 
     def test_2d_trials_share_trig_tables(self, monkeypatch):
         """The trig tables of a 2D trial's lattices depend on the field's

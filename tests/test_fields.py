@@ -232,29 +232,22 @@ class TestCornerProof:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_decided_points_keep_their_sign(self, seed):
-        """Every fine point of a cell proven on its own square, and of the
-        3 x 3 cells around a cell the halo rule keeps, is classified with
-        the cell's sign and is not zero-flagged."""
-        from test_equivalence import NOTCH  # a library that needs the halo
+        """Every fine point of a cell proven on its own square is
+        classified with the cell's sign and is not zero-flagged."""
         r = draw_realization(trig_coeffs(2, 3), seed)
         M, D, S = 8, 5, 8
         G = M << (D + 1)
         A, blocks = fields._lattice_table(r.coeffs.L, r.coeffs.K, G, S)
         for zero_tol in (1e-3, default_zero_tol(r.coeffs)):
-            own = adm._fine_pass(r, M, D, zero_tol).level
-            halo = adm._fine_pass(r, M, D, zero_tol, NOTCH).level
-            # a sign kept by the halo rule is proven on the own square too
-            assert np.array_equal(own[halo != 0], halo[halo != 0])
-            assert (halo == 0).any() and (own != halo).any() and halo.any()
-            for reach, decided in ((0, own), (1, halo)):
-                a, b = np.nonzero(decided)
-                size = (2 * reach + 1) * S + 1
-                classify = fields._window_classifier(r, A, blocks, zero_tol)
-                positive, flagged = classify(a - reach, b - reach, size, size)
-                assert not flagged.any()
-                sign = (decided[a, b] > 0)[:, None, None]
-                assert np.array_equal(positive,
-                                      np.broadcast_to(sign, positive.shape))
+            level = adm._fine_pass(r, M, D, zero_tol).level
+            assert (level == 0).any() and level.any()
+            a, b = np.nonzero(level)
+            classify = fields._window_classifier(r, A, blocks, zero_tol)
+            positive, flagged = classify(a, b, S + 1, S + 1)
+            assert not flagged.any()
+            sign = (level[a, b] > 0)[:, None, None]
+            assert np.array_equal(positive,
+                                  np.broadcast_to(sign, positive.shape))
 
     def test_window_classifier_matches_grid(self):
         r = draw_realization(trig_coeffs(2, 4), 3)
