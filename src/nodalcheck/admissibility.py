@@ -10,9 +10,10 @@ I code with two adjacent rows or columns of one sign
 (:class:`PatternCollection`), so the whole-grid check evaluates and
 sweeps neither the subsquares that their four corner values and a bound
 on the curvature prove sign-definite nor the windows whose signs are a
-staircase.  In 1D the sweep visits only the grid intervals in which the
-fine samples change sign twice or touch zero, since no other can hold a
-double crossover.
+staircase, which one test finds from flags packed per block before any
+window is assembled.  In 1D the sweep visits only the grid intervals in
+which the fine samples change sign twice or touch zero, since no other
+can hold a double crossover.
 
 Admissibility in the source definitions quantifies over all dyadic
 levels; a machine checks finitely many, so ``Certified`` here always
@@ -199,7 +200,9 @@ class PatternCollection:
       three columns are too; the uniform codes 0 and 511 are staircases.
       A stencil row at any level is a subsequence, in index order, of a
       row of the window it lies in, so a window whose rows and columns
-      are monotone in this way holds only staircase codes.
+      are monotone in this way holds only staircase codes.  The rule is
+      checked with the windows' own test, :func:`_staircases` on each
+      stencil as a block of its own.
     - No I-forbidden code has two adjacent rows or columns of one sign.
       Every half-side shift of a subsquare keeps two adjacent rows (or
       columns) of its stencil inside the subsquare, so a subsquare
@@ -213,7 +216,9 @@ class PatternCollection:
 
     def __post_init__(self):
         stencils = _STENCIL_BITS
-        if np.any(self.code_table[_staircase_blocks(stencils)]):
+        alone = np.arange(512).reshape(1, 1, 512)
+        if np.any(self.code_table[_staircases(_block_flags(stencils),
+                                              alone)]):
             raise ValueError("a pattern forbids a staircase stencil, "
                              "such as a uniform one")
         pairs = (stencils[:, :2], stencils[:, 1:],
@@ -637,10 +642,11 @@ def _block_flags(blocks: np.ndarray) -> np.ndarray:
 
 
 def _staircases(flags: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
-    """Whether each mosaic of blocks ``nbrs[:, :, w]`` (3 x 3) is a staircase.
+    """Whether each mosaic of blocks ``nbrs[:, :, w]`` (k x k) is a staircase.
 
     A staircase has its rows all non-decreasing or all non-increasing,
-    and its columns too.  ``flags`` are the blocks' :func:`_block_flags`.
+    and its columns too.  ``flags`` are the blocks' :func:`_block_flags`;
+    k = 1 tests single blocks.
     Beside the turns inside each block, a row falls across the seam of
     two blocks side by side where the last column of the left one is
     positive and the first column of the right one is not; likewise a
@@ -662,18 +668,6 @@ def _staircases(flags: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     return clean
 
 
-def _staircase_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Whether each bool block has its rows all non-decreasing or all
-    non-increasing, and its columns too."""
-    points = np.ascontiguousarray(blocks.transpose(1, 2, 0))
-    clean = np.ones(len(blocks), dtype=bool)
-    for lo, hi in ((points[:, :-1], points[:, 1:]),
-                   (points[:-1], points[1:])):
-        clean &= ~(np.any(lo > hi, axis=(0, 1))
-                   & np.any(lo < hi, axis=(0, 1)))
-    return clean
-
-
 def _mosaics(block_rows: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     """The k S x k S mosaic of the blocks ``nbrs[:, :, w]`` (k x k) for each w.
 
@@ -691,24 +685,24 @@ def _windows(fine: _FinePass, per_square: int):
     """Yield ``(positive, a, b, ring, margin)``: stacks of windows for ``_sweep``.
 
     The windows are the level-n0 subsquares (a, b) that ``fine.level``
-    leaves undecided and that are not staircases, S fine steps wide,
-    ``per_square`` of them across a grid square.  ``fine.own`` holds
-    their evaluated half-open blocks and ``fine.edge`` the lattice's far
-    row and column; every other block is constant, the sign of
-    ``level``.  B windows are the subsquares of boundary grid squares,
-    their closed blocks alone.  A closed block is read from the 2S x 2S
-    mosaic of the block and the three after it, or, past the lattice's
-    last subsquares, from its far row and column.  I windows are the
-    subsquares of interior grid squares, with S/2 margins that are read
-    from the 3S x 3S mosaic of the block and its eight neighbours.  A
-    proven neighbour reads as its constant sign, which its proof holds
-    on its closed square.
+    leaves undecided, S fine steps wide, ``per_square`` of them across a
+    grid square.  ``fine.own`` holds their evaluated half-open blocks
+    and ``fine.edge`` the lattice's far row and column; every other
+    block is constant, the sign of ``level``, and past the lattice's
+    last subsquares a block repeats the far row or column beside it.
+    B windows are the subsquares of boundary grid squares, their closed
+    blocks alone, read from the 2S x 2S mosaic of the block and the
+    three after it.  I windows are the subsquares of interior grid
+    squares, with S/2 margins that are read from the 3S x 3S mosaic of
+    the block and its eight neighbours.  A proven neighbour reads as its
+    constant sign, which its proof holds on its closed square.
 
     A staircase holds only staircase codes, which no collection forbids
-    (:class:`PatternCollection`).  A B window is tested on its closed
-    block, an I window on its 3S x 3S mosaic (:func:`_staircases`), a
-    superset of the points the sweep reads.  The test runs here, at the
-    window stage, and never in the fine pass that every trial builds.
+    (:class:`PatternCollection`).  Every window is tested on its mosaic,
+    a superset of the points the sweep reads, from the flags of its
+    blocks (:func:`_staircases`), and only the windows it does not clear
+    are assembled and yielded.  The test runs here, at the window stage,
+    and never in the fine pass that every trial builds.
     """
     level, a, b, own, S = fine.level, fine.a, fine.b, fine.own, fine.S
     Q, n = len(level), len(a)
@@ -723,6 +717,7 @@ def _windows(fine: _FinePass, per_square: int):
                              np.broadcast_to(far[0, :, None], (Q, S, S)),
                              np.broadcast_to(far[1, :, :, None], (Q, S, S))))
     block_rows = blocks.view(f"u{S}")[..., 0]
+    flags = _block_flags(blocks)
     # where each subsquare, and each step past the lattice's last ones,
     # finds its block in that stack
     index = np.empty((Q + 1, Q + 1), dtype=np.int32)
@@ -736,29 +731,19 @@ def _windows(fine: _FinePass, per_square: int):
         return (t >= per_square) & (t < Q - per_square)
 
     inner = interior(a) & interior(b)
-    outer = np.flatnonzero(~inner)
-    near = np.arange(2)
-    closed = _mosaics(block_rows, index[near[:, None, None] + a[outer],
-                                        near[:, None] + b[outer]])
-    closed = closed[:, :S + 1, :S + 1]
-    kept = ~_staircase_blocks(closed)
-    outer, closed = outer[kept], closed[kept]
-    for k in range(0, len(outer), _WINDOWS):
-        sel = outer[k:k + _WINDOWS]
-        yield closed[k:k + _WINDOWS], a[sel], b[sel], 1, 0
-
-    ia, ib = a[inner], b[inner]
-    near = np.arange(-1, 2)
-    # nbrs[i, j, w]: block (i, j) of window w's 3 x 3 neighbourhood
-    nbrs = index[near[:, None, None] + ia, near[:, None] + ib]
-    # no interior neighbourhood reaches the far row and column
-    swept = np.flatnonzero(~_staircases(_block_flags(blocks[:n + 2]), nbrs))
-    ia, ib, nbrs = ia[swept], ib[swept], nbrs[..., swept]
-    window = slice(S // 2, S // 2 + 2 * S + 1)
-    for k in range(0, len(ia), _WINDOWS):
-        mosaic = _mosaics(block_rows, nbrs[..., k:k + _WINDOWS])
-        yield (mosaic[:, window, window], ia[k:k + _WINDOWS],
-               ib[k:k + _WINDOWS], 0, S // 2)
+    half = S // 2
+    for kind, ring, margin, near, window in (
+            (~inner, 1, 0, np.arange(2), slice(S + 1)),
+            (inner, 0, half, np.arange(-1, 2), slice(half, half + 2 * S + 1))):
+        wa, wb = a[kind], b[kind]
+        # nbrs[i, j, w]: block (i, j) of window w's neighbourhood
+        nbrs = index[near[:, None, None] + wa, near[:, None] + wb]
+        swept = np.flatnonzero(~_staircases(flags, nbrs))
+        wa, wb, nbrs = wa[swept], wb[swept], nbrs[..., swept]
+        for k in range(0, len(wa), _WINDOWS):
+            mosaic = _mosaics(block_rows, nbrs[..., k:k + _WINDOWS])
+            yield (mosaic[:, window, window], wa[k:k + _WINDOWS],
+                   wb[k:k + _WINDOWS], ring, margin)
 
 
 def _lattice(M: int, D: int) -> tuple:
@@ -940,7 +925,9 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     the subsquares beside them.  That gives the exact zero-flag count,
     and levels n0..D are swept on windows around those subsquares alone,
     whose closed blocks and margins are read from their neighbours'
-    blocks (:func:`_windows`), except those whose window is a staircase.
+    blocks (:func:`_windows`), except those whose neighbourhood of blocks
+    is a staircase, as the flags of the blocks tell before any window is
+    assembled.
     The rules every :class:`PatternCollection` keeps make the proven
     subsquares and the staircases admissible, so the outcome is the full
     sweep's.

@@ -41,8 +41,8 @@ def _load_realization(args):
     return fields.draw_realization(coeffs, args.seed)
 
 
-def _emit(payload, out=None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text: str, out=None):
+    """Write ``text`` and a newline to the file ``out``, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -50,18 +50,16 @@ def _emit(payload, out=None):
         print(text)
 
 
+def _emit(payload):
+    _write(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _cmd_gen(args):
     coeffs = _load_coeffs(args)
     if args.coeffs_out:
-        with open(args.coeffs_out, "w", encoding="utf-8") as fh:
-            fh.write(fields.coeffs_to_json(coeffs) + "\n")
+        _write(fields.coeffs_to_json(coeffs), args.coeffs_out)
     r = fields.draw_realization(coeffs, args.seed)
-    text = fields.realization_to_json(r)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(fields.realization_to_json(r), args.out)
     return EXIT_OK
 
 
@@ -80,12 +78,7 @@ def _cmd_eval(args):
 def _cmd_grid(args):
     r = _load_realization(args)
     grid = sign_grid(r, args.M, _zero_tol(args, r))
-    text = grid.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(grid.to_json(), args.out)
     return EXIT_OK
 
 

@@ -139,6 +139,7 @@ def cubical_approx(grid: SignGrid, sigma: int) -> np.ndarray:
     """Read-only mask of the cells compatible with sigma (zero-flagged fits both)."""
     if sigma not in (PLUS, MINUS):
         raise ValueError("sigma must be +1 or -1")
-    cells = (grid.signs == sigma) | (grid.signs == ZERO_FLAGGED)
+    # signs are -1, 0 or +1, so this is signs == sigma or signs == 0
+    cells = grid.signs != -sigma
     cells.flags.writeable = False
     return cells

@@ -87,7 +87,7 @@ def cell_betti(mask: np.ndarray) -> BettiVector:
     while True:
         while True:
             up = parent[parent]
-            if np.array_equal(up, parent):
+            if (up == parent).all():
                 break
             parent = up
         ra, rb = parent[a], parent[b]

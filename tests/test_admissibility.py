@@ -91,7 +91,9 @@ class TestPatternLoading:
         """Exactly 66 codes have their three rows all non-decreasing or all
         non-increasing, and their columns too.  In the shipped file they
         are the B survivors and lie inside the I survivors, so the
-        loader's checksums leave no room for a file that forbids one."""
+        loader's checksums leave no room for a file that forbids one.
+        The block-flag test of the windows and of the collection rule
+        marks exactly these codes."""
 
         def one_way(lines):
             return (all(p <= q for line in lines for p, q in zip(line, line[1:]))
@@ -104,6 +106,9 @@ class TestPatternLoading:
             if one_way(rows) and one_way(list(zip(*rows))):
                 staircases.add(code)
         assert len(staircases) == 66
+        flags = adm._block_flags(adm._STENCIL_BITS)
+        marked = adm._staircases(flags, np.arange(512).reshape(1, 1, 512))
+        assert set(np.flatnonzero(marked)) == staircases
         b_survivors = set(np.flatnonzero(~COLL.B.forbidden_table()))
         i_survivors = set(np.flatnonzero(~COLL.I.forbidden_table()))
         assert staircases == b_survivors and staircases < i_survivors

@@ -90,6 +90,19 @@ class TestCubicalApprox:
         assert 1 in cell_indices(grid, +1)
         assert 1 in cell_indices(grid, -1)
 
+    def test_every_sign_and_sigma(self):
+        """A cell is in sigma's set iff its sign is sigma or zero-flagged."""
+        grid = SignGrid(dim=1, M=2, signs=np.array([PLUS, ZERO_FLAGGED, MINUS],
+                                                   dtype=np.int8))
+        assert cell_indices(grid, PLUS) == [0, 1]
+        assert cell_indices(grid, MINUS) == [1, 2]
+        signs = np.array([[1, 0, -1], [-1, 1, 0], [0, -1, 1]], dtype=np.int8)
+        grid = SignGrid(dim=2, M=2, signs=signs)
+        assert cubical_approx(grid, PLUS).tolist() == [
+            [True, True, False], [False, True, True], [True, False, True]]
+        assert cubical_approx(grid, MINUS).tolist() == [
+            [False, True, True], [True, False, True], [True, True, False]]
+
     def test_read_only_mask(self):
         r = draw_realization(trig_coeffs(2, 3), 1)
         cells = cubical_approx(sign_grid(r, M=5), -1)

@@ -244,37 +244,42 @@ def _read(fine):
                      [fine.edge[0, None]]])
 
 
-def _mosaic(fine, i, j):
-    """The 3S x 3S points around subsquare (i, j) as the sweep reads them."""
-    S = fine.S
-    return _read(fine)[(i - 1) * S:(i + 2) * S, (j - 1) * S:(j + 2) * S]
+def _padded(fine):
+    """The points as the sweep reads them, with the far row and column
+    repeated past the lattice as the blocks beyond it repeat them."""
+    return np.pad(_read(fine), (0, fine.S - 1), mode="edge")
 
 
-def _closed(fine, i, j):
-    """The closed block of subsquare (i, j) as the sweep reads it."""
-    S = fine.S
-    return _read(fine)[i * S:(i + 1) * S + 1, j * S:(j + 1) * S + 1]
+def _b_mosaic(padded, S, i, j):
+    """The 2S x 2S points of subsquare (i, j) and the three subsquares
+    after it, from ``_padded``; its closed block is the first S + 1 rows
+    and columns."""
+    return padded[i * S:(i + 2) * S, j * S:(j + 2) * S]
 
 
 def _check_windows(fine) -> int:
     """``_windows`` with one subsquare per grid square yields exactly the
-    windows that are no staircase, with the points the sweep would read;
-    returns their number."""
+    windows whose mosaic is no staircase, with the points the sweep would
+    read: the 3S x 3S mosaic of an interior subsquare and its eight
+    neighbours, cropped to S/2 margins, and the 2S x 2S mosaic of a
+    boundary subsquare and the three after it, cropped to its closed
+    block.  Returns their number."""
     S, Q = fine.S, len(fine.level)
     got = {(ring, int(i), int(j)): window
            for positive, wa, wb, ring, _ in adm._windows(fine, 1)
            for window, i, j in zip(positive, wa, wb)}
     want = {}
+    padded = _padded(fine)
     for i, j in zip(fine.a, fine.b):
         if 0 < i < Q - 1 and 0 < j < Q - 1:
-            mosaic = _mosaic(fine, i, j)
+            mosaic = padded[(i - 1) * S:(i + 2) * S, (j - 1) * S:(j + 2) * S]
             if not _is_staircase(mosaic):
                 want[0, int(i), int(j)] = mosaic[S // 2:S // 2 + 2 * S + 1,
                                                  S // 2:S // 2 + 2 * S + 1]
         else:
-            closed = _closed(fine, i, j)
-            if not _is_staircase(closed):
-                want[1, int(i), int(j)] = closed
+            mosaic = _b_mosaic(padded, S, i, j)
+            if not _is_staircase(mosaic):
+                want[1, int(i), int(j)] = mosaic[:S + 1, :S + 1]
     assert got.keys() == want.keys()
     for key, points in want.items():
         assert np.array_equal(got[key], points), key
@@ -317,11 +322,13 @@ def test_staircase_windows_match_bruteforce(S):
 @pytest.mark.parametrize("S", [2, 4, 8])
 @pytest.mark.parametrize("fault", ["falling seam", "falling seam, transposed",
                                    "proven neighbour", "flipped corner",
-                                   "saddle at a seam", "saddle in a block"])
+                                   "saddle at a seam", "saddle in a block",
+                                   "turn in the closing row",
+                                   "turn in the closing column"])
 def test_staircase_windows_planted(S, fault):
     """Faults of the 3 x 3 neighbourhood of subsquare (2, 2), or, for the
-    saddle in a block, of boundary subsquare (0, 0), that the staircase
-    test must not miss."""
+    saddle in a block and the turns in a closing row or column, of
+    boundary subsquare (0, 0), that the staircase test must not miss."""
     Q = 5
     y, x = np.mgrid[:Q * S + 1, :Q * S + 1]
     level = None
@@ -340,11 +347,19 @@ def test_staircase_windows_planted(S, fault):
     elif fault == "flipped corner":
         points = x >= 4 * S
         points[2 * S, 2 * S] = True
+    elif fault.startswith("turn in the closing"):
+        # all negative but one point inside the closing row (column) of
+        # subsquare (0, 0), which the blocks after it hold
+        points = np.zeros(x.shape, dtype=bool)
+        points[S, S // 2] = True
+        if fault.endswith("column"):
+            points = points.T
     else:
         # every row and column monotone, in opposite directions
         at = 2 * S if fault == "saddle at a seam" else S // 2
         points = (x < at) == (y < at)
-    window = (1, 0, 0) if fault == "saddle in a block" else (0, 2, 2)
+    boundary = fault == "saddle in a block" or fault.startswith("turn")
+    window = (1, 0, 0) if boundary else (0, 2, 2)
     level = _proof(points, S) if level is None else level
     level[window[1:]] = 0
     fine = _synthetic_pass(points, level, S)
@@ -355,8 +370,9 @@ def test_staircase_windows_planted(S, fault):
 
 def test_staircase_filter_on_pool(monkeypatch):
     """In the criterion-6 pool (N = 3, M = 32, D = 6) the 21 trials that
-    reach the window stage test 87,354 I windows and sweep 96 of them;
-    every B window they hold is a staircase."""
+    reach the window stage test their B windows and their I windows in
+    one call each, 11,648 and 87,354 windows, and sweep 3 and 96 of
+    them."""
     tested = []
     staircases = adm._staircases
     monkeypatch.setattr(adm, "_staircases", lambda flags, nbrs: tested.append(
@@ -369,13 +385,13 @@ def test_staircase_filter_on_pool(monkeypatch):
     i_windows, b_windows = (sum(n for ring, n in swept if ring == b)
                             for b in (0, 1))
     assert (len(tested), sum(tested), i_windows, b_windows) == \
-        (21, 87_354, 96, 0)
+        (42, 11_648 + 87_354, 96, 3)
 
 
 def test_staircase_test_runs_only_at_the_window_stage(monkeypatch):
-    """Across the criterion-6 pool the staircase test runs once in each
-    trial whose M = 32 validation reaches the window stage, and never
-    while a fine pass is being built."""
+    """Across the criterion-6 pool the staircase test runs twice, for the
+    B and the I windows, in each trial whose M = 32 validation reaches the
+    window stage, and never while a fine pass is being built."""
     events, building = [], []
     for module in (adm, experiments):
         fine_pass = module._fine_pass
@@ -406,7 +422,7 @@ def test_staircase_test_runs_only_at_the_window_stage(monkeypatch):
         experiments.homology_experiment(2, 3, (8, 16, 32), trials=1,
                                         seed=seed)
         per_trial.append(tuple(events))
-    assert set(per_trial) == {(), ("windows", "staircases")}
+    assert set(per_trial) == {(), ("windows", "staircases", "staircases")}
     assert per_trial.count(()) == 39
 
 
@@ -584,7 +600,7 @@ def test_closed_b_blocks_match_closed_classifier():
     """Every subsquare is a B window when a grid square holds all of
     them.  Its closed block, read from the half-open blocks after it and
     the far row and column, is the (S + 1)^2 block evaluated whole, bit
-    for bit; the staircases among them are skipped."""
+    for bit; those whose 2S x 2S mosaic is a staircase are skipped."""
     rng = np.random.default_rng(20)
     seen, far = set(), 0
     for k in range(200):
@@ -600,9 +616,10 @@ def test_closed_b_blocks_match_closed_classifier():
             got = {(int(i), int(j)): window
                    for positive, wa, wb, ring, _ in adm._windows(fine, Q)
                    for window, i, j in zip(positive, wa, wb) if ring == 1}
+            padded = _padded(fine)
             kept = {(int(i), int(j)): block
                     for i, j, block in zip(fine.a, fine.b, want)
-                    if not _is_staircase(block)}
+                    if not _is_staircase(_b_mosaic(padded, S, i, j))}
             assert got.keys() == kept.keys(), (k, zero_tol)
             for key, block in kept.items():
                 assert np.array_equal(got[key], block), (k, zero_tol, key)
