@@ -1,4 +1,4 @@
-"""Betti numbers of cubical sets, given as cell masks.
+"""Betti numbers of cubical sets, given as sign grids or cell masks.
 
 Connectivity is through shared faces of any dimension (two cells
 touching only at a corner are connected), which matches the topology of
@@ -12,10 +12,22 @@ in the same row, or two or more rows apart, are disjoint, so no three
 runs meet.  The runs therefore form a good closed cover whose nerve is
 the run graph (R runs, E touching pairs), and by the nerve lemma the
 cubical set is homotopy equivalent to that graph: beta_0 is the number
-of components of the run graph and beta_1 = E - R + beta_0.  A 1D set
-is a single row with no edges.
+of components of the run graph and beta_1 = E - R + beta_0.
 Planar cubical sets have no torsion and no H_2, so the Betti pair
 determines the homology.
+
+One kernel gives both sets of a sign grid, Q+ (signs +1 and 0) and Q-
+(signs -1 and 0).  It lays the rows end to end, each followed by a
+separator cell, and finds in one scan every place where the cell class
+(minus, zero-flagged, plus or separator) changes; the runs of Q+ and of
+Q- start and stop at some of those places.  A one-row (1D) grid has no
+edges, so its Betti numbers are its run counts, with no union-find.
+Otherwise one union-find labels the runs of both sets: each run first
+hooks onto its leftmost run in the row above, so no tree is deeper than
+rows - 1 and (rows - 1).bit_length() pointer jumps reach every root;
+only the runs that meet two or more runs above go on to the
+hook-and-compress loop.  A cell mask is read as the signs +1 on its
+cells and -1 off them, and its Betti numbers are those of Q+.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cubical import cubical_approx, sign_grid
+from .cubical import sign_grid
 
 if TYPE_CHECKING:
     from .admissibility import _FinePass
@@ -54,56 +66,96 @@ class BettiVector:
 
 
 def cell_betti(mask: np.ndarray) -> BettiVector:
-    """Betti numbers of the union of the closed cells of a 1D or 2D mask."""
+    """Betti numbers of the union of the closed cells of a 1D or 2D mask.
+
+    The Q+ half of :func:`betti_pair`'s kernel, with the mask read as the
+    signs +1 on its cells and -1 off them.  Any other number of
+    dimensions raises ``ValueError``.
+    """
     m = np.asarray(mask, dtype=bool)
-    if m.ndim == 1:
-        m = m[None, :]
-    rows, n = m.shape
-    # rows laid end to end, each followed by one empty column, behind one
-    # empty cell: runs never cross rows, and starts and stops alternate
+    return _sign_betti(np.where(m, np.int8(1), np.int8(-1)))[0]
+
+
+def betti_pair(grid) -> tuple:
+    """(Betti(Q+), Betti(Q-)) for a sign grid, from one scan of its signs.
+
+    A one-row grid returns the run counts of both sets, with b1 = 0 and
+    no union-find.  Otherwise one scan finds every place where the cell
+    class changes, the run boundaries of both sets, and one union-find
+    labels the runs of both; its first (rows - 1).bit_length() pointer
+    jumps are not checked for convergence (see the module docstring).
+    """
+    return _sign_betti(grid.signs)
+
+
+def _sign_betti(signs: np.ndarray) -> tuple:
+    """(Betti(Q+), Betti(Q-)) of a 1D or 2D int8 array of signs -1, 0, +1."""
+    s = signs[None, :] if signs.ndim == 1 else signs
+    if s.ndim != 2:
+        raise ValueError("mask must be 1D or 2D")
+    rows, n = s.shape
+    # rows laid end to end, each followed by a separator cell, behind one
+    # separator cell; the class v = s + 2 is 1 for minus, 2 for
+    # zero-flagged (in both sets), 3 for plus and 0 for a separator, so
+    # no run crosses a row end
     w = n + 1
-    flat = np.zeros(rows * w + 1, dtype=bool)
-    flat[1:].reshape(rows, w)[:, :n] = m
-    flips = np.flatnonzero(flat[1:] != flat[:-1])
-    starts, stops = flips[0::2], flips[1::2]  # flat positions, stop exclusive
-    R = starts.size
+    v = np.zeros(rows * w + 1, dtype=np.int8)
+    np.add(s, 2, out=v[1:].reshape(rows, w)[:, :n])
+    # Q+ is v >= 2 and Q- is 1 <= v <= 2, that is v - 1 <= 1 as a uint8
     if rows == 1:
-        return BettiVector(R, 0)
+        # no edges: beta_0 is the number of run starts and beta_1 = 0
+        return tuple(BettiVector(int(np.count_nonzero(m[1:] > m[:-1])))
+                     for m in (v >= 2, (v - 1).view(np.uint8) <= 1))
+    # every place the class changes; the runs of each set start and stop
+    # at some of them, starts and stops alternating
+    flips = np.flatnonzero(v[1:] != v[:-1])
+    old, new = v[flips], v[flips + 1]
+    plus = flips[(old >= 2) != (new >= 2)]
+    minus = flips[((old - 1).view(np.uint8) <= 1)
+                  != ((new - 1).view(np.uint8) <= 1)]
+    # one run graph for both sets: the minus rows follow the plus rows
+    # after one empty row, so no run of one set meets a run of the other
+    flips = np.concatenate((plus, minus + (rows + 1) * w))
+    starts, stops = flips[0::2], flips[1::2]  # flat positions, stop exclusive
+    R, R_plus = starts.size, plus.size // 2
     # run b meets run a of the row above iff s_a <= e_b - w and
     # e_a >= s_b - w: the runs lo[b] .. hi[b] - 1, none from other rows
     lo = np.searchsorted(stops, starts - w)
     hi = np.searchsorted(starts, stops - w, "right")
     counts = hi - lo
-    E = int(counts.sum())
-    if E == 0:
-        return BettiVector(R, 0)
+    # union-find: each run hooks onto lo[b], its leftmost run above, so
+    # every path to a root climbs at most rows - 1 rows and
+    # (rows - 1).bit_length() jumps reach the roots; then, until the other
+    # edges of the runs that meet two or more runs above each join one
+    # tree, hook the larger root of each split edge onto the smaller and
+    # compress
     ids = np.arange(R)
-    a = np.arange(E) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    b = np.repeat(ids, counts)
-    # union-find: each run first hooks onto its leftmost run above; then,
-    # until every edge joins one tree, compress to roots and hook the
-    # larger root of each split edge onto the smaller
     parent = np.where(counts > 0, lo, ids)
+    for _ in range((rows - 1).bit_length()):
+        parent = parent[parent]
+    multi = np.flatnonzero(counts > 1)
+    k = counts[multi] - 1
+    b = np.repeat(multi, k)
+    a = np.arange(b.size) + np.repeat(lo[multi] + 1 - (np.cumsum(k) - k), k)
     while True:
-        while True:
-            up = parent[parent]
-            if (up == parent).all():
-                break
-            parent = up
         ra, rb = parent[a], parent[b]
         split = ra != rb
         if not split.any():
             break
         a, b, ra, rb = a[split], b[split], ra[split], rb[split]
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-    b0 = int(np.count_nonzero(parent == ids))
-    return BettiVector(b0, E - R + b0)
-
-
-def betti_pair(grid) -> tuple:
-    """(Betti(Q+), Betti(Q-)) for a sign grid."""
-    return (cell_betti(cubical_approx(grid, +1)),
-            cell_betti(cubical_approx(grid, -1)))
+        while True:
+            up = parent[parent]
+            if (up == parent).all():
+                break
+            parent = up
+    roots = parent == ids
+    out = []
+    for part in (slice(None, R_plus), slice(R_plus, None)):
+        b0 = int(np.count_nonzero(roots[part]))
+        E = int(counts[part].sum())
+        out.append(BettiVector(b0, E - roots[part].size + b0))
+    return tuple(out)
 
 
 def reference_betti(r, M_ref: int, zero_tol: float = 0.0, *,

@@ -10,7 +10,8 @@ from nodalcheck.homology import (BettiVector, betti_pair, cell_betti,
                                  connected_components, default_reference_M,
                                  homology_match, reference_betti)
 
-from oracles import betti_bruteforce, connected_components_runs, euler
+from oracles import (betti_bruteforce, betti_label, connected_components_runs,
+                     euler)
 from test_cubical import constant_1d
 from test_fields import cosine_1d
 
@@ -77,7 +78,8 @@ class TestBetti:
         plus, minus = betti_pair(grid)
         assert plus == BettiVector(3, 0)
         assert minus == BettiVector(2, 0)
-        assert cell_betti(cubical_approx(grid, +1)) == plus
+        assert (plus.b0, plus.b1) == betti_label(cubical_approx(grid, +1))
+        assert (minus.b0, minus.b1) == betti_label(cubical_approx(grid, -1))
 
 
 @settings(max_examples=150)
@@ -148,6 +150,145 @@ def test_every_short_row_matches_bruteforce():
                 b = cell_betti(mask)
                 assert (b.b0, b.b1) == want, mask
                 assert type(b.b0) is int and type(b.b1) is int
+
+
+def _check_pair(signs):
+    """betti_pair of a sign array against labelling and the Euler
+    characteristic of the face closure (b0 - b1 = chi), both sets."""
+    grid = SignGrid(dim=signs.ndim, M=signs.shape[0] - 1, signs=signs)
+    got = betti_pair(grid)
+    for b, sigma in zip(got, (+1, -1)):
+        cells = cubical_approx(grid, sigma)
+        assert (b.b0, b.b1) == betti_label(cells), sigma
+        assert b.b0 - b.b1 == euler(cells), sigma
+        assert type(b.b0) is int and type(b.b1) is int
+
+
+def _serpentine(n):
+    """A one-cell-wide path through every row: rows 0, 2, 4, ... (all but
+    the last two columns) joined at alternate ends.  Each run's leftmost
+    run above is the one before it on the path, so the chain from the last
+    row to the root is n - 1 deep.  A bar down the right edge, apart from
+    the path, joins it in the last row, whose run then meets two runs
+    above at the foot of both chains."""
+    m = np.zeros((n, n), dtype=bool)
+    m[::2, :n - 2] = True
+    for i in range(1, n, 2):
+        m[i, (n - 3) * ((i // 2) % 2 == 0)] = True
+    m[:, n - 1] = True
+    m[n - 1] = True
+    return m
+
+
+def _comb(n):
+    """Teeth in every other column, joined by the last row: its run meets
+    about n / 2 runs above."""
+    m = np.zeros((n, n), dtype=bool)
+    m[:, ::2] = True
+    m[n - 1] = True
+    return m
+
+
+def _checkerboard(n):
+    """Single-cell runs, each meeting two runs above (corners)."""
+    return (np.add.outer(np.arange(n), np.arange(n)) % 2).astype(bool)
+
+
+def _spiral(n):
+    """A one-cell-wide square spiral, one empty cell between its turns;
+    its complement is a spiral corridor.  Each turn's runs join through
+    runs that meet two runs above, so the hook-and-compress loop chains
+    about n / 2 roots into one tree, deeper than any before the hooks."""
+    m = np.zeros((n, n), dtype=bool)
+    i = j = 0
+    m[0, 0] = True
+    steps = [n - 1, n - 1, n - 1]
+    k = n - 3
+    while k > 0:
+        steps += [k, k]
+        k -= 2
+    for t, length in enumerate(steps):
+        di, dj = ((0, 1), (1, 0), (0, -1), (-1, 0))[t % 4]
+        for _ in range(length):
+            i, j = i + di, j + dj
+            m[i, j] = True
+    return m
+
+
+@pytest.mark.parametrize("shape, n", [
+    (_serpentine, 513), (_serpentine, 512), (_comb, 513), (_comb, 64),
+    (_checkerboard, 513), (_checkerboard, 9), (_spiral, 513), (_spiral, 40)])
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("zeros", [0.0, 0.01])
+def test_worst_case_run_graphs(shape, n, sign, zeros):
+    """Deep chains, many runs above one run, and late hooks, with the
+    shape as Q+ and as Q-, with and without planted zero flags."""
+    m = shape(n)
+    signs = np.where(m, sign, -sign).astype(np.int8)
+    signs[np.random.default_rng(n).random(m.shape) < zeros] = 0
+    _check_pair(signs)
+
+
+def test_worst_case_shapes():
+    """The shapes are what they claim to be."""
+    assert cell_betti(_serpentine(513)) == BettiVector(1, 0)
+    assert cell_betti(_comb(64)) == BettiVector(1, 0)
+    assert cell_betti(_spiral(513)) == BettiVector(1, 0)
+    assert cell_betti(~_spiral(513)) == BettiVector(1, 0)
+    # a hole at each of the 25 interior cells of the other colour
+    assert cell_betti(_checkerboard(9)) == BettiVector(1, 25)
+
+
+class TestDegenerate:
+    @pytest.mark.parametrize("dim, M", [(1, 1), (1, 7), (2, 1), (2, 8)])
+    def test_constant_grids(self, dim, M):
+        full, empty = BettiVector(1, 0), BettiVector(0, 0)
+        for value, want in ((1, (full, empty)), (-1, (empty, full)),
+                            (0, (full, full))):
+            signs = np.full((M + 1,) * dim, value, dtype=np.int8)
+            assert betti_pair(SignGrid(dim=dim, M=M, signs=signs)) == want
+
+    def test_every_2x2_grid(self):
+        """M = 1: all 81 grids of signs -1, 0, +1."""
+        values = np.array([-1, 0, 1], dtype=np.int8)
+        for k in range(81):
+            signs = values[[k // 3**i % 3 for i in range(4)]].reshape(2, 2)
+            _check_pair(signs)
+        diagonal = np.array([[1, -1], [-1, 1]], dtype=np.int8)
+        assert betti_pair(SignGrid(dim=2, M=1, signs=diagonal)) == (
+            BettiVector(1, 0), BettiVector(1, 0))
+
+    def test_short_1d_grids(self):
+        """1D grids of 1 and 2 points."""
+        one, none = BettiVector(1, 0), BettiVector(0, 0)
+        two = BettiVector(2, 0)
+        cases = {(1,): (one, none), (0,): (one, one), (-1,): (none, one),
+                 (1, 1): (one, none), (1, 0): (one, one), (1, -1): (one, one),
+                 (0, 0): (one, one), (-1, 0): (one, one),
+                 (-1, -1): (none, one)}
+        for signs, want in cases.items():
+            grid = SignGrid(dim=1, M=len(signs) - 1,
+                            signs=np.array(signs, dtype=np.int8))
+            assert betti_pair(grid) == want, signs
+        grid = SignGrid(dim=1, M=2, signs=np.array([1, -1, 1], dtype=np.int8))
+        assert betti_pair(grid) == (two, one)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_thin_and_empty_masks(self, n):
+        """Masks of shape (1, n), (n, 1) and (0, n)."""
+        for mask in (np.ones((1, n), bool), np.ones((n, 1), bool)):
+            assert cell_betti(mask) == BettiVector(1, 0)
+            assert cell_betti(~mask) == BettiVector(0, 0)
+        gaps = np.arange(n) % 2 == 0
+        want = BettiVector(len(range(0, n, 2)), 0)
+        assert cell_betti(gaps[None, :]) == want
+        assert cell_betti(gaps[:, None]) == want
+        assert cell_betti(np.zeros((0, n), bool)) == BettiVector(0, 0)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (), (1, 1, 1, 1)])
+    def test_other_dimensions_raise(self, shape):
+        with pytest.raises(ValueError, match="mask must be 1D or 2D"):
+            cell_betti(np.ones(shape, dtype=bool))
 
 
 def test_connected_components_simple():
