@@ -684,12 +684,12 @@ def _mosaics(block_rows: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
 def _windows(fine: _FinePass, per_square: int):
     """Yield ``(positive, a, b, ring, margin)``: stacks of windows for ``_sweep``.
 
-    The windows are the level-n0 subsquares (a, b) that ``fine.level``
-    leaves undecided, S fine steps wide, ``per_square`` of them across a
-    grid square.  ``fine.own`` holds their evaluated half-open blocks
-    and ``fine.edge`` the lattice's far row and column; every other
-    block is constant, the sign of ``level``, and past the lattice's
-    last subsquares a block repeats the far row or column beside it.
+    The windows are the level-n0 subsquares (a, b) of the lattice that
+    ``fine.level`` leaves undecided, S fine steps wide, ``per_square`` of
+    them across a grid square.  ``fine.own`` holds the evaluated
+    half-open blocks, those past the lattice's last subsquares the far
+    row or column repeated; every other block is constant, the sign of
+    ``level``.
     B windows are the subsquares of boundary grid squares, their closed
     blocks alone, read from the 2S x 2S mosaic of the block and the
     three after it.  I windows are the subsquares of interior grid
@@ -705,27 +705,16 @@ def _windows(fine: _FinePass, per_square: int):
     and never in the fine pass that every trial builds.
     """
     level, a, b, own, S = fine.level, fine.a, fine.b, fine.own, fine.S
-    Q, n = len(level), len(a)
+    Q, n = len(level) - 1, len(a)
 
-    # S x S blocks: the evaluated ones, all-negative and all-positive,
-    # then one per subsquare of the last row whose rows are all the far
-    # row below it, and one per subsquare of the last column whose
-    # columns are all the far column beside it
-    far = fine.edge[:, :-1].reshape(2, Q, S)
+    # S x S blocks: the evaluated ones, then all-negative and all-positive
     blocks = np.concatenate((own, np.zeros((1, S, S), dtype=bool),
-                             np.ones((1, S, S), dtype=bool),
-                             np.broadcast_to(far[0, :, None], (Q, S, S)),
-                             np.broadcast_to(far[1, :, :, None], (Q, S, S))))
+                             np.ones((1, S, S), dtype=bool)))
     block_rows = blocks.view(f"u{S}")[..., 0]
     flags = _block_flags(blocks)
-    # where each subsquare, and each step past the lattice's last ones,
-    # finds its block in that stack
-    index = np.empty((Q + 1, Q + 1), dtype=np.int32)
-    np.add(level > 0, n, out=index[:Q, :Q], dtype=np.int32)
+    # where each subsquare finds its block in that stack
+    index = np.add(level > 0, n, dtype=np.int32)
     index[a, b] = np.arange(n)
-    index[Q, :Q] = n + 2 + np.arange(Q)
-    index[:Q, Q] = n + 2 + Q + np.arange(Q)
-    index[Q, Q] = n + fine.edge[0, -1]
 
     def interior(t):
         return (t >= per_square) & (t < Q - per_square)
@@ -733,7 +722,7 @@ def _windows(fine: _FinePass, per_square: int):
     inner = interior(a) & interior(b)
     half = S // 2
     for kind, ring, margin, near, window in (
-            (~inner, 1, 0, np.arange(2), slice(S + 1)),
+            (~inner & (a < Q) & (b < Q), 1, 0, np.arange(2), slice(S + 1)),
             (inner, 0, half, np.arange(-1, 2), slice(half, half + 2 * S + 1))):
         wa, wb = a[kind], b[kind]
         # nbrs[i, j, w]: block (i, j) of window w's neighbourhood
@@ -801,15 +790,13 @@ class _FinePass:
 
     ``coarse`` is u > zero_tol on every S-th fine point, the corners of
     the subsquares S fine steps wide.  ``level`` is the sign
-    :func:`_corner_proof` proves on each subsquare (0: undecided),
-    ``a, b`` the subsquares it leaves undecided (those of the last row or
-    column of subsquares after the others) and ``own`` their evaluated
+    :func:`_corner_proof` proves on each subsquare (0: undecided), plus
+    one row and one column of subsquares past the lattice, whose blocks
+    hold its far row and column repeated and whose sign is that of the
+    subsquares before them.  ``a, b`` are the subsquares it leaves
+    undecided and ``own`` their evaluated
     half-open S x S blocks (u > zero_tol), without the closing row and
-    column that the next blocks hold.  ``edge`` is u > zero_tol on the
-    lattice's far row (``edge[0]``, first index G) and far column
-    (``edge[1]``, second index G), which no half-open block holds:
-    evaluated beside the undecided subsquares of the last row and column,
-    the sign of ``level`` beside the others.  ``zeros[p]`` counts the
+    column that the next blocks hold.  ``zeros[p]`` counts the
     zero-flagged fine points whose two indices are multiples of 2^p; each
     point is evaluated, and counted, once.  Made by :func:`_fine_pass`;
     :func:`validate_2d` reads all of it on this lattice, and
@@ -829,7 +816,6 @@ class _FinePass:
     a: np.ndarray
     b: np.ndarray
     own: np.ndarray
-    edge: np.ndarray
     zeros: np.ndarray
 
     def nest(self, r, zero_tol: float, n: int) -> int:
@@ -854,53 +840,32 @@ def _fine_pass(r: Realization2D, M: int, D: int,
     """The fine classification ``validate_2d(r, M, D, zero_tol)`` reads.
 
     Each undecided subsquare is evaluated on its half-open S x S block,
-    those of the last row (column) of subsquares with the lattice's far
-    row (column) below (beside) it, so that every fine point is evaluated
-    once: the closing row and column of a block are the first of the
-    next one's.
+    so that every fine point is evaluated once: the closing row and
+    column of a block are the first of the next one's.  The lattice's
+    far row and column are one more row and column of subsquares, whose
+    blocks repeat them (:func:`~nodalcheck.fields._window_classifier`)
+    and whose proof is that of the subsquare before, as its closed cell
+    holds them; only the points on the lattice are counted.
     """
     S, G = _lattice(M, D)
     table, blocks = _lattice_table(r.coeffs.L, r.coeffs.K, G, S)
     coarse, level = _corner_proof(r, table[::S], S * (r.coeffs.L / G),
                                   zero_tol)
-    last = len(level) - 1
-    # the undecided subsquares by the window each is evaluated on: those
-    # clear of the last row and column of subsquares, then those of the
-    # last row with the far row below, those of the last column with the
-    # far column beside, and the corner subsquare with both
-    inside = np.divmod(np.flatnonzero(level[:last, :last] == 0), last)
-    row, col = (np.flatnonzero(line[:last] == 0)
-                for line in (level[last], level[:, last]))
-    corner = np.flatnonzero(level[last:, last] == 0) + last
-    groups = ((*inside, S, S), (np.full_like(row, last), row, S + 1, S),
-              (col, np.full_like(col, last), S, S + 1),
-              (corner, corner, S + 1, S + 1))
-    a, b = (np.concatenate([group[k] for group in groups]) for k in (0, 1))
+    level = np.pad(level, (0, 1), mode="edge")
+    a, b = np.divmod(np.flatnonzero(level == 0), len(level))
     classify = _window_classifier(r, table, blocks, zero_tol)
     own = np.empty((len(a), S, S), dtype=bool)
-    edge = np.empty((2, G + 1), dtype=bool)
-    edge[0, :G] = np.repeat(level[last] > 0, S)
-    edge[1, :G] = np.repeat(level[:, last] > 0, S)
-    edge[:, G] = level[last, last] > 0
     zeros = np.zeros(G.bit_length(), dtype=np.int64)
-    done = 0
-    for ga, gb, rows, cols in groups:
-        for k in range(0, len(ga), _WINDOWS):
-            sa, sb = ga[k:k + _WINDOWS], gb[k:k + _WINDOWS]
-            positive, flagged = classify(sa, sb, rows, cols)
-            x, y = sa * S, sb * S
-            own[done:done + len(x)] = positive[:, :S, :S]
-            done += len(x)
-            if rows > S:
-                edge[0, y[:, None] + np.arange(cols)] = positive[:, S]
-            if cols > S:
-                edge[1, x[:, None] + np.arange(rows)] = positive[:, :, S]
-            if flagged.any():
-                w, i, j = np.nonzero(flagged)
-                xy = (x[w] + i) | (y[w] + j)
-                zeros += [np.count_nonzero(xy & ((1 << p) - 1) == 0)
-                          for p in range(len(zeros))]
-    return _FinePass(r, zero_tol, G, S, coarse, level, a, b, own, edge, zeros)
+    for k in range(0, len(a), _WINDOWS):
+        sa, sb = a[k:k + _WINDOWS], b[k:k + _WINDOWS]
+        own[k:k + len(sa)], flagged = classify(sa, sb)
+        if flagged.any():
+            w, i, j = np.nonzero(flagged)
+            x, y = sa[w] * S + i, sb[w] * S + j
+            xy = (x | y)[(x <= G) & (y <= G)]
+            zeros += [np.count_nonzero(xy & ((1 << p) - 1) == 0)
+                      for p in range(len(zeros))]
+    return _FinePass(r, zero_tol, G, S, coarse, level, a, b, own, zeros)
 
 
 def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
@@ -921,10 +886,10 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     from whose values an interpolation bound proves most subsquares
     sign-definite (:func:`_corner_proof`).  Fine points are evaluated
     only in the subsquares not proven, each point once: a subsquare owns
-    its half-open block, and the lattice's far row and column belong to
-    the subsquares beside them.  That gives the exact zero-flag count,
-    and levels n0..D are swept on windows around those subsquares alone,
-    whose closed blocks and margins are read from their neighbours'
+    its half-open block, and the lattice's far row and column are one
+    more row and column of subsquares.  That gives the exact zero-flag
+    count, and levels n0..D are swept on windows around those subsquares
+    alone, whose closed blocks and margins are read from their neighbours'
     blocks (:func:`_windows`), except those whose neighbourhood of blocks
     is a staircase, as the flags of the blocks tell before any window is
     assembled.

@@ -5,7 +5,9 @@ sign sigma is a boolean mask over {0..M}^dim: cell k, the unit cell
 attached to the upper-right of k in index space, belongs to it iff the
 sample at k is compatible with sigma, so the cells tile [0, M+1]^dim.
 A zero-flagged sample is compatible with both signs (the defining
-inequality is weak).
+inequality is weak).  The pipeline computes Betti numbers from the signs
+themselves (:func:`~nodalcheck.homology.betti_pair`); the masks of
+:func:`cubical_approx` state that definition, and only tests build them.
 """
 
 from __future__ import annotations
@@ -32,13 +34,15 @@ ZERO_FLAGGED = 0
 
 @dataclass(frozen=True)
 class SignGrid:
-    """Sampled signs on {0..M}^dim: +1, -1 or 0 (zero-flagged)."""
+    """Sampled signs on {0..M}^dim, M >= 1: +1, -1 or 0 (zero-flagged)."""
 
     dim: int
     M: int
     signs: np.ndarray
 
     def __post_init__(self):
+        if self.M < 1:
+            raise ValueError("M must be at least 1")
         raw = np.asarray(self.signs)
         # checked before the int8 cast, which wraps 255 to -1 and 0.5 to 0
         if raw.dtype.kind not in "biu" or (

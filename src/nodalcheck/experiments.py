@@ -232,6 +232,8 @@ def zero_stats(N: int, trials: int, seed: int) -> Summary:
     """Zero count and minimal zero gap statistics for degree-N 1D polynomials."""
     if N < 2:
         raise ValueError("N must be at least 2")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     coeffs = trig_coeffs(1, N)
     L = coeffs.L
     counts = np.zeros(trials)
@@ -284,6 +286,8 @@ def homology_experiment(dim: int, N: int, M_list, trials: int,
     M_list = sorted(set(int(M) for M in M_list))
     if not M_list:
         raise ValueError("M_list must not be empty")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     coeffs = trig_coeffs(dim, N)
     if zero_tol is None:
         zero_tol = default_zero_tol(coeffs)

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "CoeffSeq1D",
@@ -407,18 +406,22 @@ def _trig_blocks(coeffs, x1, x2) -> tuple:
                 else _trig_block(coeffs.L, coeffs.K, x2))
 
 
+def _row_blocks(A: np.ndarray, width: int) -> np.ndarray:
+    """A in blocks of ``width`` rows: entry q is
+    ``A[q * width:(q + 1) * width]``, the last row of A repeated past it."""
+    count = -(-len(A) // width)
+    return np.pad(A, ((0, count * width - len(A)), (0, 0)),
+                  mode="edge").reshape(count, width, -1)
+
+
 def _column_blocks(A: np.ndarray, width: int) -> np.ndarray:
     """A^T in blocks of ``width`` columns: entry q is
-    ``A[q * width:(q + 1) * width].T``, zero past the last row of A.
+    ``A[q * width:(q + 1) * width].T``, the last row of A repeated past it.
 
-    C-contiguous, so that a window's columns are gathered as whole
-    blocks, laid out as the window product reads them.
+    C-contiguous, so that a window's columns are one contiguous block,
+    laid out as the window product reads them.
     """
-    count = -(-len(A) // width)
-    padded = np.zeros((count * width, A.shape[1]))
-    padded[:len(A)] = A
-    return np.ascontiguousarray(
-        padded.reshape(count, width, -1).transpose(0, 2, 1))
+    return np.ascontiguousarray(_row_blocks(A, width).transpose(0, 2, 1))
 
 
 @lru_cache(maxsize=16)
@@ -434,8 +437,8 @@ def _lattice_table(L: float, K: int, n: int, width: int = 1) -> tuple:
     reference grids (256, 512) are read from its fine pass
     (:func:`~nodalcheck.cubical.sign_grid`); only a grid with zero flags,
     or off that pass's nest, reads a table of its own.  The blocks are
-    what :func:`_window_classifier` gathers the columns of its windows
-    from, one contiguous block per window of the pass's subsquare width.
+    what :func:`_window_classifier` takes the columns of its windows
+    from, one block per window of the pass's subsquare width.
     At most 16 pairs are kept, the least recently used dropped first.  A
     table holds 16 (K + 1)(n + 1) bytes and its blocks at most
     16 (K + 1)(n + width) bytes, so the cache holds at most about
@@ -538,30 +541,19 @@ def _window_classifier(r: Realization2D, A1, blocks, zero_tol: float):
 
     The grid is given by the table A1 = A(x1) and ``blocks``, the table
     A(x2) transposed in blocks of w columns (:func:`_column_blocks`).
-    Returns ``classify(a, b, rows, cols) -> (positive, flagged)``.
-    Window k is the rows x cols tensor grid
-    ``x1[a[k] w:a[k] w + rows] (x) x2[b[k] w:b[k] w + cols]``; both
-    results are (n, rows, cols) booleans with the zero-flag rule of
-    :func:`classify_grid_2d`.  The factor A(x1) W is formed once; each
-    window is the block product of a run of its rows, gathered from a
-    strided view made once per window height, and a run of blocks, one
-    contiguous block when the window is w columns wide.
+    Returns ``classify(a, b) -> (positive, flagged)``.  Window k is the
+    w x w tensor grid ``x1[a[k] w:(a[k] + 1) w] (x) x2[b[k] w:(b[k] + 1) w]``,
+    the last point of each axis repeated past its end; both results are
+    (n, w, w) booleans with the zero-flag rule of :func:`classify_grid_2d`.
+    The factor A(x1) W is formed once, in blocks of w rows
+    (:func:`_row_blocks`), and each window is the product of one block of
+    each.
     """
     _check_zero_tol(zero_tol)
-    left = A1 @ r.weights
-    _, depth, width = blocks.shape
+    rows = _row_blocks(A1 @ r.weights, blocks.shape[-1])
 
-    @cache
-    def runs(size):  # runs(size)[i] = left[i:i + size], as a view
-        (rows, cols), (step, item) = left.shape, left.strides
-        return as_strided(left, (rows - size + 1, size, cols),
-                          (step, step, item), writeable=False)
-
-    def classify(a, b, rows, cols):
-        span = -(-cols // width)
-        columns = blocks[b[:, None] + np.arange(span)].transpose(0, 2, 1, 3)
-        columns = columns.reshape(len(b), depth, span * width)[..., :cols]
-        values = np.matmul(runs(rows)[a * width], columns)
+    def classify(a, b):
+        values = np.matmul(rows[a], blocks[b])
         positive = values > zero_tol
         flagged = values < -zero_tol
         flagged |= positive

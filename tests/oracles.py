@@ -365,16 +365,19 @@ def betti_label(cells):
 
 
 def closed_blocks(fine):
-    """u > zero_tol on the closed (S + 1)^2 block of every subsquare a 2D
-    fine pass leaves undecided, each block evaluated whole, by the window
-    classifier the pass used before it held half-open blocks."""
-    r, S = fine.r, fine.S
+    """u > zero_tol on the closed (S + 1)^2 block of every subsquare of
+    the lattice that a 2D fine pass leaves undecided, in the pass's
+    order, each block evaluated whole, by the window classifier the pass
+    used before it held half-open blocks."""
+    r, S, Q = fine.r, fine.S, len(fine.level) - 1
     size = S + 1
     table = fields._lattice_table(r.coeffs.L, r.coeffs.K, fine.G)[0]
     left, right = table @ r.weights, np.ascontiguousarray(table.T)
     runs = sliding_window_view(left, size, axis=0).transpose(0, 2, 1)
     columns = sliding_window_view(right, size, axis=1).transpose(1, 0, 2)
-    return np.matmul(runs[fine.a * S], columns[fine.b * S]) > fine.zero_tol
+    real = (fine.a < Q) & (fine.b < Q)
+    return np.matmul(runs[fine.a[real] * S],
+                     columns[fine.b[real] * S]) > fine.zero_tol
 
 
 def validate_2d_dense(r, M, D, zero_tol, collect_all, coll):

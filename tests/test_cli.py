@@ -152,6 +152,8 @@ class TestRoundTrips:
          "sign grid M must be an integer, not True"),
         ({"dim": 3, "M": 1, "rows": ["+-", "-+"]},
          "sign grid dim must be 1 or 2, not 3"),
+        ({"dim": 1, "M": -1, "rows": [""]}, "M must be at least 1"),
+        ({"dim": 2, "M": 0, "rows": ["+"]}, "M must be at least 1"),
     ])
     def test_betti_bad_grid(self, capsys, tmp_path, payload, message):
         gpath = tmp_path / "g.json"

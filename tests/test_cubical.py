@@ -62,6 +62,12 @@ class TestSignGrid:
         with pytest.raises(ValueError, match="signs must be integers"):
             SignGrid(dim=dim, M=1, signs=signs)
 
+    @pytest.mark.parametrize("dim, M, signs", [
+        (1, -1, []), (1, 0, [1]), (2, 0, [[1]]), (2, -1, np.zeros((0, 0)))])
+    def test_m_below_one_rejected(self, dim, M, signs):
+        with pytest.raises(ValueError, match="M must be at least 1"):
+            SignGrid(dim=dim, M=M, signs=np.array(signs, dtype=np.int8))
+
     def test_int64_signs_accepted(self):
         raw = np.array([[1, 0], [-1, 1]])
         grid = SignGrid(dim=2, M=1, signs=raw)

@@ -145,29 +145,19 @@ def test_first_violating_level_across_window_stacks():
     assert got == oracles.validate_2d_dense(r, 5, 2, zero_tol, False, COLL)
 
 
-def test_pruning_engages(monkeypatch):
+def test_pruning_engages(window_stacks):
     """At a fine step of L/512, random fields leave most level-n0
     subsquares unevaluated, so the equivalence above is not met by
     evaluating everything."""
-    evaluated = []
-    window_classifier = adm._window_classifier
-
-    def counting(*args):
-        classify = window_classifier(*args)
-
-        def count(i, j, *shape):
-            evaluated.append(len(i))
-            return classify(i, j, *shape)
-        return count
-
-    monkeypatch.setattr(adm, "_window_classifier", counting)
     for seed in range(10):
         r = draw_realization(trig_coeffs(2, 2 + seed % 3), seed)
         for M, D in ((8, 6), (16, 4)):
-            evaluated.clear()
+            window_stacks.clear()
             validate_2d(r, M, D, default_zero_tol(r.coeffs))
+            evaluated = sum(len(a) for _, _, stacks in window_stacks
+                            for a, _ in stacks)
             subsquares = (M << (D - 2)) ** 2  # S = 8 fine steps wide
-            assert 0 < sum(evaluated) < subsquares / 2, (seed, M, D)
+            assert 0 < evaluated < subsquares / 2, (seed, M, D)
 
 
 # The trial seeds of the benchmark's criterion-6 pool, then more draws of
@@ -175,13 +165,20 @@ def test_pruning_engages(monkeypatch):
 NESTED_SEEDS = [fields.derive_seed(s, 0) for s in range(200)]
 
 
+def _real(fine):
+    """Which of the subsquares a fine pass leaves undecided lie on its
+    lattice, not past its far row or column."""
+    Q = len(fine.level) - 1
+    return (fine.a < Q) & (fine.b < Q)
+
+
 def test_pruning_power_on_pool():
     """The 60 trials of the criterion-6 pool (N = 3, M = 32, D = 6) leave
     exactly this many of their 60 * 512^2 level-n0 subsquares undecided."""
     coeffs = trig_coeffs(2, 3)
     zero_tol = default_zero_tol(coeffs)
-    undecided = sum(
-        len(adm._fine_pass(draw_realization(coeffs, seed), 32, 6, zero_tol).a)
+    undecided = sum(np.count_nonzero(_real(adm._fine_pass(
+        draw_realization(coeffs, seed), 32, 6, zero_tol)))
         for seed in NESTED_SEEDS[:60])
     assert undecided == 287_178
 
@@ -213,46 +210,31 @@ def _is_staircase(points) -> bool:
 def _synthetic_pass(points, level, S):
     """A fine pass of Q x Q subsquares S steps wide with the proof
     ``level``: the undecided ones evaluate to the half-open blocks of the
-    bool ``points``, (Q S + 1)^2 of them, and the far row and column
-    to the points' last row and column there, to the sign of ``level``
-    elsewhere."""
+    bool ``points``, (Q S + 1)^2 of them, repeated past their last row
+    and column as the pass repeats its far row and column."""
+    level = np.pad(level, (0, 1), mode="edge")
     Q = len(level)
     a, b = np.divmod(np.flatnonzero(level == 0), Q)
-    own = np.array([points[i * S:(i + 1) * S, j * S:(j + 1) * S]
-                    for i, j in zip(a, b)], dtype=bool).reshape(-1, S, S)
-    edge = np.array([points[-1], points[:, -1]])
-    for side, signs in enumerate((level[-1], level[:, -1])):
-        proven = np.repeat(signs != 0, S)
-        edge[side, :-1][proven] = np.repeat(signs > 0, S)[proven]
-    if level[-1, -1]:
-        edge[:, -1] = level[-1, -1] > 0
-    return adm._FinePass(None, 0.0, Q * S, S, None, level, a, b, own, edge,
-                         None)
+    blocks = np.pad(points, (0, S - 1), mode="edge").reshape(Q, S, Q, S)
+    return adm._FinePass(None, 0.0, (Q - 1) * S, S, None, level, a, b,
+                         blocks.transpose(0, 2, 1, 3)[a, b], None)
 
 
 def _read(fine):
-    """The (Q S + 1)^2 points as the sweep reads them: the own block of an
-    undecided subsquare and the sign of a proven one, each without its
-    closing row and column, then the far row and column."""
+    """The points as the sweep reads them: the own block of an undecided
+    subsquare and the sign of a proven one, each without its closing row
+    and column; past the lattice, its far row and column repeated."""
     S = fine.S
     blocks = {(int(p), int(q)): own for p, q, own in zip(fine.a, fine.b,
                                                          fine.own)}
-    points = np.block([[blocks.get((p, q), np.full((S, S), sign > 0))
-                        for q, sign in enumerate(row)]
-                       for p, row in enumerate(fine.level)])
-    return np.block([[points, fine.edge[1, :-1, None]],
-                     [fine.edge[0, None]]])
-
-
-def _padded(fine):
-    """The points as the sweep reads them, with the far row and column
-    repeated past the lattice as the blocks beyond it repeat them."""
-    return np.pad(_read(fine), (0, fine.S - 1), mode="edge")
+    return np.block([[blocks.get((p, q), np.full((S, S), sign > 0))
+                      for q, sign in enumerate(row)]
+                     for p, row in enumerate(fine.level)])
 
 
 def _b_mosaic(padded, S, i, j):
     """The 2S x 2S points of subsquare (i, j) and the three subsquares
-    after it, from ``_padded``; its closed block is the first S + 1 rows
+    after it, from ``_read``; its closed block is the first S + 1 rows
     and columns."""
     return padded[i * S:(i + 2) * S, j * S:(j + 2) * S]
 
@@ -264,13 +246,13 @@ def _check_windows(fine) -> int:
     neighbours, cropped to S/2 margins, and the 2S x 2S mosaic of a
     boundary subsquare and the three after it, cropped to its closed
     block.  Returns their number."""
-    S, Q = fine.S, len(fine.level)
+    S, Q, real = fine.S, len(fine.level) - 1, _real(fine)
     got = {(ring, int(i), int(j)): window
            for positive, wa, wb, ring, _ in adm._windows(fine, 1)
            for window, i, j in zip(positive, wa, wb)}
     want = {}
-    padded = _padded(fine)
-    for i, j in zip(fine.a, fine.b):
+    padded = _read(fine)
+    for i, j in zip(fine.a[real], fine.b[real]):
         if 0 < i < Q - 1 and 0 < j < Q - 1:
             mosaic = padded[(i - 1) * S:(i + 2) * S, (j - 1) * S:(j + 2) * S]
             if not _is_staircase(mosaic):
@@ -560,47 +542,43 @@ def test_fine_pass_far_edge_zeros(M_max, axis):
         assert out.zero_flag_count == np.count_nonzero(flagged[::c, ::c]), M
 
 
-def test_fine_pass_evaluates_each_point_once(monkeypatch):
+def test_fine_pass_evaluates_each_point_once(window_stacks):
     """On the criterion-6 pool (N = 3, M = 32, D = 6) the passes evaluate
-    no fine point twice: 64 points per undecided subsquare, its half-open
-    block, and the lattice's far row and column where the subsquares
-    beside them are undecided."""
-    recorded = []
-    window_classifier = adm._window_classifier
-
-    def recording(r, A1, blocks, zero_tol):
-        classify = window_classifier(r, A1, blocks, zero_tol)
-        S = blocks.shape[-1]
-
-        def record(a, b, rows, cols):
-            x = (a[:, None] * S + np.arange(rows))[:, :, None]
-            y = (b[:, None] * S + np.arange(cols))[:, None, :]
-            recorded.append((x * (1 << 13) + y).ravel())
-            return classify(a, b, rows, cols)
-        return record
-
-    monkeypatch.setattr(adm, "_window_classifier", recording)
+    no fine point of the lattice twice: 64 points per undecided
+    subsquare, its half-open block, and the lattice's far row and column
+    where the subsquares before them are undecided.  Those are evaluated
+    on the blocks past the lattice, which repeat them."""
     coeffs = trig_coeffs(2, 3)
     zero_tol = default_zero_tol(coeffs)
-    total = undecided = 0
+    total = repeats = far = undecided = 0
     for seed in NESTED_SEEDS[:60]:
-        recorded.clear()
+        window_stacks.clear()
         fine = adm._fine_pass(draw_realization(coeffs, seed), 32, 6, zero_tol)
-        points = np.concatenate(recorded)
+        [(G, S, stacks)] = window_stacks
+        a, b = (np.concatenate(t) for t in zip(*stacks))
+        x = (a[:, None] * S + np.arange(S))[:, :, None]
+        y = (b[:, None] * S + np.arange(S))[:, None, :]
+        real = (x <= G) & (y <= G)
+        points = (x * (1 << 13) + y)[real]
         assert len(np.unique(points)) == len(points), seed
         total += len(points)
-        undecided += len(fine.a)
-    # 1,043 of the subsquares lie beside the far row or column; the
-    # closed blocks evaluated before held 287,178 * 81 = 23,261,418 points
+        repeats += real.size - len(points)
+        far += np.count_nonzero((a == G // S) | (b == G // S))
+        undecided += np.count_nonzero(_real(fine))
+    # the closed blocks evaluated before held 287,178 * 81 = 23,261,418
+    # points; 1,047 blocks lie past the far row or column, 2 of them past
+    # both, and their repeats add 0.3% products
     assert undecided == 287_178
     assert total == 287_178 * 64 + 8_362
+    assert (far, repeats) == (1_047, 58_646)
 
 
 def test_closed_b_blocks_match_closed_classifier():
     """Every subsquare is a B window when a grid square holds all of
-    them.  Its closed block, read from the half-open blocks after it and
-    the far row and column, is the (S + 1)^2 block evaluated whole, bit
-    for bit; those whose 2S x 2S mosaic is a staircase are skipped."""
+    them.  Its closed block, read from the half-open blocks after it, is
+    the (S + 1)^2 block evaluated whole, bit for bit; those whose 2S x 2S
+    mosaic is a staircase are skipped.  The blocks past the lattice
+    repeat the last row or column of the closed blocks before them."""
     rng = np.random.default_rng(20)
     seen, far = set(), 0
     for k in range(200):
@@ -609,17 +587,26 @@ def test_closed_b_blocks_match_closed_classifier():
         r = draw_realization(trig_coeffs(2, N), derive_seed(20, k))
         for zero_tol in _tolerances(r):
             fine = adm._fine_pass(r, M, D, zero_tol)
-            S, Q = fine.S, len(fine.level)
+            S, Q, real = fine.S, len(fine.level) - 1, _real(fine)
             seen.add(S)
             want = oracles.closed_blocks(fine)
-            assert np.array_equal(fine.own, want[:, :S, :S]), (k, zero_tol)
+            assert np.array_equal(fine.own[real], want[:, :S, :S]), \
+                (k, zero_tol)
+            closed = {(int(i), int(j)): block
+                      for i, j, block in zip(fine.a[real], fine.b[real], want)}
+            for i, j, own in zip(fine.a[~real], fine.b[~real],
+                                 fine.own[~real]):
+                # the far row or column, the last of a closed block, repeated
+                p, q = min(i, Q - 1), min(j, Q - 1)
+                near = np.pad(closed[p, q], (0, S - 1), mode="edge")
+                assert np.array_equal(own, near[(i - p) * S:(i - p + 1) * S,
+                                                (j - q) * S:(j - q + 1) * S])
             got = {(int(i), int(j)): window
                    for positive, wa, wb, ring, _ in adm._windows(fine, Q)
                    for window, i, j in zip(positive, wa, wb) if ring == 1}
-            padded = _padded(fine)
-            kept = {(int(i), int(j)): block
-                    for i, j, block in zip(fine.a, fine.b, want)
-                    if not _is_staircase(_b_mosaic(padded, S, i, j))}
+            padded = _read(fine)
+            kept = {key: block for key, block in closed.items()
+                    if not _is_staircase(_b_mosaic(padded, S, *key))}
             assert got.keys() == kept.keys(), (k, zero_tol)
             for key, block in kept.items():
                 assert np.array_equal(got[key], block), (k, zero_tol, key)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from nodalcheck import admissibility, experiments, fields
+from nodalcheck import experiments, fields
 from nodalcheck.experiments import (CSV_COLUMNS, ExperimentConfig,
                                     TrialRecord, default_zero_tol,
                                     homology_experiment, read_results,
@@ -119,6 +119,12 @@ class TestZeroStats:
         assert s.extra["M95"] > 0
         assert s.extra["gap_q05"] > 0
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_zero_trials(self, trials):
+        """Refused, not a NaN mean and M95 0."""
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            zero_stats(5, trials, 1)
+
     def test_deterministic(self):
         a = zero_stats(5, trials=20, seed=9)
         b = zero_stats(5, trials=20, seed=9)
@@ -192,6 +198,11 @@ class TestHomologyExperiment:
         with pytest.raises(ValueError):
             homology_experiment(3, 3, [8], trials=1)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_trials(self, dim):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            homology_experiment(dim, 5, (10,), 0)
+
     def test_empty_m_list(self):
         for dim in (1, 2):
             with pytest.raises(ValueError, match="M_list must not be empty"):
@@ -222,7 +233,7 @@ class TestHomologyExperiment:
             builds.append(sorted(built))
         assert builds == [[4096], [], []]
 
-    def test_2d_trial_call_order(self, monkeypatch):
+    def test_2d_trial_call_order(self, monkeypatch, window_stacks):
         """What a caller that wraps the module's bindings sees of a 2D
         trial: the reference first, then per M in ascending order one
         validation and, with the reference resolved, one Betti pair.
@@ -241,18 +252,13 @@ class TestHomologyExperiment:
                            ("betti_pair", lambda grid: grid.M)):
             monkeypatch.setattr(experiments, name, recorder(
                 name, getattr(experiments, name), size))
-        lattices = []
-        window_classifier = admissibility._window_classifier
-        monkeypatch.setattr(
-            admissibility, "_window_classifier", lambda r, A1, *args:
-            lattices.append(len(A1) - 1) or window_classifier(r, A1, *args))
         summary = homology_experiment(2, 3, (16, 32, 8), trials=1)
         assert not summary.extra["records"][0].per_M[8]["unresolved"]
         assert calls == [("reference_betti", 256),
                          ("validate_2d", 8), ("betti_pair", 8),
                          ("validate_2d", 16), ("betti_pair", 16),
                          ("validate_2d", 32), ("betti_pair", 32)]
-        assert lattices == [4096]
+        assert [n for n, _, _ in window_stacks] == [4096]
 
 
 class TestPersistence:

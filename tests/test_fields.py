@@ -233,43 +233,48 @@ class TestCornerProof:
     @pytest.mark.parametrize("seed", range(4))
     def test_decided_points_keep_their_sign(self, seed):
         """Every fine point of a cell proven on its own square is
-        classified with the cell's sign and is not zero-flagged."""
+        classified with the cell's sign and is not zero-flagged: its
+        block, and the first row and column of the blocks after it, those
+        past the lattice repeating the far row and column."""
         r = draw_realization(trig_coeffs(2, 3), seed)
         M, D, S = 8, 5, 8
         G = M << (D + 1)
         A, blocks = fields._lattice_table(r.coeffs.L, r.coeffs.K, G, S)
         for zero_tol in (1e-3, default_zero_tol(r.coeffs)):
-            level = adm._fine_pass(r, M, D, zero_tol).level
+            level = adm._fine_pass(r, M, D, zero_tol).level[:-1, :-1]
             assert (level == 0).any() and level.any()
             a, b = np.nonzero(level)
-            classify = fields._window_classifier(r, A, blocks, zero_tol)
-            positive, flagged = classify(a, b, S + 1, S + 1)
-            assert not flagged.any()
             sign = (level[a, b] > 0)[:, None, None]
-            assert np.array_equal(positive,
-                                  np.broadcast_to(sign, positive.shape))
+            classify = fields._window_classifier(r, A, blocks, zero_tol)
+            for da, db in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                positive, flagged = classify(a + da, b + db)
+                cell = (slice(None), slice(1 if da else S),
+                        slice(1 if db else S))
+                assert not flagged[cell].any()
+                assert np.array_equal(positive[cell], np.broadcast_to(
+                    sign, positive[cell].shape))
 
     def test_window_classifier_matches_grid(self):
+        """Windows of w x w points, those of the last block row and column
+        holding the grid's last row and column repeated past its end."""
         r = draw_realization(trig_coeffs(2, 4), 3)
-        xs = np.linspace(0, r.coeffs.L, 40)
-        i, j = np.array([0, 5, 5, 37]), np.array([3, 0, 20, 37])
+        xs = np.linspace(0, r.coeffs.L, 38)
         A = table(r, xs)
         values = evaluate_grid_2d(r, xs, xs)
-        for width in (1, 3, 4):
+        for width in (1, 3, 4, 8):
+            last = (len(xs) - 1) // width
+            a = np.array([0, 1, 1, 3, last, last, 0, last])
+            b = np.array([3, 0, 4, 3, 0, 2, last, last])
             classify = fields._window_classifier(
                 r, A, fields._column_blocks(A, width), 0.5)
-            for rows, cols in ((3, 3), (1, 3), (3, 1), (2, 9), (4, 4)):
-                a, b = i // width, j // width
-                inside = ((a * width + rows <= len(xs))
-                          & (b * width + cols <= len(xs)))
-                a, b = a[inside], b[inside]
-                positive, flagged = classify(a, b, rows, cols)
-                assert positive.shape == flagged.shape == (len(a), rows, cols)
-                for w in range(len(a)):
-                    x, y = a[w] * width, b[w] * width
-                    block = values[x:x + rows, y:y + cols]
-                    assert np.array_equal(positive[w], block > 0.5)
-                    assert np.array_equal(flagged[w], np.abs(block) <= 0.5)
+            positive, flagged = classify(a, b)
+            assert positive.shape == flagged.shape == (len(a), width, width)
+            padded = np.pad(values, (0, width - 1), mode="edge")
+            for w in range(len(a)):
+                x, y = a[w] * width, b[w] * width
+                block = padded[x:x + width, y:y + width]
+                assert np.array_equal(positive[w], block > 0.5)
+                assert np.array_equal(flagged[w], np.abs(block) <= 0.5)
 
 
 class TestLatticeTables:
@@ -290,9 +295,11 @@ class TestLatticeTables:
             assert cold_blocks.flags.c_contiguous
             assert cold_blocks.shape == (-(-(n + 1) // width), 2 * (K + 1),
                                          width)
+            # the last row of the table repeated past it
             columns = np.concatenate(list(cold_blocks), axis=1)
-            assert np.array_equal(columns[:, :n + 1], fresh.T)
-            assert not columns[:, n + 1:].any()
+            pad = columns.shape[1] - (n + 1)
+            assert np.array_equal(columns, np.pad(fresh.T, ((0, 0), (0, pad)),
+                                                  mode="edge"))
 
     def test_read_only(self):
         for table in fields._lattice_table(2 * np.pi, 3, 16):

@@ -259,16 +259,17 @@ class TestDegenerate:
             BettiVector(1, 0), BettiVector(1, 0))
 
     def test_short_1d_grids(self):
-        """1D grids of 1 and 2 points."""
+        """1D grids of 2 points, and 1-cell masks: a sign grid of 1 point
+        (M = 0) is refused (``TestSignGrid``)."""
         one, none = BettiVector(1, 0), BettiVector(0, 0)
         two = BettiVector(2, 0)
-        cases = {(1,): (one, none), (0,): (one, one), (-1,): (none, one),
-                 (1, 1): (one, none), (1, 0): (one, one), (1, -1): (one, one),
+        assert (cell_betti(np.ones(1, dtype=bool)),
+                cell_betti(np.zeros(1, dtype=bool))) == (one, none)
+        cases = {(1, 1): (one, none), (1, 0): (one, one), (1, -1): (one, one),
                  (0, 0): (one, one), (-1, 0): (one, one),
                  (-1, -1): (none, one)}
         for signs, want in cases.items():
-            grid = SignGrid(dim=1, M=len(signs) - 1,
-                            signs=np.array(signs, dtype=np.int8))
+            grid = SignGrid(dim=1, M=1, signs=np.array(signs, dtype=np.int8))
             assert betti_pair(grid) == want, signs
         grid = SignGrid(dim=1, M=2, signs=np.array([1, -1, 1], dtype=np.int8))
         assert betti_pair(grid) == (two, one)
