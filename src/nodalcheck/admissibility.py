@@ -18,6 +18,9 @@ can hold a double crossover.
 Admissibility in the source definitions quantifies over all dyadic
 levels; a machine checks finitely many, so ``Certified`` here always
 means "no violation down to depth D" with D recorded in the outcome.
+Every check takes its depth through :func:`_fine_steps`, decides its
+signs by :func:`~nodalcheck.fields._bound_test` and builds its outcome
+with :func:`_verdict`.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from importlib import resources
 
 import numpy as np
 
-from .fields import (_BAND_ROWS, Realization1D, Realization2D,
+from .fields import (_BAND_ROWS, Realization1D, Realization2D, _bound_test,
                      _check_zero_tol, _grid_bands, _lattice_table,
-                     _window_classifier, classify_grid_2d, evaluate_grid_1d)
+                     _sign_changes, _window_classifier, classify_grid_2d,
+                     evaluate_grid_1d)
 
 __all__ = [
     "SignPattern",
@@ -272,12 +276,38 @@ class ValidationOutcome:
         return self.status == CERTIFIED
 
 
+_MAX_VIOLATIONS = 200
+
+
+def _verdict(D: int, violations, zeros: int = 0) -> ValidationOutcome:
+    """The outcome of every check to depth D: Degenerate when it counted
+    ``zeros`` zero flags, NotCertified when it found ``violations`` (the
+    first 200 listed in sorted order, all of them counted), Certified
+    otherwise."""
+    if zeros:
+        return ValidationOutcome(DEGENERATE, D, zero_flag_count=int(zeros))
+    if violations:
+        return ValidationOutcome(NOT_CERTIFIED, D,
+                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]),
+                                 violation_count=len(violations))
+    return ValidationOutcome(CERTIFIED, D)
+
+
+def _fine_steps(D: int) -> int:
+    """The 2^(D+1) fine steps across a level-0 interval or square swept to
+    depth D; raises ``ValueError`` unless D >= 0."""
+    if D < 0:
+        raise ValueError("depth D must be nonnegative")
+    return 1 << (D + 1)
+
+
 def double_crossover(v_left: float, v_mid: float, v_right: float) -> bool:
-    """True iff (sigma*left >= 0, sigma*mid <= 0, sigma*right >= 0) for some sigma."""
-    for sigma in (1.0, -1.0):
-        if sigma * v_left >= 0 and sigma * v_mid <= 0 and sigma * v_right >= 0:
-            return True
-    return False
+    """True iff (sigma*left >= 0, sigma*mid <= 0, sigma*right >= 0) for some sigma.
+
+    The depth-0 sweep of :func:`_double_crossovers` over the three values.
+    """
+    return bool(_double_crossovers(np.array([v_left, v_mid, v_right],
+                                            dtype=float), 0))
 
 
 def _double_crossovers(v: np.ndarray, D: int) -> list:
@@ -291,7 +321,8 @@ def _double_crossovers(v: np.ndarray, D: int) -> list:
     level, then by k.
 
     Only *hot* level-0 intervals are swept: those with at least two
-    ``signbit`` flips between consecutive samples, or with a sample
+    ``signbit`` flips between consecutive samples
+    (:func:`~nodalcheck.fields._sign_changes`), or with a sample
     equal to 0 (a zero at a shared end makes both neighbours hot).  No
     other interval can hold a double crossover.  If none of the triple
     v_l, v_m, v_r is zero, a crossover has v_l and v_r strictly of one
@@ -305,8 +336,7 @@ def _double_crossovers(v: np.ndarray, D: int) -> list:
     """
     shift = D + 1
     m = (v.size - 1) >> shift
-    neg = np.signbit(v)
-    flips = np.flatnonzero(neg[1:] != neg[:-1]) >> shift
+    flips = _sign_changes(v) >> shift
     is_hot = np.bincount(flips, minlength=m) >= 2
     zeros = np.flatnonzero(v == 0)
     is_hot[np.minimum(zeros >> shift, m - 1)] = True
@@ -337,15 +367,10 @@ def interval_admissible(r: Realization1D, interval, D: int) -> ValidationOutcome
     alpha, beta = float(interval[0]), float(interval[1])
     if not (0.0 <= alpha < beta <= r.coeffs.L):
         raise ValueError("interval must be a nondegenerate subinterval of [0, L]")
-    if D < 0:
-        raise ValueError("depth D must be nonnegative")
-    n_fine = 1 << (D + 1)
+    n_fine = _fine_steps(D)
     xs = alpha + (beta - alpha) * np.arange(n_fine + 1) / n_fine
-    violations = [(k, n, "double-crossover")
-                  for k, n in _double_crossovers(r(xs), D)]
-    if violations:
-        return ValidationOutcome(NOT_CERTIFIED, D, tuple(sorted(violations)))
-    return ValidationOutcome(CERTIFIED, D)
+    return _verdict(D, [(k, n, "double-crossover")
+                        for k, n in _double_crossovers(r(xs), D)])
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +451,6 @@ def count_surviving(lib: PatternLibrary) -> int:
 # of the level's code array
 _I_STENCILS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
-_MAX_VIOLATIONS = 200
-
 
 def _level_codes(positive: np.ndarray, h: int) -> np.ndarray:
     """9-bit stencil codes at every stencil corner of ``positive[..., ::h, ::h]``.
@@ -506,26 +529,20 @@ def _sweep(positive: np.ndarray, nsq: int, ring: int, margin: int, D: int,
     return found
 
 
-def _verdict(D: int, violations: list) -> ValidationOutcome:
-    if violations:
-        return ValidationOutcome(NOT_CERTIFIED, D,
-                                 tuple(sorted(violations)[:_MAX_VIOLATIONS]),
-                                 violation_count=len(violations))
-    return ValidationOutcome(CERTIFIED, D)
-
-
 def _square_outcome(r: Realization2D, corner, delta: float, D: int,
                     coll: PatternCollection, zero_tol: float, shifts: bool,
                     collect_all: bool) -> ValidationOutcome:
     """Dyadic sweep of one square: B-checked, or I-checked with ``shifts``."""
     L = r.coeffs.L
     cx, cy = float(corner[0]), float(corner[1])
+    unit = _fine_steps(D)  # fine steps across the square
+    if not delta > 0:
+        raise ValueError("the side length of the square must be positive")
     pad = 0.5 * delta if shifts else 0.0
     if not (0.0 <= cx - pad and cx + delta + pad <= L * (1 + 1e-12)
             and 0.0 <= cy - pad and cy + delta + pad <= L * (1 + 1e-12)):
         raise ValueError("square (with its delta/2 neighborhood, if required) "
                          "must lie inside [0, L]^2")
-    unit = 1 << (D + 1)  # fine steps across the square
     margin = unit // 2 if shifts else 0
     total = unit + 2 * margin
     step = delta / unit
@@ -533,7 +550,7 @@ def _square_outcome(r: Realization2D, corner, delta: float, D: int,
     ys = cy - margin * step + np.arange(total + 1) * step
     positive, zeros = classify_grid_2d(r, xs, ys, zero_tol)
     if zeros:
-        return ValidationOutcome(DEGENERATE, D, zero_flag_count=zeros)
+        return _verdict(D, (), zeros)
     ring = 0 if shifts else 1
     return _verdict(D, _sweep(positive, 1, ring, margin, D, coll, collect_all))
 
@@ -586,16 +603,13 @@ def validate_1d(r: Realization1D, M: int, D: int, zero_tol: float = 0.0) -> Vali
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    if D < 0:
-        raise ValueError("depth D must be nonnegative")
+    unit = _fine_steps(D)
     _check_zero_tol(zero_tol)
-    unit = 1 << (D + 1)
     v = evaluate_grid_1d(r, M * unit)
-    grid_vals = v[::unit]
-    signed = (grid_vals > zero_tol) | (grid_vals < -zero_tol)
-    zero_flags = grid_vals.size - int(np.count_nonzero(signed))
+    above, below = _bound_test(v[::unit], zero_tol)
+    zero_flags = above.size - np.count_nonzero(above) - np.count_nonzero(below)
     if zero_flags:
-        return ValidationOutcome(DEGENERATE, D, zero_flag_count=zero_flags)
+        return _verdict(D, (), zero_flags)
     # subinterval k of level n lies in grid interval k >> n
     return _verdict(D, [(k >> n, n, "double-crossover")
                         for k, n in _double_crossovers(v, D)])
@@ -739,9 +753,7 @@ def _lattice(M: int, D: int) -> tuple:
     """(S, G) of ``validate_2d(r, M, D)``, after checking its arguments."""
     if M < 3:
         raise ValueError("M must be at least 3 so that interior squares exist")
-    if D < 0:
-        raise ValueError("depth D must be nonnegative")
-    unit = 1 << (D + 1)
+    unit = _fine_steps(D)
     return min(_PRUNE_STEPS, unit), M * unit
 
 
@@ -749,7 +761,9 @@ def _corner_proof(r: Realization2D, grid: np.ndarray, delta: float,
                   zero_tol: float) -> tuple:
     """``(coarse, proven)`` on the tensor grid of the trig table ``grid``.
 
-    ``coarse`` is u > zero_tol at the grid points, ``delta`` apart.
+    ``coarse`` is u > zero_tol at the grid points, ``delta`` apart; it
+    and the corner signs below come from the bound test
+    (:func:`~nodalcheck.fields._bound_test`).
     Entry (i, j) of the int8 ``proven`` is the sign u keeps on the closed
     cell with corners (i, j) and (i + 1, j + 1) if every value of u in
     it, as this package computes it, exceeds ``zero_tol`` in magnitude,
@@ -767,14 +781,14 @@ def _corner_proof(r: Realization2D, grid: np.ndarray, delta: float,
               + 2.0 * r.rounding_bound)
     n = len(grid)
     coarse = np.empty((n, n), dtype=bool)
+    below = np.empty((min(n, _BAND_ROWS), n), dtype=bool)
     proven = np.empty((n - 1, n - 1), dtype=np.int8)
     # corners above margin and below -margin; row 0 is the band before's
     corners = np.empty((2, min(n, _BAND_ROWS) + 1, n), dtype=bool)
     for rows, values in _grid_bands(r, grid, grid):
         k, top = len(values), int(rows.start == 0)
-        np.greater(values, zero_tol, out=coarse[rows])
-        np.greater(values, margin, out=corners[0, 1:k + 1])
-        np.less(values, -margin, out=corners[1, 1:k + 1])
+        _bound_test(values, zero_tol, coarse[rows], below[:k])
+        _bound_test(values, margin, corners[0, 1:k + 1], corners[1, 1:k + 1])
         signs = corners[:, top:k + 1]
         pairs = signs[:, :-1] & signs[:, 1:]  # corner above and below
         up, down = pairs[..., :-1] & pairs[..., 1:]
@@ -917,9 +931,9 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     c = 0 if fine is None else fine.nest(r, zero_tol, G)
     if not c or fine.S != S:
         fine, c = _fine_pass(r, M, D, zero_tol), 1
-    zeros = int(fine.zeros[c.bit_length() - 1])
+    zeros = fine.zeros[c.bit_length() - 1]
     if zeros:
-        return ValidationOutcome(DEGENERATE, D, zero_flag_count=zeros)
+        return _verdict(D, (), zeros)
 
     n0 = D + 2 - S.bit_length()
     found = []

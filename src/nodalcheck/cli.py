@@ -25,7 +25,7 @@ EXIT_NOT_CERTIFIED = 2
 
 
 def _load_coeffs(args):
-    if getattr(args, "coeffs", None):
+    if args.coeffs:
         with open(args.coeffs, encoding="utf-8") as fh:
             return fields.coeffs_from_json(fh.read())
     if args.N is None:
@@ -34,7 +34,7 @@ def _load_coeffs(args):
 
 
 def _load_realization(args):
-    if getattr(args, "realization", None):
+    if args.realization:
         with open(args.realization, encoding="utf-8") as fh:
             return fields.realization_from_json(fh.read())
     coeffs = _load_coeffs(args)
@@ -195,11 +195,10 @@ def _zero_tol(args, r) -> float:
     return args.zero_tol
 
 
-def _add_field_source(p, need_dim=True):
+def _add_field_source(p):
     p.add_argument("--coeffs", help="coefficient JSON file")
     p.add_argument("--realization", help="realization JSON file")
-    if need_dim:
-        p.add_argument("--dim", type=int, choices=(1, 2), default=1)
+    p.add_argument("--dim", type=int, choices=(1, 2), default=1)
     p.add_argument("--N", type=int, help="trigonometric polynomial degree")
     p.add_argument("--seed", type=int, default=0)
 

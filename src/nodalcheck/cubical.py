@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fields import (Realization1D, Realization2D, _check_zero_tol,
-                     _classify_grid, _json_object, _lattice_table,
-                     evaluate_grid_1d)
+from .fields import (Realization1D, Realization2D, _bound_test,
+                     _check_zero_tol, _classify_grid, _json_object,
+                     _lattice_table, evaluate_grid_1d)
 
 if TYPE_CHECKING:
     from .admissibility import _FinePass
@@ -118,25 +118,18 @@ def sign_grid(r, M: int, zero_tol: float = 0.0, *,
     # every c-th point of the pass's coarse grid, c S fine steps apart
     c = 0 if fine is None else fine.nest(r, zero_tol, M) // fine.S
     if isinstance(r, Realization1D):
-        vals = evaluate_grid_1d(r, M)
-        signs = np.zeros(vals.shape, dtype=np.int8)
-        signs[vals > zero_tol] = PLUS
-        signs[vals < -zero_tol] = MINUS
-        return SignGrid(dim=1, M=M, signs=signs)
-    if not isinstance(r, Realization2D):
+        positive, negative = _bound_test(evaluate_grid_1d(r, M), zero_tol)
+    elif not isinstance(r, Realization2D):
         raise TypeError("r must be a realization")
-    if c and not fine.zeros[(c * fine.S).bit_length() - 1]:
-        positive, flagged = fine.coarse[::c, ::c], None
+    elif c and not fine.zeros[(c * fine.S).bit_length() - 1]:
+        positive = fine.coarse[::c, ::c]
+        negative = ~positive
     else:
         A, _ = _lattice_table(r.coeffs.L, r.coeffs.K, M)
-        flagged = np.empty((M + 1, M + 1), dtype=bool)
-        positive, _ = _classify_grid(r, A, A, zero_tol, flagged)
-    # PLUS where positive, MINUS elsewhere, built in int8
-    signs = positive.view(np.int8) * np.int8(2)
-    signs -= 1
-    if flagged is not None:
-        signs[flagged] = ZERO_FLAGGED
-    return SignGrid(dim=2, M=M, signs=signs)
+        positive, negative = _classify_grid(r, A, A, zero_tol)
+    # PLUS above the bound, MINUS below, ZERO_FLAGGED at neither
+    signs = positive.view(np.int8) - negative.view(np.int8)
+    return SignGrid(dim=r.dim, M=M, signs=signs)
 
 
 def cubical_approx(grid: SignGrid, sigma: int) -> np.ndarray:

@@ -24,8 +24,9 @@ from .admissibility import (CERTIFIED, DEGENERATE, _fine_pass,
                             validate_2d)
 from .bounds import bound_1d_periodic, bound_2d_periodic
 from .cubical import sign_grid
-from .fields import (_check_zero_tol, derive_seed, draw_realization,
-                     evaluate_grid_1d, jet_1d, spectral_moments, trig_coeffs)
+from .fields import (_check_zero_tol, _sign_changes, derive_seed,
+                     draw_realization, evaluate_grid_1d, jet_1d,
+                     spectral_moments, trig_coeffs)
 from .homology import (betti_pair, default_reference_M, homology_match,
                        reference_betti)
 
@@ -192,7 +193,7 @@ def _find_zeros(r, N: int) -> np.ndarray:
     n_grid = 50 * N
     xs = np.arange(n_grid + 1) * (L / n_grid)
     v = evaluate_grid_1d(r, n_grid)
-    idx = np.flatnonzero(np.signbit(v[:-1]) != np.signbit(v[1:]))
+    idx = _sign_changes(v)
     if idx.size == 0:
         return np.empty(0)
     lo, hi = xs[idx], xs[idx + 1]

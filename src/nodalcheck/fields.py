@@ -10,6 +10,12 @@ bit generator keyed through ``SeedSequence``, with per-trial substreams
 derived by :func:`derive_seed`.  Normal variates use numpy's
 ``standard_normal`` (ziggurat); identical ``(coeffs, seed)`` always
 reproduces the identical realization.
+
+Signs are decided in one place each: :func:`_bound_test` splits values
+into u > +b and u < -b, for the zero-flag classes (b = zero_tol, a value
+in neither class is flagged, NaN too) and for the corner proofs of the
+2D validator (b = its margin); :func:`_sign_changes` finds where the
+``signbit`` of a sampled sequence flips.
 """
 
 from __future__ import annotations
@@ -505,7 +511,10 @@ def classify_grid_2d(r: Realization2D, x1, x2, zero_tol: float) -> tuple:
     :func:`evaluate_grid_2d`, classified band by band, so no float grid
     of the full size is ever formed.
     """
-    return _classify_grid(r, *_trig_blocks(r.coeffs, x1, x2), zero_tol)
+    positive, negative = _classify_grid(r, *_trig_blocks(r.coeffs, x1, x2),
+                                        zero_tol)
+    signed = np.count_nonzero(positive) + np.count_nonzero(negative)
+    return positive, positive.size - signed
 
 
 def _check_zero_tol(zero_tol: float) -> None:
@@ -515,25 +524,34 @@ def _check_zero_tol(zero_tol: float) -> None:
         raise ValueError("zero_tol must be finite and nonnegative")
 
 
-def _classify_grid(r: Realization2D, A1, A2, zero_tol: float,
-                   flagged: np.ndarray | None = None) -> tuple:
-    """:func:`classify_grid_2d` on the tables A1 = A(x1) and A2 = A(x2).
+def _bound_test(values, bound: float, above=None, below=None) -> tuple:
+    """``(values > bound, values < -bound)`` elementwise, written into the
+    boolean arrays ``above`` and ``below`` when they are given.
 
-    If ``flagged`` is given, a boolean array of the grid's shape, it
-    receives the zero-flag mask.
+    The one place where a sign of u is decided against a bound: at
+    b = zero_tol a value in neither class is zero-flagged (NaN too), and
+    ``validate_2d``'s corner proof takes its corners at b = its margin.
     """
+    return (np.greater(values, bound, out=above),
+            np.less(values, -bound, out=below))
+
+
+def _sign_changes(v: np.ndarray) -> np.ndarray:
+    """The indices i at which ``signbit`` differs between v[i] and v[i + 1]."""
+    neg = np.signbit(v)
+    return np.flatnonzero(neg[1:] != neg[:-1])
+
+
+def _classify_grid(r: Realization2D, A1, A2, zero_tol: float) -> tuple:
+    """``(positive, negative)`` on the tensor grid of the tables
+    A1 = A(x1) and A2 = A(x2): the :func:`_bound_test` at ``zero_tol``,
+    band by band."""
     _check_zero_tol(zero_tol)
     positive = np.empty((len(A1), len(A2)), dtype=bool)
-    negative = np.empty((min(len(A1), _BAND_ROWS), len(A2)), dtype=bool)
-    zeros = 0
+    negative = np.empty_like(positive)
     for rows, values in _grid_bands(r, A1, A2):
-        pos, neg = positive[rows], negative[: len(values)]
-        np.greater(values, zero_tol, out=pos)
-        np.less(values, -zero_tol, out=neg)
-        zeros += neg.size - np.count_nonzero(pos) - np.count_nonzero(neg)
-        if flagged is not None:
-            np.logical_not(pos | neg, out=flagged[rows])
-    return positive, zeros
+        _bound_test(values, zero_tol, positive[rows], negative[rows])
+    return positive, negative
 
 
 def _window_classifier(r: Realization2D, A1, blocks, zero_tol: float):
@@ -553,9 +571,8 @@ def _window_classifier(r: Realization2D, A1, blocks, zero_tol: float):
     rows = _row_blocks(A1 @ r.weights, blocks.shape[-1])
 
     def classify(a, b):
-        values = np.matmul(rows[a], blocks[b])
-        positive = values > zero_tol
-        flagged = values < -zero_tol
+        positive, flagged = _bound_test(np.matmul(rows[a], blocks[b]),
+                                        zero_tol)
         flagged |= positive
         return positive, np.logical_not(flagged, out=flagged)
 

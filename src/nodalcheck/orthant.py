@@ -242,10 +242,11 @@ def prop41_limit(signs, v1_limit) -> float:
 def _tracked_eigensystem(coeffs, L, pattern, deltas):
     """Eigenvalues/vectors of C(delta), branches matched across delta.
 
-    Returns (lams, vecs): lams[i, b] and vecs[i, :, b] for delta i
-    (descending) and branch b; branches are continued by maximal
-    eigenvector overlap, and the minimal matched overlap is returned as
-    a branch-tracking confidence.
+    Returns (deltas, lams, vecs, min_overlap): the deltas in descending
+    order, and lams[i, b] and vecs[i, :, b] for delta i and branch b;
+    branches are continued by maximal eigenvector overlap, and
+    min_overlap, the minimal matched overlap, is a branch-tracking
+    confidence.
     """
     # imported here: scipy.optimize costs about 0.3 s and 50 MB to import
     from scipy.optimize import linear_sum_assignment

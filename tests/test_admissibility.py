@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nodalcheck import admissibility as adm
 from nodalcheck.admissibility import (CERTIFIED, DEGENERATE, NOT_CERTIFIED,
                                       PatternCollection, PatternLibrary,
@@ -13,7 +16,8 @@ from nodalcheck.admissibility import (CERTIFIED, DEGENERATE, NOT_CERTIFIED,
                                       interval_admissible, load_patterns,
                                       validate_1d, validate_2d)
 from nodalcheck.cubical import sign_grid
-from nodalcheck.fields import (CoeffSeq2D, Realization1D, Realization2D,
+from nodalcheck.fields import (CoeffSeq1D, CoeffSeq2D, Realization1D,
+                               Realization2D, classify_grid_2d,
                                draw_realization, evaluate_grid_2d,
                                trig_coeffs)
 
@@ -45,6 +49,15 @@ class TestDoubleCrossover:
         assert double_crossover(a, b, c) == double_crossover(-a, -b, -c)
         assert double_crossover(a, b, c) == double_crossover(c, b, a)
 
+    def test_special_values_match_oracle(self):
+        """Every triple of values on which >= 0, <= 0 and ``signbit`` can
+        disagree, against the oracle's weak inequalities."""
+        special = (-1.0, -0.0, 0.0, 1.0, 1e-300, -1e-300, np.inf, -np.inf,
+                   np.nan)
+        for triple in itertools.product(special, repeat=3):
+            want = oracles.crossover_mask(np.array(triple), 1)[0]
+            assert double_crossover(*triple) == want, triple
+
 
 class TestIntervalAdmissible:
     def test_monotone_interval_certified(self):
@@ -69,6 +82,18 @@ class TestIntervalAdmissible:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             interval_admissible(cosine_1d(), (0.5, 0.2), D=2)
+        with pytest.raises(ValueError, match="depth"):
+            interval_admissible(cosine_1d(), (0.2, 0.5), D=-1)
+
+    def test_violation_list_capped(self):
+        """The first 200 violations are listed, in sorted order, and all
+        are counted, as by ``validate_1d``."""
+        r = draw_realization(trig_coeffs(1, 1000), 3)
+        out = interval_admissible(r, (0.0, r.coeffs.L), D=12)
+        assert out.violation_count == validate_1d(r, 1, 12).violation_count
+        assert out.violation_count == 590
+        assert len(out.violations) == 200
+        assert list(out.violations) == sorted(out.violations)
 
 
 class TestPatternLoading:
@@ -256,6 +281,16 @@ class TestSquareAdmissibility:
         assert not square_matches(
             r, ((np.pi - small / 2, np.pi - small / 2), small), COLL.I5)
 
+    @pytest.mark.parametrize("check", [b_admissible, i_admissible])
+    @pytest.mark.parametrize("D, delta, message", [
+        (-1, 0.5, "depth"), (-2, 0.5, "depth"),
+        (2, 0.0, "side"), (2, -0.5, "side")])
+    def test_bad_depth_or_side_rejected(self, check, D, delta, message):
+        """Nothing is checked at a negative depth or on a degenerate
+        square, so neither may come out Certified."""
+        with pytest.raises(ValueError, match=message):
+            check(constant_2d(), ((1.0, 1.0), delta), D)
+
     def test_i_neighborhood_precondition(self):
         r = constant_2d()
         with pytest.raises(ValueError):
@@ -340,6 +375,46 @@ def test_bad_zero_tol_rejected(entry, zero_tol):
     with pytest.raises(ValueError, match="zero_tol must be finite and "
                                          "nonnegative"):
         calls[entry]()
+
+
+_TOL = 1e-9
+
+
+@pytest.mark.parametrize("c, sign", [
+    (_TOL * (1 + 1e-6), 1), (-_TOL * (1 + 1e-6), -1),
+    (_TOL * (1 - 1e-6), 0), (-_TOL * (1 - 1e-6), 0),
+    (0.0, 0), (-0.0, 0), (np.nan, 0)])
+def test_one_sign_rule_at_the_bound(c, sign):
+    """Constant fields u = c just outside or inside +-zero_tol, exact zeros
+    of both signs and NaN: every entry point decides them alike, with the
+    sign of c outside the bound and every point zero-flagged inside (the
+    factors 1 +- 1e-6 leave room for the rounding of the 1D FFT)."""
+    r1 = Realization1D(coeffs=CoeffSeq1D(L=1.0, a=np.ones(2)),
+                       g=np.array([c, 0.0, 0.0]), seed=0)
+    r2 = constant_2d(c)
+    M, D = 4, 2
+    G, unit = M << (D + 1), 1 << (D + 1)
+    fine = adm._fine_pass(r2, M, D, _TOL)
+    for grid in (sign_grid(r1, M, _TOL), sign_grid(r2, M, _TOL),
+                 sign_grid(r2, M, _TOL, fine=fine)):
+        assert np.all(grid.signs == sign)
+    xs = np.linspace(0.0, r2.coeffs.L, M + 1)
+    positive, zeros = classify_grid_2d(r2, xs, xs, _TOL)
+    assert np.all(positive == (sign > 0))
+    assert zeros == (0 if sign else (M + 1) ** 2)
+    assert list(fine.zeros) == [0 if sign else ((G >> p) + 1) ** 2
+                                for p in range(G.bit_length())]
+    square = ((1.0, 1.0), 0.5)
+    for outcome, points in (
+            (validate_1d(r1, M, D, _TOL), M + 1),
+            (validate_2d(r2, M, D, _TOL), (G + 1) ** 2),
+            (b_admissible(r2, square, D, _TOL), (unit + 1) ** 2),
+            (i_admissible(r2, square, D, _TOL), (2 * unit + 1) ** 2)):
+        if sign:
+            assert outcome.certified
+        else:
+            assert outcome.status == DEGENERATE
+            assert outcome.zero_flag_count == points
 
 
 class TestValidate1D:
