@@ -594,12 +594,15 @@ def validate_1d(r: Realization1D, M: int, D: int, zero_tol: float = 0.0) -> Vali
     homology of the cubical approximation is correct, up to the depth
     truncation recorded in the outcome.  A grid sample is zero-flagged
     when neither u > zero_tol nor u < -zero_tol holds (so NaN is flagged),
-    as in 2D.  The M 2^(D+1) + 1 fine samples come from one inverse FFT.
-    The dyadic sweep then visits only the *hot* grid intervals, where the
-    fine samples change ``signbit`` at least twice or touch an exact
-    zero.  A double crossover needs one or the other, so no other
-    interval can hold one (``_double_crossovers`` gives the argument).
-    Past the FFT, the cost grows with the sign changes of u.
+    as in 2D.  The M 2^(D+1) + 1 fine samples come from one call of
+    :func:`~nodalcheck.fields.evaluate_grid_1d`: a block product of two
+    small cached trig tables, or one inverse FFT above
+    ``fields._PRODUCT_TERMS`` terms.  The dyadic sweep then visits only
+    the *hot* grid intervals, where the fine samples change ``signbit``
+    at least twice or touch an exact zero.  A double crossover needs one
+    or the other, so no other interval can hold one
+    (``_double_crossovers`` gives the argument).  Past the evaluation,
+    the cost grows with the sign changes of u.
     """
     if M < 1:
         raise ValueError("M must be at least 1")

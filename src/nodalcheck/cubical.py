@@ -100,7 +100,9 @@ def sign_grid(r, M: int, zero_tol: float = 0.0, *,
     A sample is zero-flagged when neither u > zero_tol nor u < -zero_tol
     holds: values in [-zero_tol, zero_tol], and NaN.  With the strict
     default only exact floating-point zeros are flagged.  1D grids come
-    from one inverse FFT (:func:`~nodalcheck.fields.evaluate_grid_1d`).
+    from one call of :func:`~nodalcheck.fields.evaluate_grid_1d`, a
+    block product of two small cached trig tables (one inverse FFT above
+    ``fields._PRODUCT_TERMS`` terms).
 
     A 2D grid is read from the fine pass ``fine`` of
     :func:`~nodalcheck.admissibility.validate_2d`, when one is given, if

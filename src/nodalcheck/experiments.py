@@ -178,8 +178,9 @@ def _find_zeros(r, N: int) -> np.ndarray:
     """Zeros of a 1D realization on [0, L]: sign-change brackets + Newton steps.
 
     The brackets are the sign changes (by ``signbit``) on a grid of 50 N
-    steps, evaluated by one inverse FFT
-    (:func:`~nodalcheck.fields.evaluate_grid_1d`).  In each bracket
+    steps, evaluated by one call of
+    :func:`~nodalcheck.fields.evaluate_grid_1d` (a block product of two
+    small trig tables up to N = 31, one inverse FFT above).  In each bracket
     [lo, hi], ``_NEWTON_STEPS`` Newton steps start at the regula-falsi
     point of the two grid values, x <- x - u/u' kept in [lo, hi]; u and
     u' come from one :func:`~nodalcheck.fields.jet_1d` call per step, for

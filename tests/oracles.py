@@ -398,7 +398,7 @@ def validate_2d_dense(r, M, D, zero_tol, collect_all, coll):
 def find_zeros_bisect(r, N):
     """Zeros of a 1D realization on [0, L): sign-change bracketing + bisection.
 
-    The bracketing grid of 50 N steps is the library's inverse FFT
+    The bracketing grid of 50 N steps is the library's
     (:func:`~nodalcheck.fields.evaluate_grid_1d`); each bisection step
     evaluates u pointwise at every bracket's midpoint.  Brackets shrink
     to (L / 50 N) 2^-steps <= 1e-12, and each zero is the final midpoint.

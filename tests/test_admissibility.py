@@ -388,7 +388,7 @@ def test_one_sign_rule_at_the_bound(c, sign):
     """Constant fields u = c just outside or inside +-zero_tol, exact zeros
     of both signs and NaN: every entry point decides them alike, with the
     sign of c outside the bound and every point zero-flagged inside (the
-    factors 1 +- 1e-6 leave room for the rounding of the 1D FFT)."""
+    factors 1 +- 1e-6 leave room for the rounding of the 1D grid)."""
     r1 = Realization1D(coeffs=CoeffSeq1D(L=1.0, a=np.ones(2)),
                        g=np.array([c, 0.0, 0.0]), seed=0)
     r2 = constant_2d(c)

@@ -4,8 +4,9 @@ In 2D the library evaluates the field as one banded block product,
 classifies signs band by band, and sweeps each dyadic level through one
 stencil-code array; ``validate_2d`` further skips the subsquares that their
 corner values prove sign-definite.  In 1D it evaluates every equispaced grid
-with one inverse FFT, and single points from the powers of one complex
-exponential, instead of cosine and sine sums, and it finds zeros by a
+as a block product of two small trig tables (by one inverse FFT above
+``fields._PRODUCT_TERMS`` terms), and single points from the powers of one
+complex exponential, instead of cosine and sine sums, and it finds zeros by a
 few Newton steps, checked for a sign change, instead of bisection.  Betti
 numbers come from the graph of row runs instead of 8-neighbour labels and
 the face closure's Euler characteristic.  Every outcome must equal
@@ -1004,8 +1005,8 @@ def test_double_crossovers_planted(v, D, want):
 def test_validate_1d_matches_oracle_at_experiment_sizes(monkeypatch):
     """Random fields at the 1D suite's sizes (N = 10; M = 50, 75, 105;
     D = 6) and at other degrees, both tolerances.  The oracle reads the
-    same FFT grid, so only the sweeps are compared."""
-    monkeypatch.setattr(oracles, "evaluate_grid_1d", evaluate_grid_1d)
+    grid that ``validate_1d`` reads, so only the sweeps are compared."""
+    monkeypatch.setattr(oracles, "evaluate_grid_1d", adm.evaluate_grid_1d)
     not_certified = 0
     cases = [(10, (50, 75, 105))] * 2000 + [(2, (8, 40)), (5, (18, 40)),
                                              (50, (400, 800))] * 100
@@ -1086,8 +1087,8 @@ def test_find_zeros_jet_calls(monkeypatch):
 
 def _assert_sign_change_near(r, N, zeros):
     """Each zero lies in its own bracket of the 50 N grid and within 5e-13
-    of a computed sign change there: u at the grid ends as the FFT gives
-    it, elsewhere as ``evaluate`` gives it."""
+    of a computed sign change there: u at the grid ends as
+    ``evaluate_grid_1d`` gives it, elsewhere as ``evaluate`` gives it."""
     n = 50 * N
     xs = np.arange(n + 1) * (r.coeffs.L / n)
     v = evaluate_grid_1d(r, n)
@@ -1120,7 +1121,7 @@ def _planted_zero_cases():
         [d, math.pi + d]
     yield "last", _planted(L, [0.0, math.cos(d), math.sin(d)]), 2, \
         [math.pi - d, L - d]
-    # sin x + sin 2x: the FFT value at x = 0 = L is exactly 0, the one at
+    # sin x + sin 2x: the grid value at x = 0 = L is exactly 0, the one at
     # x = pi a rounding error
     yield "grid point", _planted(L, [0, 1, 0, 1, 0], (1.0, 1.0, 1.0)), 2, \
         [2 * math.pi / 3, math.pi, 4 * math.pi / 3, L]
@@ -1185,11 +1186,19 @@ def _rounding_1d(r):
 
 
 @settings(max_examples=200, deadline=None)
-@given(K=st.integers(1, 16), L=st.floats(0.1, 100.0),
+@given(K=st.integers(1, 40), L=st.floats(0.1, 100.0),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_grid_1d_matches_pointwise(K, L, seed, data):
-    """Rounding-level agreement on every grid of up to 4K steps."""
-    n = data.draw(st.integers(1, 4 * K))
+    """Rounding-level agreement on both sides of ``_PRODUCT_TERMS``
+    (K + 1 <= 32 terms: block product, above: inverse FFT), at n = 1, at
+    odd n, on every grid of up to 4K steps and on the validation lattices
+    of M 2^(D+1) steps, D <= 12."""
+    n = data.draw(st.one_of(
+        st.just(1),
+        st.integers(0, 2 * K).map(lambda h: 2 * h + 1),
+        st.integers(1, 4 * K),
+        st.builds(lambda M, D: M << (D + 1), st.integers(1, 5),
+                  st.integers(0, 12))))
     r = _random_1d(K, L, seed)
     v = evaluate_grid_1d(r, n)
     assert v.shape == (n + 1,) and v[n] == v[0]
@@ -1224,10 +1233,42 @@ def test_evaluate_1d_matches_trig_sums(K, L, seed, shape, data):
     assert np.all(np.abs(du - du_want) <= _rounding_1d(r) * 2 * np.pi * K / L)
 
 
+def test_product_grids_keep_fft_verdicts(monkeypatch):
+    """Every ``validate_1d`` outcome, 1D sign grid and reference Betti pair
+    is the same from block-product grids as from inverse-FFT grids, which
+    ``_PRODUCT_TERMS = 0`` forces: 2000 seeds at the 1D suite's sizes
+    (N = 10; M = 50, 75, 105; D = 6), 400 at the N = 5 suite's (M = 18,
+    28, 40) and 200 each at N = 3, 20 and 31, the largest degree below
+    the threshold, at the experiments' zero tolerance."""
+    cases = ([(10, (50, 75, 105))] * 2000 + [(5, (18, 28, 40))] * 400
+             + [(3, (12, 24)), (20, (100, 200)), (31, (155, 310))] * 200)
+
+    def outputs():
+        out = []
+        for seed, (N, Ms) in enumerate(cases):
+            r = draw_realization(trig_coeffs(1, N), derive_seed(8, seed))
+            zero_tol = default_zero_tol(r.coeffs)
+            out.append(reference_betti(
+                r, default_reference_M(max(Ms), N), zero_tol))
+            for M in Ms:
+                out.append(validate_1d(r, M, 6, zero_tol))
+                out.append(sign_grid(r, M, zero_tol).signs.tolist())
+        return out
+
+    product = outputs()
+    monkeypatch.setattr(fields, "_PRODUCT_TERMS", 0)
+    fft = outputs()
+    assert len(product) == len(fft)
+    for k, (got, want) in enumerate(zip(product, fft)):
+        assert got == want, k
+    assert sum(isinstance(o, adm.ValidationOutcome) and not o.certified
+               for o in product) > 300
+
+
 def test_find_zeros_with_trig_sums(monkeypatch):
     """The bracketing grid and every Newton and bisection step taken from
-    cosine and sine sums instead of the FFT and the powers of e^(ix):
-    the same counts, and zeros within 1e-12."""
+    cosine and sine sums instead of the library's grid evaluator and the
+    powers of e^(ix): the same counts, and zeros within 1e-12."""
     cases = [(N, draw_realization(trig_coeffs(1, N), seed))
              for N in (2, 5, 10, 50, 120) for seed in range(400)]
     got = [experiments._find_zeros(r, N) for N, r in cases]

@@ -233,6 +233,36 @@ class TestHomologyExperiment:
             builds.append(sorted(built))
         assert builds == [[4096], [], []]
 
+    def test_1d_trials_keep_small_tables(self, monkeypatch):
+        """A 1D trial of the N = 10 suite caches two small trig tables per
+        lattice it evaluates: the three validation lattices M 2^7, the
+        three sign grids and the two reference grids.  Each table has at
+        most T rows, T the least power of two with T^2 >= n, so below
+        2 sqrt(n) and far below the n + 1 lattice points; all eight pairs
+        take 0.14 MB, where tables of the lattice points would take about
+        6 MB.  No 2D table is built."""
+        built = []
+        trig_block = fields._trig_block
+        monkeypatch.setattr(fields, "_trig_block", lambda L, K, x: built.append(
+            len(x)) or trig_block(L, K, x))
+        fields._fold_tables.cache_clear()
+        fields._lattice_table.cache_clear()
+        homology_experiment(1, 10, (50, 75, 105), trials=1, seed=3)
+        lattices = (50, 75, 105, 840, 1680, 6400, 9600, 13440)
+        assert len(built) == 2 * len(lattices) and max(built) == 128
+        assert fields._lattice_table.cache_info().currsize == 0
+        info = fields._fold_tables.cache_info()
+        assert info.currsize == len(lattices) <= info.maxsize
+        held = 0
+        for n in lattices:
+            rows, columns = fields._fold_tables(2 * math.pi, 10, n)
+            T = columns.shape[1]
+            assert T * T >= n > T * T // 4
+            assert columns.shape[0] == 22 and len(rows) == -(-n // T) <= T
+            held += rows.nbytes + columns.nbytes
+        assert fields._fold_tables.cache_info().currsize == len(lattices)
+        assert held < 0.15e6
+
     def test_2d_trial_call_order(self, monkeypatch, window_stacks):
         """What a caller that wraps the module's bindings sees of a 2D
         trial: the reference first, then per M in ascending order one

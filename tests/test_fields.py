@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,12 +23,13 @@ from nodalcheck.fields import (CoeffSeq1D, CoeffSeq2D, Realization1D,
 from nodalcheck.experiments import default_zero_tol
 
 
-def cosine_1d(L=1.0):
-    """u(x) = cos(2 pi x / L) as a Realization1D."""
-    coeffs = CoeffSeq1D(L=L, a=np.array([0.0, 1.0, 1.0]))
-    g = np.zeros(5)
+def cosine_1d(L=1.0, K=2):
+    """u(x) = cos(2 pi x / L) as a Realization1D of degree K."""
+    a = np.ones(K + 1)
+    a[0] = 0.0
+    g = np.zeros(2 * K + 1)
     g[2] = 1.0  # cos coefficient of k = 1
-    return Realization1D(coeffs=coeffs, g=g, seed=0)
+    return Realization1D(coeffs=CoeffSeq1D(L=L, a=a), g=g, seed=0)
 
 
 class TestCoeffSeq:
@@ -124,19 +129,29 @@ class TestEvaluate:
                 r2(x)
 
     def test_grid_1d_exact_values(self):
-        """The inverse FFT returns the true values of cos(2 pi x) at the
-        quarter periods, where cos(pi / 2) returns 6.1e-17."""
-        assert evaluate_grid_1d(cosine_1d(), 4).tolist() == [1, 0, -1, 0, 1]
+        """Above ``_PRODUCT_TERMS`` terms, the inverse FFT returns the true
+        values of cos(2 pi x) at the quarter periods, where cos(pi / 2)
+        returns 6.1e-17 (n = 64, a transform of 128 points); below, the
+        block product returns the values of pointwise evaluation to
+        rounding level."""
+        wide = cosine_1d(K=fields._PRODUCT_TERMS)
+        assert wide.spectrum.size > fields._PRODUCT_TERMS
+        assert evaluate_grid_1d(wide, 64)[::16].tolist() == [1, 0, -1, 0, 1]
         assert cosine_1d()(0.25) != 0.0
+        got = evaluate_grid_1d(cosine_1d(), 4)
+        assert np.abs(got - [1, 0, -1, 0, 1]).max() <= 1e-15
+        assert got[4] == got[0]
         with pytest.raises(ValueError):
             evaluate_grid_1d(cosine_1d(), 0)
 
     @pytest.mark.parametrize("n", [1, 5, 21, 6400])
     def test_grid_1d_values_unchanged(self, n):
-        """The values are those of the transform followed by a copy that
-        appends v[0], bit for bit; at n = 1 and 5 the transform keeps
-        every m-th of m n > n points."""
-        r = draw_realization(trig_coeffs(1, 10), n)
+        """Above ``_PRODUCT_TERMS`` terms, the values are those of the
+        transform followed by a copy that appends v[0], bit for bit; at
+        n = 1, 5 and 21 the transform keeps every m-th of m n > n points.
+        Below, the block product agrees with pointwise evaluation and
+        also ends with v[0]."""
+        r = draw_realization(trig_coeffs(1, fields._PRODUCT_TERMS), n)
         c = r.spectrum
         m = -(-(2 * c.size - 1) // n)
         X = 0.5 * n * m * c
@@ -145,6 +160,48 @@ class TestEvaluate:
         got = evaluate_grid_1d(r, n)
         assert got.shape == (n + 1,)
         assert np.array_equal(got, np.append(v, v[0]))
+        r = draw_realization(trig_coeffs(1, 10), n)
+        got = evaluate_grid_1d(r, n)
+        want = evaluate(r, np.arange(n + 1) * (r.coeffs.L / n))
+        assert got.shape == (n + 1,) and got[n] == got[0]
+        # 1e-12 (K + 1) sum |c_k|, the rounding allowance for values of u
+        assert np.abs(got - want).max() <= 1.1e-11 * np.abs(r.spectrum).sum()
+
+    def test_pointwise_1d_in_chunks(self):
+        """Pointwise 1D evaluation builds the powers z^k of at most
+        ``_POWER_CHUNK / (K + 1)`` points at a time.  At K = 1000, 2500
+        points take three chunks and give the values and derivatives of
+        one unchunked call, bit for bit, with one BLAS thread (a threaded
+        BLAS splits a call's columns where it likes).  The 8193 points of
+        a depth-12 interval check peak near one chunk of powers (16 MB),
+        where one table of all their powers takes 131 MB."""
+        script = (
+            "import numpy as np\n"
+            "from nodalcheck import fields\n"
+            "r = fields.draw_realization(fields.trig_coeffs(1, 1000), 3)\n"
+            "x = np.linspace(0.0, r.coeffs.L, 2500)\n"
+            "step = 1 << (fields._POWER_CHUNK // 1001).bit_length() - 1\n"
+            "assert 2 * step < x.size <= 3 * step\n"
+            "chunked = (fields.evaluate(r, x), *fields.jet_1d(r, x))\n"
+            "fields._POWER_CHUNK = 1 << 40\n"
+            "whole = (fields.evaluate(r, x), *fields.jet_1d(r, x))\n"
+            "print(all(np.array_equal(a, b) for a, b in zip(chunked, whole)))\n")
+        src = os.path.dirname(os.path.dirname(fields.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True"]
+        r = draw_realization(trig_coeffs(1, 1000), 3)
+        tracemalloc.start()
+        try:
+            adm.interval_admissible(r, (0.0, r.coeffs.L), 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * fields._POWER_CHUNK
 
     def test_grid_matches_pointwise(self):
         c = trig_coeffs(2, 3)
@@ -158,7 +215,7 @@ class TestEvaluate:
 
 
 def table(r, x):
-    """The trig table A(x) of a 2D realization's law at the points x."""
+    """The trig table A(x) of a realization's law at the points x."""
     return fields._trig_block(r.coeffs.L, r.coeffs.K, x)
 
 
@@ -497,18 +554,23 @@ def test_realization_constants_cached():
     are read-only: every access returns the same object."""
     r1 = draw_realization(trig_coeffs(1, 4), 5)
     r2 = draw_realization(trig_coeffs(2, 3), 5)
-    for r, names in ((r1, ("spectrum",)),
+    for r, names in ((r1, ("spectrum", "weights")),
                      (r2, ("weights", "hessian_bounds", "rounding_bound"))):
         for name in names:
             assert getattr(r, name) is getattr(r, name), name
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(r, name, None)
-    for array in (r1.spectrum, r2.weights):
+    for array in (r1.spectrum, r1.weights, r2.weights):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
-    # u(0) = Re sum c_k and u(0, 0) = sum of the cos*cos block of W
+    # u(0) = Re sum c_k, u(x + y) = A(x) W A(y)^T in 1D, and u(0, 0) =
+    # sum of the cos*cos block of W
     assert r1.spectrum.real.sum() == pytest.approx(evaluate(r1, 0.0))
+    assert np.array_equal(r1.weights, r1.weights.T)
+    x, y = np.array([0.0, 0.7, 2.9]), np.array([0.0, 0.4, 1.3, 3.0])
+    assert np.allclose(table(r1, x) @ r1.weights @ table(r1, y).T,
+                       evaluate(r1, np.add.outer(x, y)), rtol=0, atol=1e-13)
     K = r2.coeffs.K
     assert r2.weights[:K + 1, :K + 1].sum() == pytest.approx(
         evaluate(r2, (0.0, 0.0)))
