@@ -107,17 +107,6 @@ class SignPattern:
         if sum(v != 0 for v in self.mask) < 3:
             raise ValueError("pattern must constrain at least 3 positions")
 
-    def canonical(self) -> tuple:
-        """Lexicographic minimum over dihedral symmetry and polarity flip."""
-        best = None
-        for perm in _DIHEDRAL:
-            img = tuple(self.mask[perm[i]] for i in range(9))
-            for pol in (1, -1):
-                cand = tuple(pol * v for v in img)
-                if best is None or cand < best:
-                    best = cand
-        return best
-
     def orbit(self) -> list:
         """All distinct masks in the dihedral-times-polarity orbit."""
         seen = set()

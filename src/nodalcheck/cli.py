@@ -24,21 +24,34 @@ EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 
 
-def _load_coeffs(args):
+def _read_source(args, path, kind, parse, ignored):
+    """Parse a JSON file; reject a --dim it contradicts and flags it overrides."""
+    with open(path, encoding="utf-8") as fh:
+        obj = parse(fh.read())
+    if args.dim is not None and args.dim != obj.dim:
+        raise ValueError(f"--dim {args.dim} does not match the {obj.dim}D "
+                         f"{kind} file")
+    for flag in ignored:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} {getattr(args, flag)} does not apply "
+                             f"to the {kind} file")
+    return obj
+
+
+def _load_coeffs(args, dim=1):
     if args.coeffs:
-        with open(args.coeffs, encoding="utf-8") as fh:
-            return fields.coeffs_from_json(fh.read())
+        return _read_source(args, args.coeffs, "coefficient",
+                            fields.coeffs_from_json, ("N",))
     if args.N is None:
         raise ValueError("either --coeffs or --N is required")
-    return fields.trig_coeffs(args.dim, args.N)
+    return fields.trig_coeffs(args.dim or dim, args.N)
 
 
 def _load_realization(args):
     if args.realization:
-        with open(args.realization, encoding="utf-8") as fh:
-            return fields.realization_from_json(fh.read())
-    coeffs = _load_coeffs(args)
-    return fields.draw_realization(coeffs, args.seed)
+        return _read_source(args, args.realization, "realization",
+                            fields.realization_from_json, ("coeffs", "N", "seed"))
+    return fields.draw_realization(_load_coeffs(args), args.seed or 0)
 
 
 def _write(text: str, out=None):
@@ -119,9 +132,6 @@ def _cmd_bound(args):
     if args.torus and args.dim != 2:
         raise ValueError("--torus needs --dim 2")
     coeffs = _load_coeffs(args)
-    if coeffs.dim != args.dim:
-        raise ValueError(f"--dim {args.dim} does not match the "
-                         f"{coeffs.dim}D coefficient file")
     m = fields.spectral_moments(coeffs)
     if args.dim == 1:
         res = bounds.bound_1d_periodic(m, args.M)
@@ -140,8 +150,8 @@ def _cmd_orthant(args):
         raise ValueError("--delta must be positive")
     if args.samples < 1:
         raise ValueError("--samples must be positive")
-    coeffs = _load_coeffs(args)
     pattern = PATTERNS[args.pattern]
+    coeffs = _load_coeffs(args, pattern.dim)
     if coeffs.dim != pattern.dim:
         source = (f"the coefficient file {args.coeffs} is {coeffs.dim}D"
                   if args.coeffs else f"--dim is {coeffs.dim}")
@@ -154,8 +164,6 @@ def _cmd_orthant(args):
 
 
 def _cmd_patterns(args):
-    if args.action != "check":
-        raise SystemExit("usage: patterns check <file>")
     with open(args.file, encoding="utf-8") as fh:
         coll = admissibility.load_patterns(fh.read())
     _emit({"B": admissibility.count_surviving(coll.B),
@@ -167,6 +175,9 @@ def _cmd_patterns(args):
 def _cmd_experiment(args):
     with open(args.config, encoding="utf-8") as fh:
         cfg = experiments.ExperimentConfig.from_json(fh.read())
+    if cfg.out and args.out:
+        raise ValueError(f"--out {args.out} does not apply: the config sets "
+                         f"out to {cfg.out}")
     if cfg.kind == "ZeroStats":
         summary = experiments.zero_stats(cfg.N, cfg.trials, cfg.seed)
     else:
@@ -195,12 +206,16 @@ def _zero_tol(args, r) -> float:
     return args.zero_tol
 
 
-def _add_field_source(p):
+def _add_coeffs_source(p, **dim):
     p.add_argument("--coeffs", help="coefficient JSON file")
-    p.add_argument("--realization", help="realization JSON file")
-    p.add_argument("--dim", type=int, choices=(1, 2), default=1)
+    p.add_argument("--dim", type=int, choices=(1, 2), **dim)
     p.add_argument("--N", type=int, help="trigonometric polynomial degree")
-    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_field_source(p):
+    _add_coeffs_source(p, help="default 1")
+    p.add_argument("--realization", help="realization JSON file")
+    p.add_argument("--seed", type=int, help="default 0")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="draw a random realization as JSON")
-    p.add_argument("--dim", type=int, choices=(1, 2), default=1)
-    p.add_argument("--N", type=int)
-    p.add_argument("--coeffs")
+    _add_coeffs_source(p, help="default 1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="realization output path (default stdout)")
     p.add_argument("--coeffs-out", help="also write the coefficient JSON here")
@@ -258,18 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("bound", help="closed-form probability lower bound")
-    p.add_argument("--dim", type=int, choices=(1, 2), required=True)
-    p.add_argument("--N", type=int)
-    p.add_argument("--coeffs")
+    _add_coeffs_source(p, required=True)
     p.add_argument("--M", required=True, type=int)
     p.add_argument("--torus", action="store_true")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("orthant", help="orthant probability and limit check")
     p.add_argument("--pattern", required=True, choices=sorted(PATTERNS))
-    p.add_argument("--coeffs")
-    p.add_argument("--dim", type=int, choices=(1, 2))
-    p.add_argument("--N", type=int)
+    _add_coeffs_source(p, help="default: the dimension of the pattern")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
@@ -292,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "orthant" and args.dim is None and args.coeffs is None:
-        args.dim = PATTERNS[args.pattern].dim
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, np.linalg.LinAlgError) as exc:

@@ -13,6 +13,7 @@ where v1 is the limit eigenvector of the distinguished branch lambda_1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -239,18 +240,23 @@ def prop41_limit(signs, v1_limit) -> float:
                                   * math.factorial(n - 1)) / prod
 
 
+def _best_ordering(overlap):
+    """The first of the n! column orderings with the greatest summed overlap."""
+    perms = np.array(list(itertools.permutations(range(len(overlap)))))
+    return perms[np.argmax(overlap[np.arange(len(overlap)), perms].sum(axis=1))]
+
+
 def _tracked_eigensystem(coeffs, L, pattern, deltas):
     """Eigenvalues/vectors of C(delta), branches matched across delta.
 
     Returns (deltas, lams, vecs, min_overlap): the deltas in descending
     order, and lams[i, b] and vecs[i, :, b] for delta i and branch b;
-    branches are continued by maximal eigenvector overlap, and
-    min_overlap, the minimal matched overlap, is a branch-tracking
-    confidence.
+    branches are continued by ``_best_ordering`` of the eigenvector
+    overlaps, and min_overlap, the least matched overlap, is a
+    branch-tracking confidence.
     """
-    # imported here: scipy.optimize costs about 0.3 s and 50 MB to import
-    from scipy.optimize import linear_sum_assignment
-
+    if pattern.n > 8:
+        raise ValueError(f"too many points to try all {pattern.n}! orderings")
     deltas = sorted(deltas, reverse=True)
     lams, vecs = [], []
     min_overlap = 1.0
@@ -259,11 +265,9 @@ def _tracked_eigensystem(coeffs, L, pattern, deltas):
         w, V = np.linalg.eigh(C.entries)
         if vecs:
             overlap = np.abs(vecs[-1].T @ V)
-            rows, cols = linear_sum_assignment(-overlap)
-            perm = np.empty_like(cols)
-            perm[rows] = cols
+            perm = _best_ordering(overlap)
             w, V = w[perm], V[:, perm]
-            min_overlap = min(min_overlap, float(overlap[rows, cols].min()))
+            min_overlap = min(min_overlap, float(overlap[:, perm].diagonal().min()))
         lams.append(w)
         vecs.append(V)
     return np.array(deltas), np.array(lams), np.array(vecs), min_overlap

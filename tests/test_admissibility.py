@@ -178,12 +178,6 @@ class TestPatternLoading:
         with pytest.raises(ValueError, match="checksum"):
             load_patterns(bad)
 
-    def test_canonical_is_orbit_minimum(self):
-        p = SignPattern(mask=(1, -1, 1, 0, 0, 0, 0, 0, 0), id="x")
-        canon = p.canonical()
-        assert canon in p.orbit()
-        assert all(canon <= m for m in p.orbit())
-
 
 def stencil_code(values) -> int:
     """9-bit code of a row-major 3x3 sign stencil: bit i set iff values[i] > 0."""

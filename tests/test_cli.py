@@ -205,6 +205,46 @@ class TestRoundTrips:
         assert code == EXIT_OK
 
 
+class TestFieldSource:
+    """A --realization or --coeffs file is the field source; a flag it
+    would override is an error, not silently ignored."""
+
+    def _error(self, capsys, *argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        return captured.err
+
+    def test_realization_rejects_generator_flags(self, capsys, tmp_path):
+        rpath, cpath = tmp_path / "f.json", tmp_path / "c.json"
+        run(capsys, "gen", "--dim", "1", "--N", "3", "--out", str(rpath),
+            "--coeffs-out", str(cpath))
+        src = ("eval", "--realization", str(rpath), "--x", "1.0")
+        assert self._error(capsys, *src, "--dim", "2", "--N", "7",
+                           "--seed", "9") == (
+            "error: --dim 2 does not match the 1D realization file\n")
+        for flag, value in [("--N", "7"), ("--seed", "9"),
+                            ("--coeffs", str(cpath))]:
+            assert self._error(capsys, *src, flag, value) == (
+                f"error: {flag} {value} does not apply to the "
+                f"realization file\n")
+        # a --dim that agrees with the file is a consistency check
+        code, out = run(capsys, *src, "--dim", "1")
+        assert code == EXIT_OK
+        assert out == run(capsys, *src)[1]
+
+    def test_coeffs_rejects_dim_and_degree(self, capsys, tmp_path):
+        cpath = tmp_path / "c2.json"
+        run(capsys, "gen", "--dim", "2", "--N", "3", "--coeffs-out",
+            str(cpath))
+        src = ("validate", "--coeffs", str(cpath), "--M", "8")
+        assert self._error(capsys, *src, "--dim", "1", "--N", "5") == (
+            "error: --dim 1 does not match the 2D coefficient file\n")
+        assert self._error(capsys, *src, "--N", "5") == (
+            "error: --N 5 does not apply to the coefficient file\n")
+
+
 class TestOrthant:
     def test_crossover(self, capsys):
         code, out = run(capsys, "orthant", "--pattern", "crossover-1d",
@@ -336,6 +376,19 @@ class TestExperiment:
         code = main(["experiment", "--config", str(cfg)])
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_out_rejected_when_config_sets_out(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg.write_text(json.dumps({"kind": "ZeroStats", "N": 5, "trials": 2,
+                                   "out": str(a)}))
+        code = main(["experiment", "--config", str(cfg), "--out", str(b)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == (f"error: --out {b} does not apply: the "
+                                f"config sets out to {a}\n")
+        assert not a.exists() and not b.exists()
 
     def test_kind_positional_rejected(self, capsys, tmp_path):
         """The config names the kind; a positional one would be ignored."""

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from scipy.optimize import linear_sum_assignment
+
 from nodalcheck.fields import spectral_moments, trig_coeffs
 from nodalcheck.orthant import (PATTERNS, CovMatrix, OrthantQuery,
-                                asymptotic_functional, expansion_check,
-                                expected_expansion, orthant_exact_small,
-                                orthant_numeric, pattern_cov, prop41_limit)
+                                SpectralExpansion, StencilPattern,
+                                _best_ordering, asymptotic_functional,
+                                expansion_check, expected_expansion,
+                                orthant_exact_small, orthant_numeric,
+                                pattern_cov, prop41_limit)
 from oracles import orthant_genz, orthant_mc
 
 L = 2 * math.pi
@@ -244,6 +248,31 @@ class TestExpansion:
                                       "crossover-1d", c))
             slopes.append(rep.det_slope)
         assert slopes[0] == pytest.approx(slopes[1], abs=1e-6)
+
+
+class TestBranchMatching:
+    """Branches are matched by the best of the n! orderings; the
+    assignment solver, which finds the same optimum, is the reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_best_ordering_matches_assignment_solver(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(200):
+            Q, _r = np.linalg.qr(rng.normal(size=(n, n)))
+            Q2, _r = np.linalg.qr(rng.normal(size=(n, n)))
+            overlap = np.abs(Q.T @ Q2)
+            rows, cols = linear_sum_assignment(-overlap)
+            assert rows.tolist() == list(range(n))
+            assert _best_ordering(overlap).tolist() == cols.tolist()
+
+    def test_nine_point_pattern_rejected(self):
+        offsets = tuple(j / 8 for j in range(9))
+        pat = StencilPattern(name="nine", dim=1, offsets=offsets,
+                             signs=(1, -1) * 4 + (1,),
+                             v1_limit=(1.0,) + (0.0,) * 8)
+        expected = SpectralExpansion(0, (0,) * 9, pat.v1_limit)
+        with pytest.raises(ValueError, match="9! orderings"):
+            expansion_check(COEFFS, L, pat, [0.1, 0.05], expected)
 
 
 class TestFunctional:
