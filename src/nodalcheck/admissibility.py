@@ -372,8 +372,8 @@ def load_patterns(text: str) -> PatternCollection:
     The file holds blocks ``#<lib>:<id>`` followed by three lines of
     three characters from ``{+, -, .}``; lines starting with ``//`` are
     comments.  A checksum mismatch rejects the whole file, since it
-    means the transcription is wrong; it is checked before the rules of
-    :class:`PatternCollection`.
+    means the transcription is wrong.  The B and I4 checksums are checked
+    before the rules of :class:`PatternCollection`, the I checksum on its I.
     """
     lines = [ln.rstrip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("//")]
@@ -405,16 +405,19 @@ def load_patterns(text: str) -> PatternCollection:
             )
 
     libs = {lib: PatternLibrary.build(lib, by_lib[lib]) for lib in by_lib}
-    libs["I"] = PatternLibrary.build("I", by_lib["I4"] + by_lib["I5"])
-    for lib, want in (("B", CHECKSUM_B), ("I4", CHECKSUM_I4),
-                      ("I", CHECKSUM_I)):
-        got = count_surviving(libs[lib])
-        if got != want:
-            raise ValueError(
-                f"pattern library {lib} checksum mismatch: "
-                f"{got} surviving stencils, expected {want}"
-            )
-    return PatternCollection(B=libs["B"], I4=libs["I4"], I5=libs["I5"])
+    _check_survivors(libs["B"], CHECKSUM_B)
+    _check_survivors(libs["I4"], CHECKSUM_I4)
+    coll = PatternCollection(**libs)
+    _check_survivors(coll.I, CHECKSUM_I)
+    return coll
+
+
+def _check_survivors(lib: PatternLibrary, want: int) -> None:
+    """Raise ``ValueError`` unless ``want`` stencils survive ``lib``."""
+    got = count_surviving(lib)
+    if got != want:
+        raise ValueError(f"pattern library {lib.name} checksum mismatch: "
+                         f"{got} surviving stencils, expected {want}")
 
 
 @lru_cache(maxsize=1)
@@ -692,10 +695,10 @@ def _windows(fine: _FinePass, per_square: int):
 
     The windows are the level-n0 subsquares (a, b) of the lattice that
     ``fine.level`` leaves undecided, S fine steps wide, ``per_square`` of
-    them across a grid square.  ``fine.own`` holds the evaluated
+    them across a grid square.  ``fine.blocks`` holds the evaluated
     half-open blocks, those past the lattice's last subsquares the far
-    row or column repeated; every other block is constant, the sign of
-    ``level``.
+    row or column repeated, then an all-negative and an all-positive
+    block, which the proven subsquares read by the sign of ``level``.
     B windows are the subsquares of boundary grid squares, their closed
     blocks alone, read from the 2S x 2S mosaic of the block and the
     three after it.  I windows are the subsquares of interior grid
@@ -710,12 +713,9 @@ def _windows(fine: _FinePass, per_square: int):
     are assembled and yielded.  The test runs here, at the window stage,
     and never in the fine pass that every trial builds.
     """
-    level, a, b, own, S = fine.level, fine.a, fine.b, fine.own, fine.S
+    level, a, b, blocks, S = fine.level, fine.a, fine.b, fine.blocks, fine.S
     Q, n = len(level) - 1, len(a)
 
-    # S x S blocks: the evaluated ones, then all-negative and all-positive
-    blocks = np.concatenate((own, np.zeros((1, S, S), dtype=bool),
-                             np.ones((1, S, S), dtype=bool)))
     block_rows = blocks.view(f"u{S}")[..., 0]
     flags = _block_flags(blocks)
     # where each subsquare finds its block in that stack
@@ -766,6 +766,8 @@ def _corner_proof(r: Realization2D, grid: np.ndarray, delta: float,
     plus twice ``r.rounding_bound`` (corner and inner value) in magnitude
     with one sign; a NaN corner is never decided.  Band by band, with the
     last row of the band before, so no float grid of the full size forms.
+    ``proven`` is laid out as ``_FinePass.level``: its last row and
+    column, past the cells, repeat the ones before them.
     """
     _check_zero_tol(zero_tol)
     H11, H22 = r.hessian_bounds
@@ -774,7 +776,7 @@ def _corner_proof(r: Realization2D, grid: np.ndarray, delta: float,
     n = len(grid)
     coarse = np.empty((n, n), dtype=bool)
     below = np.empty((min(n, _BAND_ROWS), n), dtype=bool)
-    proven = np.empty((n - 1, n - 1), dtype=np.int8)
+    proven = np.empty((n, n), dtype=np.int8)
     # corners above margin and below -margin; row 0 is the band before's
     corners = np.empty((2, min(n, _BAND_ROWS) + 1, n), dtype=bool)
     for rows, values in _grid_bands(r, grid, grid):
@@ -784,9 +786,11 @@ def _corner_proof(r: Realization2D, grid: np.ndarray, delta: float,
         signs = corners[:, top:k + 1]
         pairs = signs[:, :-1] & signs[:, 1:]  # corner above and below
         up, down = pairs[..., :-1] & pairs[..., 1:]
-        np.subtract(up, down, out=proven[rows.start + top - 1:rows.stop - 1],
-                    dtype=np.int8)
+        np.subtract(up, down, dtype=np.int8,
+                    out=proven[rows.start + top - 1:rows.stop - 1, :-1])
         corners[:, 0] = corners[:, k]
+    proven[:, -1] = proven[:, -2]
+    proven[-1] = proven[-2]
     return coarse, proven
 
 
@@ -800,9 +804,10 @@ class _FinePass:
     one row and one column of subsquares past the lattice, whose blocks
     hold its far row and column repeated and whose sign is that of the
     subsquares before them.  ``a, b`` are the subsquares it leaves
-    undecided and ``own`` their evaluated
-    half-open S x S blocks (u > zero_tol), without the closing row and
-    column that the next blocks hold.  ``zeros[p]`` counts the
+    undecided and ``blocks`` their evaluated half-open S x S blocks
+    (u > zero_tol), without the closing row and column that the next
+    blocks hold, then an all-negative and an all-positive block.
+    ``zeros[p]`` counts the
     zero-flagged fine points whose two indices are multiples of 2^p; each
     point is evaluated, and counted, once.  Made by :func:`_fine_pass`;
     :func:`validate_2d` reads all of it on this lattice, and
@@ -821,7 +826,7 @@ class _FinePass:
     level: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    own: np.ndarray
+    blocks: np.ndarray
     zeros: np.ndarray
 
     def nest(self, r, zero_tol: float, n: int) -> int:
@@ -849,29 +854,30 @@ def _fine_pass(r: Realization2D, M: int, D: int,
     so that every fine point is evaluated once: the closing row and
     column of a block are the first of the next one's.  The lattice's
     far row and column are one more row and column of subsquares, whose
-    blocks repeat them (:func:`~nodalcheck.fields._window_classifier`)
-    and whose proof is that of the subsquare before, as its closed cell
-    holds them; only the points on the lattice are counted.
+    blocks repeat them (:func:`~nodalcheck.fields._lattice_table`) and
+    whose proof is that of the subsquare before (:func:`_corner_proof`),
+    as its closed cell holds them; only the points on the lattice are
+    counted.  The stack of blocks ends in the two constant ones.
     """
     S, G = _lattice(M, D)
-    table, blocks = _lattice_table(r.coeffs.L, r.coeffs.K, G, S)
+    table, columns = _lattice_table(r.coeffs.L, r.coeffs.K, G, S)
     coarse, level = _corner_proof(r, table[::S], S * (r.coeffs.L / G),
                                   zero_tol)
-    level = np.pad(level, (0, 1), mode="edge")
     a, b = np.divmod(np.flatnonzero(level == 0), len(level))
-    classify = _window_classifier(r, table, blocks, zero_tol)
-    own = np.empty((len(a), S, S), dtype=bool)
+    classify = _window_classifier(r, table, columns, zero_tol)
+    blocks = np.empty((len(a) + 2, S, S), dtype=bool)
+    blocks[-2], blocks[-1] = False, True
     zeros = np.zeros(G.bit_length(), dtype=np.int64)
     for k in range(0, len(a), _WINDOWS):
         sa, sb = a[k:k + _WINDOWS], b[k:k + _WINDOWS]
-        own[k:k + len(sa)], flagged = classify(sa, sb)
+        blocks[k:k + len(sa)], flagged = classify(sa, sb)
         if flagged.any():
             w, i, j = np.nonzero(flagged)
             x, y = sa[w] * S + i, sb[w] * S + j
             xy = (x | y)[(x <= G) & (y <= G)]
             zeros += [np.count_nonzero(xy & ((1 << p) - 1) == 0)
                       for p in range(len(zeros))]
-    return _FinePass(r, zero_tol, G, S, coarse, level, a, b, own, zeros)
+    return _FinePass(r, zero_tol, G, S, coarse, level, a, b, blocks, zeros)
 
 
 def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,

@@ -33,8 +33,8 @@ def _read_source(args, path, kind, parse, ignored):
                          f"{kind} file")
     for flag in ignored:
         if getattr(args, flag) is not None:
-            raise ValueError(f"--{flag} {getattr(args, flag)} does not apply "
-                             f"to the {kind} file")
+            raise ValueError(f"--{flag.replace('_', '-')} {getattr(args, flag)}"
+                             f" does not apply to the {kind} file")
     return obj
 
 
@@ -97,8 +97,9 @@ def _cmd_grid(args):
 
 def _cmd_betti(args):
     if args.grid:
-        with open(args.grid, encoding="utf-8") as fh:
-            grid = SignGrid.from_json(fh.read())
+        grid = _read_source(args, args.grid, "sign grid", SignGrid.from_json,
+                            ("coeffs", "N", "seed", "realization", "M",
+                             "zero_tol"))
     else:
         if args.M is None:
             raise ValueError("betti needs --grid or --M")

@@ -24,7 +24,7 @@ from .admissibility import (CERTIFIED, DEGENERATE, _fine_pass,
                             validate_2d)
 from .bounds import bound_1d_periodic, bound_2d_periodic
 from .cubical import sign_grid
-from .fields import (_check_zero_tol, _sign_changes, derive_seed,
+from .fields import (_check_zero_tol, _eval_1d, _sign_changes, derive_seed,
                      draw_realization, evaluate_grid_1d, jet_1d,
                      spectral_moments, trig_coeffs)
 from .homology import (betti_pair, default_reference_M, homology_match,
@@ -188,7 +188,8 @@ def _find_zeros(r, N: int) -> np.ndarray:
     stands only if the computed u changes sign on [x - 5e-13, x + 5e-13]
     clipped to the bracket, and a bracket that fails this check is
     bisected down to 1e-12 and gives its midpoint.  Either way each zero
-    lies within 5e-13 of a computed sign change of u in its bracket.
+    lies within 5e-13 of a computed sign change of u in its bracket.  The
+    check and the bisection evaluate u alone, as ``jet_1d`` does.
     """
     L = r.coeffs.L
     n_grid = 50 * N
@@ -210,7 +211,7 @@ def _find_zeros(r, N: int) -> np.ndarray:
             x = np.fmin(np.fmax(x - u / du, lo), hi)
     a = np.maximum(x - 5e-13, lo)
     b = np.minimum(x + 5e-13, hi)
-    fab = jet_1d(r, np.concatenate((a, b)))[0]
+    fab = _eval_1d(r, np.concatenate((a, b)))
     sa = np.where(a == lo, neg_lo, np.signbit(fab[:idx.size]))
     sb = np.where(b == hi, ~neg_lo, np.signbit(fab[idx.size:]))
     redo = sa == sb
@@ -224,7 +225,7 @@ def _bisect(r, lo, hi, neg_lo) -> np.ndarray:
     width = float((hi - lo).max())
     for _ in range(max(0, math.ceil(math.log2(width / 1e-12)))):
         mid = 0.5 * (lo + hi)
-        right = np.signbit(jet_1d(r, mid)[0]) == neg_lo
+        right = np.signbit(_eval_1d(r, mid)) == neg_lo
         lo = np.where(right, mid, lo)
         hi = np.where(right, hi, mid)
     return 0.5 * (lo + hi)

@@ -187,6 +187,12 @@ class Realization1D:
         return _readonly(a * (g[0::2] - 1j * np.append(0.0, g[1::2])))
 
     @cached_property
+    def derivative_spectrum(self) -> np.ndarray:
+        """(2 pi i k / L) c_k, k = 0..K: the spectrum of u' (read-only)."""
+        k = np.arange(self.coeffs.K + 1)
+        return _readonly(self.spectrum * ((2j * np.pi / self.coeffs.L) * k))
+
+    @cached_property
     def weights(self) -> np.ndarray:
         """W = [[diag Re c, -diag Im c], [-diag Im c, -diag Re c]], c the
         spectrum, so that u(x + y) = A(x) W A(y)^T (read-only).
@@ -242,9 +248,10 @@ class Realization2D:
 
         Read-only, like every constant cached below.
         """
-        ag = self.coeffs.a[:, :, None] * self.g
-        return _readonly(np.block([[ag[:, :, 0], ag[:, :, 1]],
-                                   [ag[:, :, 2], ag[:, :, 3]]]))
+        n = self.coeffs.K + 1
+        ag = (self.coeffs.a[:, :, None] * self.g).reshape(n, n, 2, 2)
+        # entry (i, j, s, t) is block 2 s + t's (i, j), W's (s n + i, t n + j)
+        return _readonly(ag.transpose(2, 0, 3, 1).reshape(2 * n, 2 * n))
 
     @cached_property
     def hessian_bounds(self) -> tuple:
@@ -414,9 +421,7 @@ def jet_1d(r: Realization1D, x: np.ndarray) -> tuple:
     :func:`evaluate` computes, bit for bit.  The points are not checked
     against [0, L]: the periodic series is evaluated at any real x.
     """
-    c = r.spectrum
-    dc = c * ((2j * np.pi / r.coeffs.L) * np.arange(c.size))
-    u, du = _power_sums(r, x, c, dc)
+    u, du = _power_sums(r, x, r.spectrum, r.derivative_spectrum)
     return u, du
 
 
@@ -489,29 +494,14 @@ def _trig_blocks(coeffs, x1, x2) -> tuple:
                 else _trig_block(coeffs.L, coeffs.K, x2))
 
 
-def _row_blocks(A: np.ndarray, width: int) -> np.ndarray:
-    """A in blocks of ``width`` rows: entry q is
-    ``A[q * width:(q + 1) * width]``, the last row of A repeated past it."""
-    count = -(-len(A) // width)
-    return np.pad(A, ((0, count * width - len(A)), (0, 0)),
-                  mode="edge").reshape(count, width, -1)
-
-
-def _column_blocks(A: np.ndarray, width: int) -> np.ndarray:
-    """A^T in blocks of ``width`` columns: entry q is
-    ``A[q * width:(q + 1) * width].T``, the last row of A repeated past it.
-
-    C-contiguous, so that a window's columns are one contiguous block,
-    laid out as the window product reads them.
-    """
-    return np.ascontiguousarray(_row_blocks(A, width).transpose(0, 2, 1))
-
-
 @lru_cache(maxsize=16)
 def _lattice_table(L: float, K: int, n: int, width: int = 1) -> tuple:
-    """``(A, blocks)``: A(x) on the lattice x = arange(n + 1) * (L / n)
-    and its transpose in blocks of ``width`` columns
-    (:func:`_column_blocks`), read-only and cached.
+    """``(A, blocks)``: A(x) on the lattice x = arange(n + 1) * (L / n) in
+    whole blocks of ``width`` rows, the rows past n repeating row n (a
+    width-1 table keeps its n + 1 rows), and its transpose in blocks of
+    ``width`` columns: entry q of ``blocks`` is
+    ``A[q * width:(q + 1) * width].T``, C-contiguous, one block per window
+    as :func:`_window_classifier` reads them.  Read-only and cached.
 
     The 2D grids of a Monte Carlo run lie on a few lattices that depend
     on (L, K) and the resolution only, not on the draw: a 2D homology
@@ -519,14 +509,12 @@ def _lattice_table(L: float, K: int, n: int, width: int = 1) -> tuple:
     its validations (n = 4096).  Its sign grids (n = 8, 16, 32) and
     reference grids (256, 512) are read from its fine pass
     (:func:`~nodalcheck.cubical.sign_grid`); only a grid with zero flags,
-    or off that pass's nest, reads a table of its own.  The blocks are
-    what :func:`_window_classifier` takes the columns of its windows
-    from, one block per window of the pass's subsquare width.
+    or off that pass's nest, reads a table of its own.
     At most 16 pairs are kept, the least recently used dropped first.  A
-    table holds 16 (K + 1)(n + 1) bytes and its blocks at most
-    16 (K + 1)(n + width) bytes, so the cache holds at most about
-    512 (K + 1)(n + 1) bytes for the largest K and n in it: 8.4 MB at
-    K = 3, n = 4096, where the one pair of that trial takes 0.52 MB.
+    table and its blocks each hold at most 16 (K + 1)(n + width) bytes,
+    so the cache holds at most about 512 (K + 1)(n + width) bytes for
+    the largest K and n in it: 8.4 MB at K = 3, n = 4096, width = 8,
+    where the one pair of that trial takes 0.53 MB.
     A table is no larger than the product A(x) W its caller
     forms from it.  A is computed point by point, so a strided run of
     rows is the table of those points: ``validate_2d`` reads its coarse
@@ -534,7 +522,9 @@ def _lattice_table(L: float, K: int, n: int, width: int = 1) -> tuple:
     the lattice of n / 2^p steps as every 2^p-th row of the lattice of n.
     """
     table = _trig_block(L, K, np.arange(n + 1) * (L / n))
-    return _readonly(table), _readonly(_column_blocks(table, width))
+    table = np.pad(table, ((0, -(n + 1) % width), (0, 0)), mode="edge")
+    blocks = table.reshape(-1, width, table.shape[1]).transpose(0, 2, 1)
+    return _readonly(table), _readonly(np.ascontiguousarray(blocks))
 
 
 @lru_cache(maxsize=16)
@@ -652,18 +642,19 @@ def _classify_grid(r: Realization2D, A1, A2, zero_tol: float) -> tuple:
 def _window_classifier(r: Realization2D, A1, blocks, zero_tol: float):
     """Sign classes of a 2D realization on stacks of windows of the grid x1 (x) x2.
 
-    The grid is given by the table A1 = A(x1) and ``blocks``, the table
-    A(x2) transposed in blocks of w columns (:func:`_column_blocks`).
+    The grid is given by its tables as :func:`_lattice_table` lays them
+    out: A1 = A(x1) in whole blocks of w rows, and ``blocks``, the table
+    A(x2) transposed in blocks of w columns, both repeating the last
+    point of their axis past its end.
     Returns ``classify(a, b) -> (positive, flagged)``.  Window k is the
-    w x w tensor grid ``x1[a[k] w:(a[k] + 1) w] (x) x2[b[k] w:(b[k] + 1) w]``,
-    the last point of each axis repeated past its end; both results are
-    (n, w, w) booleans with the zero-flag rule of :func:`classify_grid_2d`.
-    The factor A(x1) W is formed once, in blocks of w rows
-    (:func:`_row_blocks`), and each window is the product of one block of
-    each.
+    w x w tensor grid ``x1[a[k] w:(a[k] + 1) w] (x) x2[b[k] w:(b[k] + 1) w]``;
+    both results are (n, w, w) booleans with the zero-flag rule of
+    :func:`classify_grid_2d`.  The factor A(x1) W is formed once, and
+    read in blocks of w rows with no copy; each window is the product of
+    one block of rows and one block of columns.
     """
     _check_zero_tol(zero_tol)
-    rows = _row_blocks(A1 @ r.weights, blocks.shape[-1])
+    rows = (A1 @ r.weights).reshape(-1, blocks.shape[2], blocks.shape[1])
 
     def classify(a, b):
         positive, flagged = _bound_test(np.matmul(rows[a], blocks[b]),

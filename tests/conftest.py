@@ -15,7 +15,9 @@ def window_stacks(monkeypatch):
 
     def recording(r, A1, blocks, zero_tol):
         classify, stacks = window_classifier(r, A1, blocks, zero_tol), []
-        built.append((len(A1) - 1, blocks.shape[-1], stacks))
+        # A1 holds the lattice's n + 1 points in whole blocks of S rows,
+        # n a multiple of S
+        built.append((len(A1) - blocks.shape[-1], blocks.shape[-1], stacks))
 
         def record(a, b):
             stacks.append((a, b))

@@ -341,7 +341,8 @@ def euler(cells) -> int:
     is one that bounds at least one cell of the mask.  In 1D F = 0.
     """
     c = np.asarray(cells, dtype=bool)
-    p = np.pad(c, 1)  # p[k + 1] is cell k
+    p = np.zeros(np.add(c.shape, 2), dtype=bool)  # p[k + 1] is cell k
+    p[(slice(1, -1),) * c.ndim] = c
     if c.ndim == 1:
         return int(np.count_nonzero(p[:-1] | p[1:]) - np.count_nonzero(c))
     # vertex (i, j) bounds cells (i - 1 or i, j - 1 or j)

@@ -258,24 +258,28 @@ def test_criterion_7_soundness(suite_1d_n5, suite_1d_n10, suite_2d_n3,
 def _oracle_betti(cells: np.ndarray) -> tuple:
     """Flood-fill oracle on a pixel canvas via scipy labeling."""
     n0, n1 = cells.shape
-    canvas = np.zeros((2 * n0 + 1, 2 * n1 + 1), dtype=bool)
-    for i, j in np.argwhere(cells):
-        canvas[2 * i:2 * i + 3, 2 * j:2 * j + 3] = True
+    # cell (i, j) covers the pixels (2 i + di, 2 j + dj), 1 <= di, dj <= 3,
+    # inside a border of one empty pixel
+    canvas = np.zeros((2 * n0 + 3, 2 * n1 + 3), dtype=bool)
+    for di in range(1, 4):
+        for dj in range(1, 4):
+            canvas[di:di + 2 * n0:2, dj:dj + 2 * n1:2] |= cells
     if not canvas.any():
         return 0, 0
     eight = np.ones((3, 3), dtype=int)
     four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     _, b0 = ndimage.label(canvas, structure=eight)
-    _, regions = ndimage.label(~np.pad(canvas, 1), structure=four)
+    _, regions = ndimage.label(~canvas, structure=four)
     return b0, regions - 1
 
 
 def test_criterion_8_exhaustive_small_grids(report):
     t0 = time.perf_counter()
     bad = 0
-    ones = np.array([(1 << k) for k in range(16)], dtype=np.int32)
-    for bits in range(1 << 16):
-        signs = np.where(bits & ones, 1, -1).astype(np.int8).reshape(4, 4)
+    # grid `bits` has sign +1 at point k = 4 i + j iff bit k is set
+    every = np.arange(1 << 16)[:, None] >> np.arange(16) & 1
+    all_signs = np.where(every, 1, -1).astype(np.int8).reshape(-1, 4, 4)
+    for signs in all_signs:
         grid = SignGrid(dim=2, M=3, signs=signs)
         # sigma = +1 covers both signs: the sweep includes every
         # complementary grid

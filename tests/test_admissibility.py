@@ -165,6 +165,18 @@ class TestPatternLoading:
         # kills 2^6 = 64 codes per sign, overlaps counted once
         assert count_surviving(one_corner) < 512
 
+    def test_each_library_built_once(self, monkeypatch):
+        """A load builds B, I4, I5 and the combined I library once each:
+        the I checksum is read from the collection's own I."""
+        import importlib.resources as res
+        text = res.files("nodalcheck").joinpath("patterns.txt").read_text()
+        built, build = [], PatternLibrary.build
+        monkeypatch.setattr(PatternLibrary, "build", staticmethod(
+            lambda name, base: built.append(name) or build(name, base)))
+        coll = load_patterns(text)
+        assert count_surviving(coll.I) == 90 and coll.code_table.any()
+        assert sorted(built) == ["B", "I", "I4", "I5"]
+
     def test_checksum_mismatch_rejected(self):
         text = "#B:only\n+-+\n...\n...\n"
         with pytest.raises(ValueError, match="base patterns"):

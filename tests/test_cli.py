@@ -206,8 +206,8 @@ class TestRoundTrips:
 
 
 class TestFieldSource:
-    """A --realization or --coeffs file is the field source; a flag it
-    would override is an error, not silently ignored."""
+    """A --realization, --coeffs or --grid file is the field source; a
+    flag it would override is an error, not silently ignored."""
 
     def _error(self, capsys, *argv):
         code = main(list(argv))
@@ -229,6 +229,25 @@ class TestFieldSource:
             assert self._error(capsys, *src, flag, value) == (
                 f"error: {flag} {value} does not apply to the "
                 f"realization file\n")
+        # a --dim that agrees with the file is a consistency check
+        code, out = run(capsys, *src, "--dim", "1")
+        assert code == EXIT_OK
+        assert out == run(capsys, *src)[1]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--coeffs", "c.json"), ("--N", "7"), ("--seed", "4"),
+        ("--realization", "nope.json"), ("--M", "9"), ("--zero-tol", "5.0"),
+        ("--dim", "2")])
+    def test_grid_rejects_field_flags(self, capsys, tmp_path, flag, value):
+        """betti reads a --grid file as it is, so a flag that would draw or
+        classify a field is an error, and so is a --dim it contradicts."""
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"dim": 1, "M": 2, "rows": ["+-+"]}))
+        src = ("betti", "--grid", str(gpath))
+        message = ("--dim 2 does not match the 1D sign grid file"
+                   if flag == "--dim" else
+                   f"{flag} {value} does not apply to the sign grid file")
+        assert self._error(capsys, *src, flag, value) == f"error: {message}\n"
         # a --dim that agrees with the file is a consistency check
         code, out = run(capsys, *src, "--dim", "1")
         assert code == EXIT_OK

@@ -212,13 +212,17 @@ def _synthetic_pass(points, level, S):
     """A fine pass of Q x Q subsquares S steps wide with the proof
     ``level``: the undecided ones evaluate to the half-open blocks of the
     bool ``points``, (Q S + 1)^2 of them, repeated past their last row
-    and column as the pass repeats its far row and column."""
+    and column as the pass repeats its far row and column.  The pass's
+    stack holds them, then an all-negative and an all-positive block."""
     level = np.pad(level, (0, 1), mode="edge")
     Q = len(level)
     a, b = np.divmod(np.flatnonzero(level == 0), Q)
     blocks = np.pad(points, (0, S - 1), mode="edge").reshape(Q, S, Q, S)
+    stack = np.concatenate((blocks.transpose(0, 2, 1, 3)[a, b],
+                            np.zeros((1, S, S), dtype=bool),
+                            np.ones((1, S, S), dtype=bool)))
     return adm._FinePass(None, 0.0, (Q - 1) * S, S, None, level, a, b,
-                         blocks.transpose(0, 2, 1, 3)[a, b], None)
+                         stack, None)
 
 
 def _read(fine):
@@ -227,7 +231,7 @@ def _read(fine):
     and column; past the lattice, its far row and column repeated."""
     S = fine.S
     blocks = {(int(p), int(q)): own for p, q, own in zip(fine.a, fine.b,
-                                                         fine.own)}
+                                                         fine.blocks)}
     return np.block([[blocks.get((p, q), np.full((S, S), sign > 0))
                       for q, sign in enumerate(row)]
                      for p, row in enumerate(fine.level)])
@@ -574,6 +578,25 @@ def test_fine_pass_evaluates_each_point_once(window_stacks):
     assert (far, repeats) == (1_047, 58_646)
 
 
+def test_windows_read_the_pass_block_stack(monkeypatch):
+    """A fine pass keeps one stack of S x S blocks: the evaluated ones,
+    then an all-negative and an all-positive block.  The window stage
+    takes its block flags and its mosaics from that stack itself, with
+    no copy."""
+    r = draw_realization(trig_coeffs(2, 3), NESTED_SEEDS[0])
+    fine = adm._fine_pass(r, 32, 6, default_zero_tol(r.coeffs))
+    n, S = len(fine.a), fine.S
+    assert fine.blocks.shape == (n + 2, S, S) and n > 0
+    assert not fine.blocks[n].any() and fine.blocks[n + 1].all()
+    read = []
+    for name in ("_block_flags", "_mosaics"):
+        monkeypatch.setattr(adm, name, lambda blocks, *args, fn=getattr(
+            adm, name): read.append(blocks) or fn(blocks, *args))
+    assert list(adm._windows(fine, 16))
+    assert read[0] is fine.blocks and len(read) > 1
+    assert all(np.shares_memory(blocks, fine.blocks) for blocks in read)
+
+
 def test_closed_b_blocks_match_closed_classifier():
     """Every subsquare is a B window when a grid square holds all of
     them.  Its closed block, read from the half-open blocks after it, is
@@ -591,17 +614,19 @@ def test_closed_b_blocks_match_closed_classifier():
             S, Q, real = fine.S, len(fine.level) - 1, _real(fine)
             seen.add(S)
             want = oracles.closed_blocks(fine)
-            assert np.array_equal(fine.own[real], want[:, :S, :S]), \
+            own = fine.blocks[:-2]
+            assert np.array_equal(own[real], want[:, :S, :S]), \
                 (k, zero_tol)
             closed = {(int(i), int(j)): block
                       for i, j, block in zip(fine.a[real], fine.b[real], want)}
-            for i, j, own in zip(fine.a[~real], fine.b[~real],
-                                 fine.own[~real]):
+            for i, j, block in zip(fine.a[~real], fine.b[~real],
+                                   own[~real]):
                 # the far row or column, the last of a closed block, repeated
                 p, q = min(i, Q - 1), min(j, Q - 1)
                 near = np.pad(closed[p, q], (0, S - 1), mode="edge")
-                assert np.array_equal(own, near[(i - p) * S:(i - p + 1) * S,
-                                                (j - q) * S:(j - q + 1) * S])
+                assert np.array_equal(block,
+                                      near[(i - p) * S:(i - p + 1) * S,
+                                           (j - q) * S:(j - q + 1) * S])
             got = {(int(i), int(j)): window
                    for positive, wa, wb, ring, _ in adm._windows(fine, Q)
                    for window, i, j in zip(positive, wa, wb) if ring == 1}
@@ -1066,22 +1091,27 @@ def test_find_zeros_matches_oracle():
 
 
 def test_find_zeros_jet_calls(monkeypatch):
-    """``_NEWTON_STEPS`` jet calls for the steps and one for the check,
-    unless a bracket is bisected; over the cases above, fewer than 0.1%
+    """``_NEWTON_STEPS`` jet calls for the steps and one evaluation of u
+    alone for the check, unless a bracket is bisected; over the cases above, fewer than 0.1%
     of the brackets are."""
-    calls, bisected = [], []
+    calls, checks, bisected = [], [], []
     jet, bisect = experiments.jet_1d, experiments._bisect
+    u = experiments._eval_1d
     monkeypatch.setattr(experiments, "jet_1d",
                         lambda r, x: calls.append(1) or jet(r, x))
+    monkeypatch.setattr(experiments, "_eval_1d",
+                        lambda r, x: checks.append(1) or u(r, x))
     monkeypatch.setattr(experiments, "_bisect", lambda r, lo, *args:
                         bisected.append(lo.size) or bisect(r, lo, *args))
     brackets = 0
     for N, r in _zero_cases():
         calls.clear()
+        checks.clear()
         fallbacks = len(bisected)
         brackets += experiments._find_zeros(r, N).size
         if len(bisected) == fallbacks:
-            assert len(calls) == experiments._NEWTON_STEPS + 1, (N, r.seed)
+            assert len(calls) == experiments._NEWTON_STEPS, (N, r.seed)
+            assert len(checks) == 1, (N, r.seed)
     assert sum(bisected) < 1e-3 * brackets
 
 
@@ -1275,6 +1305,7 @@ def test_find_zeros_with_trig_sums(monkeypatch):
     monkeypatch.setattr(experiments, "evaluate_grid_1d",
                         oracles.evaluate_grid_1d)
     monkeypatch.setattr(experiments, "jet_1d", oracles.jet_1d_trig)
+    monkeypatch.setattr(experiments, "_eval_1d", oracles.eval_1d_trig)
     for (N, r), zeros in zip(cases, got):
         assert _zeros_close(zeros, experiments._find_zeros(r, N)), (N, r.seed)
 

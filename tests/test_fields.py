@@ -224,6 +224,13 @@ def nan_2d():
                          seed=0)
 
 
+def assert_far_row_and_column_repeat(proven):
+    """The proof's last row and column, past its cells, repeat the ones
+    before them, as the fine pass lays out its subsquares."""
+    assert np.array_equal(proven[-1], proven[-2])
+    assert np.array_equal(proven[:, -1], proven[:, -2])
+
+
 class TestCornerProof:
     """The bilinear interpolation bound behind pruning: a cell is proven
     from its four corner values and the global Hessian bounds."""
@@ -258,7 +265,8 @@ class TestCornerProof:
         eps = r.rounding_bound
         for zero_tol, sign in ((1 - 3 * eps, 1), (1 - eps, 0)):
             coarse, proven = adm._corner_proof(r, A, c.L / 4, zero_tol)
-            assert coarse.all() and proven.shape == (4, 4)
+            assert coarse.all() and proven.shape == (5, 5)
+            assert_far_row_and_column_repeat(proven)
             assert (proven == sign).all(), zero_tol
 
     def test_bound_is_sharp_on_a_cosine(self):
@@ -284,7 +292,8 @@ class TestCornerProof:
         A = table(r, np.linspace(0, r.coeffs.L, 70))  # two bands
         for delta in (0.0, 1e-3, 0.1):
             coarse, proven = adm._corner_proof(r, A, delta, 0.0)
-            assert proven.shape == (69, 69) and not proven.any()
+            assert proven.shape == (70, 70) and not proven.any()
+            assert_far_row_and_column_repeat(proven)
             assert not coarse.any()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -315,15 +324,15 @@ class TestCornerProof:
         """Windows of w x w points, those of the last block row and column
         holding the grid's last row and column repeated past its end."""
         r = draw_realization(trig_coeffs(2, 4), 3)
-        xs = np.linspace(0, r.coeffs.L, 38)
-        A = table(r, xs)
+        L, K, n = r.coeffs.L, r.coeffs.K, 37
+        xs = np.arange(n + 1) * (L / n)
         values = evaluate_grid_2d(r, xs, xs)
         for width in (1, 3, 4, 8):
-            last = (len(xs) - 1) // width
+            last = n // width
             a = np.array([0, 1, 1, 3, last, last, 0, last])
             b = np.array([3, 0, 4, 3, 0, 2, last, last])
             classify = fields._window_classifier(
-                r, A, fields._column_blocks(A, width), 0.5)
+                r, *fields._lattice_table(L, K, n, width), 0.5)
             positive, flagged = classify(a, b)
             assert positive.shape == flagged.shape == (len(a), width, width)
             padded = np.pad(values, (0, width - 1), mode="edge")
@@ -336,7 +345,7 @@ class TestCornerProof:
 
 class TestLatticeTables:
     """The cached trig tables A(x) of the lattices arange(n + 1) * (L / n),
-    with their transposes in blocks of columns."""
+    in whole blocks of rows, with their transposes in blocks of columns."""
 
     @pytest.mark.parametrize("L, K, n", [(2 * np.pi, 3, 4096), (2 * np.pi, 3, 8),
                                          (3.7, 5, 96), (1.0, 2, 1)])
@@ -347,16 +356,15 @@ class TestLatticeTables:
             warm, warm_blocks = fields._lattice_table(L, K, n, width)
             assert warm is cold and warm_blocks is cold_blocks
             fresh = fields._trig_block(L, K, np.arange(n + 1) * (L / n))
-            assert cold.shape == (n + 1, 2 * (K + 1))
-            assert np.array_equal(cold, fresh)
-            assert cold_blocks.flags.c_contiguous
-            assert cold_blocks.shape == (-(-(n + 1) // width), 2 * (K + 1),
-                                         width)
+            count = -(-(n + 1) // width)
+            assert cold.shape == (count * width, 2 * (K + 1))
             # the last row of the table repeated past it
+            assert np.array_equal(cold[:n + 1], fresh)
+            assert (cold[n + 1:] == fresh[n]).all()
+            assert cold_blocks.flags.c_contiguous
+            assert cold_blocks.shape == (count, 2 * (K + 1), width)
             columns = np.concatenate(list(cold_blocks), axis=1)
-            pad = columns.shape[1] - (n + 1)
-            assert np.array_equal(columns, np.pad(fresh.T, ((0, 0), (0, pad)),
-                                                  mode="edge"))
+            assert np.array_equal(columns, cold.T)
 
     def test_read_only(self):
         for table in fields._lattice_table(2 * np.pi, 3, 16):
@@ -554,16 +562,20 @@ def test_realization_constants_cached():
     are read-only: every access returns the same object."""
     r1 = draw_realization(trig_coeffs(1, 4), 5)
     r2 = draw_realization(trig_coeffs(2, 3), 5)
-    for r, names in ((r1, ("spectrum", "weights")),
+    for r, names in ((r1, ("spectrum", "derivative_spectrum", "weights")),
                      (r2, ("weights", "hessian_bounds", "rounding_bound"))):
         for name in names:
             assert getattr(r, name) is getattr(r, name), name
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(r, name, None)
-    for array in (r1.spectrum, r1.weights, r2.weights):
+    for array in (r1.spectrum, r1.derivative_spectrum, r1.weights,
+                  r2.weights):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+    k = np.arange(r1.coeffs.K + 1)
+    assert np.array_equal(r1.derivative_spectrum,
+                          r1.spectrum * ((2j * np.pi / r1.coeffs.L) * k))
     # u(0) = Re sum c_k, u(x + y) = A(x) W A(y)^T in 1D, and u(0, 0) =
     # sum of the cos*cos block of W
     assert r1.spectrum.real.sum() == pytest.approx(evaluate(r1, 0.0))
@@ -574,3 +586,19 @@ def test_realization_constants_cached():
     K = r2.coeffs.K
     assert r2.weights[:K + 1, :K + 1].sum() == pytest.approx(
         evaluate(r2, (0.0, 0.0)))
+
+
+@pytest.mark.parametrize("K, seed", [(2, 0), (3, 1), (5, 2), (9, 3)])
+def test_weights_are_the_block_matrix(K, seed):
+    """W = [[a g0, a g1], [a g2, a g3]] bit for bit, on draws of the
+    degree-K law and of random coefficients."""
+    rng = np.random.default_rng(seed)
+    for coeffs in (trig_coeffs(2, K),
+                   CoeffSeq2D(L=3.7, a=rng.standard_normal((K + 1, K + 1)))):
+        for s in range(3):
+            r = draw_realization(coeffs, derive_seed(seed, s))
+            ag = coeffs.a[:, :, None] * r.g
+            want = np.block([[ag[:, :, 0], ag[:, :, 1]],
+                             [ag[:, :, 2], ag[:, :, 3]]])
+            assert r.weights.shape == want.shape
+            assert r.weights.tobytes() == want.tobytes()
