@@ -26,7 +26,7 @@ with :func:`_verdict`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 
@@ -71,27 +71,11 @@ _STENCIL_BITS = ((np.arange(512)[:, None] >> np.arange(9)) & 1).reshape(
     512, 3, 3).astype(bool)
 
 
-# the dihedral group of the square acting on row-major 3x3 positions
-def _dihedral_perms() -> list:
-    def pos(r, c):
-        return 3 * r + c
-
-    transforms = [
-        lambda r, c: (r, c),
-        lambda r, c: (c, 2 - r),
-        lambda r, c: (2 - r, 2 - c),
-        lambda r, c: (2 - c, r),
-        lambda r, c: (r, 2 - c),
-        lambda r, c: (2 - r, c),
-        lambda r, c: (c, r),
-        lambda r, c: (2 - c, 2 - r),
-    ]
-    perms = []
-    for t in transforms:
-        perms.append(tuple(pos(*t(r, c)) for r in range(3) for c in range(3)))
-    return perms
-
-_DIHEDRAL = _dihedral_perms()
+# the dihedral group of the square on row-major 3x3 positions: the four
+# rotations of the index grid and of its transpose
+_GRID = np.arange(9).reshape(3, 3)
+_DIHEDRAL = np.array([np.rot90(g, k).ravel() for g in (_GRID, _GRID.T)
+                      for k in range(4)])
 
 
 @dataclass(frozen=True)
@@ -109,55 +93,43 @@ class SignPattern:
 
     def orbit(self) -> list:
         """All distinct masks in the dihedral-times-polarity orbit."""
-        seen = set()
-        for perm in _DIHEDRAL:
-            img = tuple(self.mask[perm[i]] for i in range(9))
-            for pol in (1, -1):
-                seen.add(tuple(pol * v for v in img))
-        return sorted(seen)
+        images = np.array(self.mask)[_DIHEDRAL]
+        images = np.concatenate((images, -images)).tolist()
+        return sorted(set(map(tuple, images)))
 
     def matches(self, values) -> bool:
         return all(m == 0 or m == v for m, v in zip(self.mask, values))
 
 
-def _mask_bits(mask) -> tuple:
-    """(constrained-position bits, required-plus bits) for code matching."""
-    cmask = want = 0
-    for i, v in enumerate(mask):
-        if v != 0:
-            cmask |= 1 << i
-            if v > 0:
-                want |= 1 << i
-    return cmask, want
-
-
 @dataclass(frozen=True)
 class PatternLibrary:
-    """A named forbidden-pattern library with its symmetry closure."""
+    """A named forbidden-pattern library: its base patterns, each standing
+    for its whole orbit under the eight symmetries and the sign flip."""
 
     name: str
     base_patterns: tuple
-    closure: tuple = field(default=())
 
-    @staticmethod
-    def build(name: str, base_patterns) -> "PatternLibrary":
-        closed = {}
-        for p in base_patterns:
+    def __post_init__(self):
+        object.__setattr__(self, "base_patterns", tuple(self.base_patterns))
+
+    @cached_property
+    def closure(self) -> tuple:
+        """The orbits' masks, each once and sorted; a mask's id is
+        ``<base id>/<its index in the base's sorted orbit>``, from the first
+        base pattern whose orbit holds it."""
+        ids = {}
+        for p in self.base_patterns:
             for j, mask in enumerate(p.orbit()):
-                key = mask
-                if key not in closed:
-                    closed[key] = SignPattern(mask=mask, id=f"{p.id}/{j}")
-        closure = tuple(closed[k] for k in sorted(closed))
-        return PatternLibrary(name=name, base_patterns=tuple(base_patterns),
-                              closure=closure)
+                ids.setdefault(mask, f"{p.id}/{j}")
+        return tuple(SignPattern(mask, ids[mask]) for mask in sorted(ids))
 
     @cached_property
     def _match_table(self) -> np.ndarray:
         """(len(closure), 512) bool: closure pattern k matches stencil code c."""
-        codes = np.arange(512)
-        rows = [(codes & cmask) == want
-                for cmask, want in (_mask_bits(p.mask) for p in self.closure)]
-        return np.array(rows, dtype=bool).reshape(len(self.closure), 512)
+        masks = np.array([p.mask for p in self.closure]).reshape(-1, 9)
+        bits = 1 << np.arange(9)
+        constrained, plus = (masks != 0) @ bits, (masks > 0) @ bits
+        return (np.arange(512) & constrained[:, None]) == plus[:, None]
 
     @cached_property
     def _table(self) -> np.ndarray:
@@ -224,9 +196,8 @@ class PatternCollection:
 
     @cached_property
     def I(self) -> PatternLibrary:
-        return PatternLibrary.build(
-            "I", self.I4.base_patterns + self.I5.base_patterns
-        )
+        return PatternLibrary("I", self.I4.base_patterns
+                              + self.I5.base_patterns)
 
     @cached_property
     def code_table(self) -> np.ndarray:
@@ -404,7 +375,7 @@ def load_patterns(text: str) -> PatternCollection:
                 f"library {lib} has {len(by_lib[lib])} base patterns, expected {want}"
             )
 
-    libs = {lib: PatternLibrary.build(lib, by_lib[lib]) for lib in by_lib}
+    libs = {lib: PatternLibrary(lib, by_lib[lib]) for lib in by_lib}
     _check_survivors(libs["B"], CHECKSUM_B)
     _check_survivors(libs["I4"], CHECKSUM_I4)
     coll = PatternCollection(**libs)
@@ -629,12 +600,16 @@ def _block_flags(blocks: np.ndarray) -> np.ndarray:
     32 and 33 are set when some row falls (a positive point followed by
     a negative one) and when some row rises, bits 34 and 35 the same for
     the columns.  Each block is read as one 64-bit word, bit 8 r + c its
-    point (r, c).
+    point (r, c); a block of S < 8 packs its S rows into the word's first
+    S bytes.
     """
     S = blocks.shape[-1]
     if S < 8:
-        blocks = np.pad(blocks, ((0, 0), (0, 8 - S), (0, 8 - S)))
-    word = np.packbits(blocks, bitorder="little").view("<u8")
+        rows = np.zeros((len(blocks), 8), dtype=np.uint8)
+        rows[:, :S] = np.packbits(blocks, axis=-1, bitorder="little")[..., 0]
+        word = rows.view("<u8")[:, 0]
+    else:
+        word = np.packbits(blocks, bitorder="little").view("<u8")
     ones = sum(1 << 8 * r for r in range(S))  # column 0
     right = ones * ((1 << S - 1) - 1)  # the points with a right neighbour
     below = (ones >> 8) * ((1 << S) - 1)  # those with a neighbour below

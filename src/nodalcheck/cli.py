@@ -79,6 +79,8 @@ def _cmd_gen(args):
 def _cmd_eval(args):
     r = _load_realization(args)
     if r.dim == 1:
+        if args.y is not None:
+            raise ValueError(f"--y {args.y} does not apply to a 1D field")
         value = float(r(float(args.x)))
     else:
         if args.y is None:
@@ -149,16 +151,22 @@ def _cmd_bound(args):
 def _cmd_orthant(args):
     if not args.delta > 0:
         raise ValueError("--delta must be positive")
-    if args.samples < 1:
+    if args.samples is not None and args.samples < 1:
         raise ValueError("--samples must be positive")
     pattern = PATTERNS[args.pattern]
+    for flag in ("samples", "seed"):
+        if pattern.n <= 3 and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} {getattr(args, flag)} does not apply "
+                             f"to the {pattern.n}-point pattern "
+                             f"{args.pattern}, which is computed exactly")
     coeffs = _load_coeffs(args, pattern.dim)
     if coeffs.dim != pattern.dim:
         source = (f"the coefficient file {args.coeffs} is {coeffs.dim}D"
                   if args.coeffs else f"--dim is {coeffs.dim}")
         raise ValueError(f"pattern {args.pattern} is {pattern.dim}D, but {source}")
     estimate, stderr, functional = orthant._functional(
-        coeffs, coeffs.L, pattern, args.delta, args.samples, args.seed)
+        coeffs, coeffs.L, pattern, args.delta, args.samples or 1_000_000,
+        args.seed or 0)
     _emit({"estimate": estimate, "stderr": stderr, "functional": functional,
            "limit": prop41_limit(pattern.signs, pattern.v1_limit)})
     return EXIT_OK
@@ -179,15 +187,18 @@ def _cmd_experiment(args):
     if cfg.out and args.out:
         raise ValueError(f"--out {args.out} does not apply: the config sets "
                          f"out to {cfg.out}")
+    out = cfg.out or args.out
+    if args.format and not out:
+        raise ValueError(f"--format {args.format} does not apply: neither "
+                         f"--out nor the config's out names a file")
     if cfg.kind == "ZeroStats":
         summary = experiments.zero_stats(cfg.N, cfg.trials, cfg.seed)
     else:
         dim = 1 if cfg.kind == "Homology1D" else 2
         summary = experiments.homology_experiment(
             dim, cfg.N, cfg.M_list, cfg.trials, cfg.D, cfg.seed, cfg.zero_tol)
-    out = cfg.out or args.out
     if out:
-        experiments.write_results(summary, out, args.format)
+        experiments.write_results(summary, out, args.format or "csv")
     _emit({"kind": summary.kind, "meta": summary.meta,
            "rows": list(summary.rows)})
     return EXIT_OK
@@ -281,8 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True, choices=sorted(PATTERNS))
     _add_coeffs_source(p, help="default: the dimension of the pattern")
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int,
+                   help="default 1000000; patterns of at most 3 points "
+                        "are computed exactly and take neither flag")
+    p.add_argument("--seed", type=int, help="default 0")
     p.set_defaults(func=_cmd_orthant)
 
     p = sub.add_parser("patterns", help="pattern library utilities")
@@ -293,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run an experiment from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"),
+                   help="default csv; needs a file to write")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -355,6 +355,26 @@ def euler(cells) -> int:
                - np.count_nonzero(E1) + np.count_nonzero(c))
 
 
+def expected_euler(coeffs) -> float:
+    """Mean Euler characteristic of {u >= 0}, and of {u <= 0}, on [0, L]^dim.
+
+    The Gaussian kinematic formula at level 0, where only the terms of
+    dimension 0 and 1 remain: 1/2 + L (sqrt(l1) + sqrt(l2)) / (2 pi) in
+    2D, with l1 = w^2 A10 / A00, l2 = w^2 A01 / A00 and w = 2 pi / L the
+    variances of the two partial derivatives over that of u; in 1D
+    1/2 + L sqrt(l) / (2 pi) with l = w^2 A1 / A0, the mean number of
+    upcrossings plus the half that the left end adds.
+    """
+    m = fields.spectral_moments(coeffs)
+    w = 2 * math.pi / coeffs.L
+    if coeffs.a.ndim == 1:
+        ratios = [m[1] / m[0]]
+    else:
+        ratios = [m[1, 0] / m[0, 0], m[0, 1] / m[0, 0]]
+    return 0.5 + coeffs.L * sum(math.sqrt(w * w * q) for q in ratios) / (
+        2 * math.pi)
+
+
 def betti_label(cells):
     """(beta_0, beta_1) of a square 1D or 2D cell mask: neighbour labels
     (corners included) for beta_0, the face closure's Euler characteristic

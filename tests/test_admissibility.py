@@ -16,6 +16,7 @@ from nodalcheck.admissibility import (CERTIFIED, DEGENERATE, NOT_CERTIFIED,
                                       interval_admissible, load_patterns,
                                       validate_1d, validate_2d)
 from nodalcheck.cubical import sign_grid
+from nodalcheck.experiments import default_zero_tol
 from nodalcheck.fields import (CoeffSeq1D, CoeffSeq2D, Realization1D,
                                Realization2D, classify_grid_2d,
                                draw_realization, evaluate_grid_2d,
@@ -151,31 +152,61 @@ class TestPatternLoading:
         skips is refused when it is built."""
         libs = {"B": COLL.B, "I4": COLL.I4, "I5": COLL.I5}
         extra = SignPattern(mask=mask, id="extra")
-        libs[lib] = PatternLibrary.build(lib, libs[lib].base_patterns
-                                         + (extra,))
+        libs[lib] = PatternLibrary(lib, libs[lib].base_patterns + (extra,))
         with pytest.raises(ValueError, match=message):
             PatternCollection(**libs)
 
     def test_count_surviving_trivial(self):
-        empty = PatternLibrary.build("empty", ())
+        empty = PatternLibrary("empty", ())
         assert count_surviving(empty) == 512
-        one_corner = PatternLibrary.build(
+        one_corner = PatternLibrary(
             "corner", (SignPattern(mask=(1, 1, 1, 0, 0, 0, 0, 0, 0), id="p"),))
         # the orbit of a corner row covers all 4 sides; each row pattern
         # kills 2^6 = 64 codes per sign, overlaps counted once
         assert count_surviving(one_corner) < 512
 
     def test_each_library_built_once(self, monkeypatch):
-        """A load builds B, I4, I5 and the combined I library once each:
-        the I checksum is read from the collection's own I."""
+        """A load computes the closures of B, I4 and the combined I library
+        once each, and never I5's: the I checksum is read from the
+        collection's own I, which is built from the base patterns."""
         import importlib.resources as res
         text = res.files("nodalcheck").joinpath("patterns.txt").read_text()
-        built, build = [], PatternLibrary.build
-        monkeypatch.setattr(PatternLibrary, "build", staticmethod(
-            lambda name, base: built.append(name) or build(name, base)))
+        computed, closure = [], PatternLibrary.closure.func
+        monkeypatch.setattr(PatternLibrary.closure, "func", lambda lib: (
+            computed.append(lib.name) or closure(lib)))
         coll = load_patterns(text)
         assert count_surviving(coll.I) == 90 and coll.code_table.any()
-        assert sorted(built) == ["B", "I", "I4", "I5"]
+        assert coll.I.closure and coll.B.closure
+        assert sorted(computed) == ["B", "I", "I4"]
+
+    def test_library_is_its_base_patterns(self):
+        """The constructor derives the closure from the base patterns, so a
+        library built from the shipped base patterns is the shipped one,
+        and so are its verdicts."""
+        libs = {name: PatternLibrary(name, getattr(COLL, name).base_patterns)
+                for name in ("B", "I4", "I5")}
+        for name, lib in libs.items():
+            assert lib == getattr(COLL, name)
+            assert lib.closure == getattr(COLL, name).closure
+        rebuilt = PatternCollection(**libs)
+        assert np.array_equal(rebuilt.code_table, COLL.code_table)
+        for seed in range(200):
+            r = draw_realization(trig_coeffs(2, 3), seed)
+            zero_tol = default_zero_tol(r.coeffs)
+            assert validate_2d(r, 32, 6, zero_tol, patterns=rebuilt) == (
+                validate_2d(r, 32, 6, zero_tol, patterns=COLL)), seed
+
+    def test_dihedral_group(self):
+        """The eight symmetries of the square: distinct permutations of the
+        stencil positions that map grid neighbours to grid neighbours."""
+        def neighbours(i, j):
+            return abs(i // 3 - j // 3) + abs(i % 3 - j % 3) == 1
+
+        assert len({tuple(p) for p in adm._DIHEDRAL}) == 8
+        for p in adm._DIHEDRAL:
+            assert sorted(p) == list(range(9))
+            assert all(neighbours(p[i], p[j])
+                       for i in range(9) for j in range(9) if neighbours(i, j))
 
     def test_checksum_mismatch_rejected(self):
         text = "#B:only\n+-+\n...\n...\n"
@@ -498,7 +529,7 @@ class TestValidate2D:
         assert not COLL.code_table[0] and not COLL.code_table[511]
         plus = SignPattern(mask=(1,) * 9, id="all-plus")
         # built by hand, so the checksums of load_patterns do not apply
-        lib = PatternLibrary.build("B", (plus,))
+        lib = PatternLibrary("B", (plus,))
         assert lib.forbidden_table()[[0, 511]].all()  # polarity closure
         with pytest.raises(ValueError, match="staircase"):
             PatternCollection(B=lib, I4=COLL.I4, I5=COLL.I5)

@@ -123,6 +123,13 @@ class TestRoundTrips:
         assert captured.out == ""
         assert "outside [0, L]" in captured.err
 
+    def test_eval_1d_rejects_y(self, capsys):
+        code = main(["eval", "--N", "5", "--x", "1", "--y", "2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == "error: --y 2.0 does not apply to a 1D field\n"
+
     def test_betti_needs_grid_or_m(self, capsys):
         code = main(["betti", "--N", "3", "--dim", "2"])
         captured = capsys.readouterr()
@@ -267,8 +274,7 @@ class TestFieldSource:
 class TestOrthant:
     def test_crossover(self, capsys):
         code, out = run(capsys, "orthant", "--pattern", "crossover-1d",
-                        "--N", "3", "--delta", "0.01",
-                        "--samples", "10000")
+                        "--N", "3", "--delta", "0.01")
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["limit"] == pytest.approx(0.29239, abs=5e-5)
@@ -300,6 +306,19 @@ class TestOrthant:
         assert code == EXIT_ERROR
         assert captured.out == ""
         assert captured.err == "error: --samples must be positive\n"
+
+    @pytest.mark.parametrize("flag, value", [("samples", "7"), ("seed", "99")])
+    def test_exact_pattern_rejects_sampling_flags(self, capsys, flag, value):
+        """A pattern of at most 3 points is computed exactly, so it takes
+        neither a sample count nor a seed."""
+        code = main(["orthant", "--pattern", "crossover-1d", "--N", "3",
+                     "--delta", "0.01", f"--{flag}", value])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --{flag} {value} does not apply to the 3-point pattern "
+            "crossover-1d, which is computed exactly\n")
 
     @pytest.mark.parametrize("pattern, file_dim", [("crossover-1d", 2),
                                                    ("square", 1)])
@@ -408,6 +427,21 @@ class TestExperiment:
         assert captured.err == (f"error: --out {b} does not apply: the "
                                 f"config sets out to {a}\n")
         assert not a.exists() and not b.exists()
+
+    def test_format_rejected_without_out(self, capsys, tmp_path):
+        """With neither --out nor a config out nothing is written, so
+        --format has nothing to format."""
+        cfg = tmp_path / "zs.json"
+        cfg.write_text(json.dumps({"kind": "ZeroStats", "N": 5,
+                                   "trials": 2}))
+        code = main(["experiment", "--config", str(cfg), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == ("error: --format json does not apply: "
+                                "neither --out nor the config's out names "
+                                "a file\n")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_kind_positional_rejected(self, capsys, tmp_path):
         """The config names the kind; a positional one would be ignored."""

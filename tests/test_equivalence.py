@@ -597,6 +597,27 @@ def test_windows_read_the_pass_block_stack(monkeypatch):
     assert all(np.shares_memory(blocks, fine.blocks) for blocks in read)
 
 
+@pytest.mark.parametrize("D", [0, 1])
+def test_narrow_blocks_are_packed_unpadded(monkeypatch, D):
+    """At D <= 1 the blocks are S = 2 or 4 points wide, and the window
+    stage packs their S-wide rows directly: a validation pads no array
+    and still gives the dense sweep's outcome.  The first call fills the
+    lattice table cache, whose table is padded once per lattice."""
+    r = draw_realization(trig_coeffs(2, 3), 1)
+    validate_2d(r, 16, D, 1e-12)
+    pads, flagged = [], []
+    monkeypatch.setattr(np, "pad", lambda *args, fn=np.pad, **kwargs: (
+        pads.append(args[0].shape) or fn(*args, **kwargs)))
+    monkeypatch.setattr(adm, "_block_flags", lambda blocks, fn=adm._block_flags: (
+        flagged.append(blocks.shape) or fn(blocks)))
+    for collect_all in (False, True):
+        out = validate_2d(r, 16, D, 1e-12, collect_all)
+        assert out == oracles.validate_2d_dense(r, 16, D, 1e-12, collect_all,
+                                                COLL)
+    assert flagged and flagged[0][1:] == (2 << D, 2 << D)
+    assert pads == []
+
+
 def test_closed_b_blocks_match_closed_classifier():
     """Every subsquare is a B window when a grid square holds all of
     them.  Its closed block, read from the half-open blocks after it, is
@@ -710,7 +731,7 @@ def test_fine_pass_serves_every_collection():
     at every nested M each gets the dense sweep's outcome with its own
     library, and the two outcomes differ."""
     fewer = PatternCollection(
-        B=COLL.B, I4=PatternLibrary.build("I4", COLL.I4.base_patterns[1:]),
+        B=COLL.B, I4=PatternLibrary("I4", COLL.I4.base_patterns[1:]),
         I5=COLL.I5)
     assert COLL.I4.base_patterns[0].id == "full-slant-1"
     differ = 0

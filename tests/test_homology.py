@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodalcheck.cubical import SignGrid, cubical_approx, sign_grid
-from nodalcheck.fields import (CoeffSeq2D, Realization2D, draw_realization,
-                               trig_coeffs)
+from nodalcheck.fields import (CoeffSeq2D, Realization2D, derive_seed,
+                               draw_realization, trig_coeffs)
 from nodalcheck.homology import (BettiVector, betti_pair, cell_betti,
                                  connected_components, default_reference_M,
                                  homology_match, reference_betti)
 
 from oracles import (betti_bruteforce, betti_label, connected_components_runs,
-                     euler)
+                     euler, expected_euler)
 from test_cubical import constant_1d
 from test_fields import cosine_1d
 
@@ -342,3 +342,20 @@ class TestMatch:
         assert not homology_match(a, b)
         c = (BettiVector(1, 1), BettiVector(1, 0))
         assert homology_match(c, (BettiVector(1, 1), BettiVector(1, 0)))
+
+
+@pytest.mark.parametrize("dim, N, M, trials", [(2, 3, 256, 3000),
+                                               (1, 10, 2000, 20000)])
+def test_mean_euler_characteristic(dim, N, M, trials):
+    """The mean b0 - b1 of both nodal sets on the M-grid lies within 4
+    standard errors of the expected Euler characteristic, at the fixed
+    seed 17.  A wrong covariance in the sampler, or an off-by-one at the
+    edge of the Betti kernel, moves it out; a rare wrong Betti pair does
+    not."""
+    coeffs = trig_coeffs(dim, N)
+    chi = np.array([[b.b0 - b.b1 for b in betti_pair(sign_grid(
+        draw_realization(coeffs, derive_seed(17, t)), M, 0.0))]
+        for t in range(trials)])
+    want = expected_euler(coeffs)
+    mean, se = chi.mean(axis=0), chi.std(axis=0, ddof=1) / np.sqrt(trials)
+    assert np.all(np.abs(mean - want) < 4 * se), (mean, se, want)
