@@ -97,9 +97,6 @@ class SignPattern:
         images = np.concatenate((images, -images)).tolist()
         return sorted(set(map(tuple, images)))
 
-    def matches(self, values) -> bool:
-        return all(m == 0 or m == v for m, v in zip(self.mask, values))
-
 
 @dataclass(frozen=True)
 class PatternLibrary:
@@ -725,14 +722,11 @@ def _lattice(M: int, D: int) -> tuple:
 
 
 def _corner_proof(r: Realization2D, grid: np.ndarray, delta: float,
-                  zero_tol: float) -> tuple:
-    """``(coarse, proven)`` on the tensor grid of the trig table ``grid``.
+                  zero_tol: float) -> np.ndarray:
+    """The int8 proof on the tensor grid of the trig table ``grid``.
 
-    ``coarse`` is u > zero_tol at the grid points, ``delta`` apart; it
-    and the corner signs below come from the bound test
-    (:func:`~nodalcheck.fields._bound_test`).
-    Entry (i, j) of the int8 ``proven`` is the sign u keeps on the closed
-    cell with corners (i, j) and (i + 1, j + 1) if every value of u in
+    Entry (i, j) is the sign u keeps on the closed cell with corners
+    (i, j) and (i + 1, j + 1), ``delta`` apart, if every value of u in
     it, as this package computes it, exceeds ``zero_tol`` in magnitude,
     and 0 (undecided) otherwise.  On the cell, u differs from the
     bilinear interpolant of its corners, which lies between the corner
@@ -741,7 +735,8 @@ def _corner_proof(r: Realization2D, grid: np.ndarray, delta: float,
     plus twice ``r.rounding_bound`` (corner and inner value) in magnitude
     with one sign; a NaN corner is never decided.  Band by band, with the
     last row of the band before, so no float grid of the full size forms.
-    ``proven`` is laid out as ``_FinePass.level``: its last row and
+    Its one job is the proof: no point is classified at ``zero_tol``
+    here.  It is laid out as ``_FinePass.level``: its last row and
     column, past the cells, repeat the ones before them.
     """
     _check_zero_tol(zero_tol)
@@ -749,14 +744,11 @@ def _corner_proof(r: Realization2D, grid: np.ndarray, delta: float,
     margin = (delta * delta * (H11 + H22) / 8 + zero_tol
               + 2.0 * r.rounding_bound)
     n = len(grid)
-    coarse = np.empty((n, n), dtype=bool)
-    below = np.empty((min(n, _BAND_ROWS), n), dtype=bool)
     proven = np.empty((n, n), dtype=np.int8)
     # corners above margin and below -margin; row 0 is the band before's
     corners = np.empty((2, min(n, _BAND_ROWS) + 1, n), dtype=bool)
     for rows, values in _grid_bands(r, grid, grid):
         k, top = len(values), int(rows.start == 0)
-        _bound_test(values, zero_tol, coarse[rows], below[:k])
         _bound_test(values, margin, corners[0, 1:k + 1], corners[1, 1:k + 1])
         signs = corners[:, top:k + 1]
         pairs = signs[:, :-1] & signs[:, 1:]  # corner above and below
@@ -766,23 +758,26 @@ def _corner_proof(r: Realization2D, grid: np.ndarray, delta: float,
         corners[:, 0] = corners[:, k]
     proven[:, -1] = proven[:, -2]
     proven[-1] = proven[-2]
-    return coarse, proven
+    return proven
 
 
 @dataclass(eq=False)
 class _FinePass:
     """The fine classification of one realization on the lattice of G steps.
 
-    ``coarse`` is u > zero_tol on every S-th fine point, the corners of
-    the subsquares S fine steps wide.  ``level`` is the sign
-    :func:`_corner_proof` proves on each subsquare (0: undecided), plus
-    one row and one column of subsquares past the lattice, whose blocks
-    hold its far row and column repeated and whose sign is that of the
-    subsquares before them.  ``a, b`` are the subsquares it leaves
-    undecided and ``blocks`` their evaluated half-open S x S blocks
-    (u > zero_tol), without the closing row and column that the next
-    blocks hold, then an all-negative and an all-positive block.
-    ``zeros[p]`` counts the
+    ``level`` is the sign :func:`_corner_proof` proves on each subsquare
+    S fine steps wide (0: undecided), plus one row and one column of
+    subsquares past the lattice, whose blocks hold its far row and
+    column repeated and whose sign is that of the subsquares before
+    them.  ``a, b`` are the subsquares it leaves undecided and ``blocks``
+    their evaluated half-open S x S blocks (u > zero_tol), without the
+    closing row and column that the next blocks hold, then an
+    all-negative and an all-positive block.  ``coarse`` is u > zero_tol
+    on every S-th fine point, the subsquares' first corners, read from
+    the proof and the blocks: ``level > 0`` where a subsquare is proven,
+    the first point of its block where it is not.  A corner of an
+    undecided subsquare is evaluated twice, by the proof and by its
+    block, but classified once, by its block.  ``zeros[p]`` counts the
     zero-flagged fine points whose two indices are multiples of 2^p; each
     point is evaluated, and counted, once.  Made by :func:`_fine_pass`;
     :func:`validate_2d` reads all of it on this lattice, and
@@ -832,12 +827,13 @@ def _fine_pass(r: Realization2D, M: int, D: int,
     blocks repeat them (:func:`~nodalcheck.fields._lattice_table`) and
     whose proof is that of the subsquare before (:func:`_corner_proof`),
     as its closed cell holds them; only the points on the lattice are
-    counted.  The stack of blocks ends in the two constant ones.
+    counted.  The stack of blocks ends in the two constant ones.  The
+    coarse grid is read from the proof and the blocks, so every point
+    has one classification.
     """
     S, G = _lattice(M, D)
     table, columns = _lattice_table(r.coeffs.L, r.coeffs.K, G, S)
-    coarse, level = _corner_proof(r, table[::S], S * (r.coeffs.L / G),
-                                  zero_tol)
+    level = _corner_proof(r, table[::S], S * (r.coeffs.L / G), zero_tol)
     a, b = np.divmod(np.flatnonzero(level == 0), len(level))
     classify = _window_classifier(r, table, columns, zero_tol)
     blocks = np.empty((len(a) + 2, S, S), dtype=bool)
@@ -852,6 +848,8 @@ def _fine_pass(r: Realization2D, M: int, D: int,
             xy = (x | y)[(x <= G) & (y <= G)]
             zeros += [np.count_nonzero(xy & ((1 << p) - 1) == 0)
                       for p in range(len(zeros))]
+    coarse = level > 0
+    coarse[a, b] = blocks[:len(a), 0, 0]
     return _FinePass(r, zero_tol, G, S, coarse, level, a, b, blocks, zeros)
 
 
@@ -884,20 +882,22 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     subsquares and the staircases admissible, so the outcome is the full
     sweep's.
 
-    The proof, the coarse grid, the evaluated subsquares and the zero
-    flags come from one fine pass, built here unless ``fine`` is given;
-    the pass does not depend on ``patterns``.  A pass of the same
-    realization and ``zero_tol`` on a lattice of c G steps, c a power of
-    two, serves this call, so that several M of one experiment share the
-    finest M's pass.  Its lattice nests this one bit for bit: fl(L / (c G)) = fl(L / G) / c, so row
+    The proof, the evaluated subsquares, the zero flags and the coarse
+    grid, which is read from the proof and the blocks, come from one fine
+    pass, built here unless ``fine`` is given; the pass does not depend
+    on ``patterns``.  A pass of the same realization and ``zero_tol`` on
+    a lattice of c G steps, c a power of two, serves this call, so that
+    several M of one experiment share the finest M's pass.  Its lattice
+    nests this one bit for bit: fl(L / (c G)) = fl(L / G) / c, so row
     c i of its trig table is row i of this one's.  The zero count is
     then that of its flagged points with both indices multiples of c
     (a proven subsquare holds none), and the coarse grid is every c-th
-    point of its coarse grid.  Only when those leave the verdict open
-    does this call build its own pass, about 1/c^2 the cost of the given
-    one, for the proven subsquares and the windows.  A pass on any other
-    lattice, or with another S, is not used: this call builds its own.
-    A pass of another realization or ``zero_tol`` raises ``ValueError``.
+    point of its coarse grid.  Only when those leave the verdict open is
+    this M validated wholly on a pass of its own, about 1/c^2 the cost of
+    the given one, so that no verdict reads two classifications of one
+    point.  A pass on any other lattice, or with another S, is not used:
+    this call builds its own.  A pass of another realization or
+    ``zero_tol`` raises ``ValueError``.
     """
     coll = patterns or default_patterns()
     S, G = _lattice(M, D)
@@ -917,7 +917,7 @@ def validate_2d(r: Realization2D, M: int, D: int, zero_tol: float = 0.0,
     if found and not collect_all:
         return _verdict(D, found)
     if c > 1:
-        fine = _fine_pass(r, M, D, zero_tol)
+        return validate_2d(r, M, D, zero_tol, collect_all, patterns)
     depth = S.bit_length() - 2  # window levels 0..depth are n0..D
     for positive, wa, wb, ring, margin in _windows(fine, 1 << n0):
         found += [((int(wa[w]) >> n0, int(wb[w]) >> n0), n0 + n, pid)

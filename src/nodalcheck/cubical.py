@@ -108,9 +108,13 @@ def sign_grid(r, M: int, zero_tol: float = 0.0, *,
     :func:`~nodalcheck.admissibility.validate_2d`, when one is given, if
     the pass nests it and counts no zero flag on it: M S c = G for a
     power of two c, so that its points are every c-th point of the
-    pass's coarse grid.  The signs are those of a classification of the
-    grid itself, bit for bit (``_FinePass.nest``).  Otherwise, with zero
-    flags or off the nest, the grid is classified here.  A pass of
+    pass's coarse grid (``_FinePass.nest``).  That grid is read from the
+    pass's proof and blocks, so the signs are the ones its verdicts read:
+    a corner of an undecided subsquare is evaluated by the proof and
+    again by its block, but classified once, by its block.  They equal a
+    classification of the grid itself on every seed the tests try.
+    Otherwise, with zero flags or off the nest, the grid is classified
+    here.  A pass of
     another realization or ``zero_tol`` raises ``ValueError``, and so
     does a negative, NaN or infinite ``zero_tol``.
     """

@@ -517,8 +517,8 @@ def _lattice_table(L: float, K: int, n: int, width: int = 1) -> tuple:
     where the one pair of that trial takes 0.53 MB.
     A table is no larger than the product A(x) W its caller
     forms from it.  A is computed point by point, so a strided run of
-    rows is the table of those points: ``validate_2d`` reads its coarse
-    grid (its subsquare corners) as every S-th row of the fine table, and
+    rows is the table of those points: ``validate_2d`` proves its
+    subsquares from their corners, every S-th row of the fine table, and
     the lattice of n / 2^p steps as every 2^p-th row of the lattice of n.
     """
     table = _trig_block(L, K, np.arange(n + 1) * (L / n))

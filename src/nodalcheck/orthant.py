@@ -150,16 +150,10 @@ def pattern_cov(coeffs, L: float, points) -> CovMatrix:
     """Stencil covariance: C[i][j] = r(p_i - p_j) for the stationary series."""
     if abs(L - coeffs.L) > 1e-12 * coeffs.L:
         raise ValueError("L must match the coefficient sequence period")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 1 and pts.shape[1] > 2 and coeffs.a.ndim == 1:
-        pts = pts.T
-    n = pts.shape[0]
+    pts = np.asarray(points, dtype=float).reshape(-1, coeffs.dim)
     lags = pts[:, None, :] - pts[None, :, :]
-    if coeffs.a.ndim == 1:
-        C = covariance(coeffs, lags[..., 0])
-    else:
-        C = covariance(coeffs, lags)
-    return CovMatrix(n=n, entries=np.asarray(C, dtype=float))
+    C = covariance(coeffs, lags[..., 0] if coeffs.dim == 1 else lags)
+    return CovMatrix(n=len(pts), entries=np.asarray(C, dtype=float))
 
 
 def orthant_exact_small(q: OrthantQuery) -> float:

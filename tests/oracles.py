@@ -13,6 +13,9 @@ and 2D evaluators, the dyadic sweeps, the component count and the
 labelling Betti path, which the library replaced with fused code; the
 equivalence tests compare against them.
 
+Then comes a grid-free 1D oracle: every zero of a 1D field from the
+roots of one polynomial, and the Betti pair of its two sets from them.
+
 Last come two general-purpose orthant estimators, plain Monte Carlo and
 Genz's quasi-Monte Carlo integrator, which cross-check the closed forms
 and the importance sampler of ``nodalcheck.orthant``.
@@ -160,9 +163,15 @@ def codes_2d(positive, x0, y0, h, nx, ny):
     return codes
 
 
+def matches(pattern, values) -> bool:
+    """Whether the nine signs ``values`` (row-major, +1 or -1) meet every
+    position that ``pattern`` constrains: the oracle for one pattern."""
+    return all(m == 0 or m == v for m, v in zip(pattern.mask, values))
+
+
 def _pattern_ids_for_code(code, lib):
     values = [1 if code & (1 << i) else -1 for i in range(9)]
-    return [p.id for p in lib.closure if p.matches(values)]
+    return [p.id for p in lib.closure if matches(p, values)]
 
 
 _MAX_VIOLATIONS = 200
@@ -455,6 +464,71 @@ def jet_1d_trig(r, x):
     gs[1:] = coeffs.a[1:] * r.g[2 * k[1:] - 1]
     cos, sin = np.cos(phase), np.sin(phase)
     return cos @ gc + sin @ gs, cos @ (omega * gs) - sin @ (omega * gc)
+
+
+AMBIGUOUS = "ambiguous"
+_ON_CIRCLE, _NEAR_CIRCLE = 1e-6, 1e-3
+
+
+def zeros_1d(r):
+    """The sorted zeros of a 1D realization in [0, L), or ``AMBIGUOUS``.
+
+    With z = e^(2 pi i x / L) and c = ``r.spectrum``,
+    z^K u(x) = P(z) = 1/2 sum_k (c_k z^(K+k) + conj(c_k) z^(K-k)), a
+    polynomial of degree 2K, so the zeros of u are the angles of the
+    roots of P on the unit circle, all found by one companion-matrix
+    eigenproblem (``np.roots``).  A root with |1 - |z|| <= 1e-6 is a
+    zero.  A nearly double zero can push a root pair off the circle by
+    about sqrt(eps), so a root with 1e-6 < |1 - |z|| < 1e-3 is settled
+    by the signs of u at its angle and on both sides of it, at the
+    root's distance from the circle: one clear sign there means no zero.
+    Any other root in that band makes the field ambiguous, and so do
+    zeros whose gaps' midpoints do not alternate in sign, clear of
+    rounding: a double zero, or a zero missed or counted twice.  No
+    root is ever counted one way by default.
+    """
+    L, c = r.coeffs.L, r.spectrum
+    K = c.size - 1
+    poly = np.zeros(2 * K + 1, dtype=complex)  # z^(2K) first
+    poly[:K + 1] += 0.5 * c[::-1]
+    poly[K:] += 0.5 * np.conj(c)
+    roots = np.roots(poly)
+    off = np.abs(1.0 - np.abs(roots))
+    angles = np.angle(roots) / (2.0 * np.pi) * L % L
+    tol = 1e-12 * (K + 1) * float(np.abs(c).sum())
+
+    def u(x):
+        return eval_1d_trig(r, np.asarray(x) % L)
+
+    band = (off > _ON_CIRCLE) & (off < _NEAR_CIRCLE)
+    v = u(angles[band, None]
+          + np.outer(off[band] * L / (2.0 * np.pi), [-1.0, 0.0, 1.0]))
+    if not np.all(np.all(v > tol, axis=1) | np.all(v < -tol, axis=1)):
+        return AMBIGUOUS
+    zeros = np.sort(angles[off <= _ON_CIRCLE])
+    if zeros.size:
+        mids = (zeros + np.diff(zeros, append=zeros[0] + L) / 2.0) % L
+        v = u(mids)
+        if np.any(np.abs(v) <= tol) or np.any(v * np.roll(v, 1) > 0):
+            return AMBIGUOUS
+    return zeros
+
+
+def betti_1d(r):
+    """(b0 of {u >= 0}, b0 of {u <= 0}) on [0, L], or ``AMBIGUOUS``.
+
+    The pieces of [0, L] between consecutive zeros of :func:`zeros_1d`
+    and the ends are each of one sign; each run of pieces of one sign is
+    one component of its set.
+    """
+    zeros = zeros_1d(r)
+    if isinstance(zeros, str):
+        return zeros
+    cuts = np.concatenate(([0.0], zeros, [r.coeffs.L]))
+    pieces = np.flatnonzero(np.diff(cuts) > 0)
+    signs = np.sign(eval_1d_trig(r, (cuts[pieces] + cuts[pieces + 1]) / 2))
+    runs = signs[np.flatnonzero(np.diff(signs, prepend=0))]
+    return int(np.sum(runs > 0)), int(np.sum(runs < 0))
 
 
 def _factor(cov):

@@ -17,15 +17,16 @@ from scipy import ndimage
 from nodalcheck.admissibility import count_surviving, default_patterns
 from nodalcheck.bounds import (bound_1d_periodic, closed_form_scaling, min_M,
                                moment_ratio_1d, moment_ratio_2d)
-from nodalcheck.cubical import SignGrid, cubical_approx
-from nodalcheck.experiments import homology_experiment, zero_stats
-from nodalcheck.fields import spectral_moments, trig_coeffs
-from nodalcheck.homology import cell_betti
+from nodalcheck.cubical import SignGrid, cubical_approx, sign_grid
+from nodalcheck.experiments import (default_zero_tol, homology_experiment,
+                                    zero_stats)
+from nodalcheck.fields import draw_realization, spectral_moments, trig_coeffs
+from nodalcheck.homology import betti_pair, cell_betti
 from nodalcheck.orthant import (PATTERNS, asymptotic_functional,
                                 expansion_check, expected_expansion,
                                 prop41_limit)
 
-from oracles import euler
+from oracles import betti_1d, euler
 
 L = 2 * math.pi
 
@@ -253,6 +254,27 @@ def test_criterion_7_soundness(suite_1d_n5, suite_1d_n10, suite_2d_n3,
     report("7", ok, f"0 certified mismatches"
            if ok else f"exceptions: {exceptions[:5]}")
     assert ok
+
+
+def test_criterion_7_1d_oracle(suite_1d_n5, suite_1d_n10):
+    """Every certified (trial, M) of the two 1D suites has the Betti pair
+    of the grid-free oracle, which reads the field's zeros from the roots
+    of one polynomial and no grid."""
+    checked, wrong = 0, []
+    for N, s in ((5, suite_1d_n5), (10, suite_1d_n10)):
+        coeffs = trig_coeffs(1, N)
+        zero_tol = default_zero_tol(coeffs)
+        for rec in s.extra["records"]:
+            Ms = [M for M, f in rec.per_M.items() if f["certified"]]
+            r = draw_realization(coeffs, rec.seed) if Ms else None
+            true = betti_1d(r) if Ms else None
+            for M in Ms:
+                plus, minus = betti_pair(sign_grid(r, M, zero_tol))
+                checked += 1
+                if (plus.b0, minus.b0) != true:
+                    wrong.append((N, rec.index, M, true))
+    assert wrong == []
+    assert checked > 11000
 
 
 def _oracle_betti(cells: np.ndarray) -> tuple:

@@ -694,15 +694,48 @@ def test_fine_pass_falls_back_off_the_nest(monkeypatch, M_list, builds):
 
 def test_fine_pass_leaves_a_nested_m_open(monkeypatch):
     """Trial 75 of the criterion-6 suite (seed 103) passes the coarse
-    sweep of M = 16 read from its M = 32 pass, so ``validate_2d`` builds
-    the M = 16 pass itself, once, and certifies as a standalone call."""
+    sweep of M = 16 read from its M = 32 pass, so ``validate_2d``
+    validates M = 16 wholly on a pass of its own, built once, and
+    certifies as a standalone call.  With ``collect_all`` every nested M
+    without zero flags is left open."""
     r = draw_realization(trig_coeffs(2, 3), fields.derive_seed(103, 75))
     zero_tol = default_zero_tol(r.coeffs)
     fine = adm._fine_pass(r, 32, 6, zero_tol)
+    for collect_all in (False, True):
+        built = _count_builds(monkeypatch)
+        out = validate_2d(r, 16, 6, zero_tol, collect_all, fine=fine)
+        assert out.certified and built == [16]
+        assert out == validate_2d(r, 16, 6, zero_tol, collect_all)
     built = _count_builds(monkeypatch)
-    out = validate_2d(r, 16, 6, zero_tol, fine=fine)
-    assert out.certified and built == [16]
-    assert out == validate_2d(r, 16, 6, zero_tol)
+    out = validate_2d(r, 8, 6, zero_tol, True, fine=fine)
+    assert out.violation_count and built == [8]
+    assert out == validate_2d(r, 8, 6, zero_tol, True)
+
+
+def test_fine_pass_classifies_each_coarse_point_once():
+    """The pass's coarse grid is read from its proof and its blocks: the
+    proven sign where a subsquare is proven, the first point of its
+    block where it is not.  On the 60 fields of the criterion-6 pool and
+    200 more of other laws, sizes and tolerances, it equals a
+    classification of the coarse lattice itself, bit for bit."""
+    cases = [(draw_realization(trig_coeffs(2, 3), seed), 32, 6, 0)
+             for seed in NESTED_SEEDS[:60]]
+    cases += [(draw_realization(trig_coeffs(2, 2 + k % 3), k),
+               (8, 12, 16, 24)[k % 4], (6, 3, 2, 1, 0)[k % 5], k % 2)
+              for k in range(200)]
+    undecided = 0
+    for r, M, D, tol in cases:
+        zero_tol = _tolerances(r)[tol]
+        fine = adm._fine_pass(r, M, D, zero_tol)
+        level, n = fine.level, len(fine.a)
+        assert np.array_equal(fine.coarse[level != 0], level[level != 0] > 0)
+        assert np.array_equal(fine.coarse[fine.a, fine.b],
+                              fine.blocks[:n, 0, 0])
+        A, _ = fields._lattice_table(r.coeffs.L, r.coeffs.K, fine.G // fine.S)
+        positive, _ = fields._classify_grid(r, A, A, zero_tol)
+        assert np.array_equal(fine.coarse, positive), (r.seed, M, D)
+        undecided += n
+    assert undecided > 300_000
 
 
 def test_fine_pass_built_once_per_pool_trial(monkeypatch):

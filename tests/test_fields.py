@@ -256,7 +256,9 @@ class TestCornerProof:
 
     def test_rounding_margin(self):
         """u = 1, with no curvature: a cell is decided only when 1 exceeds
-        zero_tol by more than twice the rounding bound."""
+        zero_tol by more than twice the rounding bound.  Either way the
+        fine pass's coarse grid, read from the proof and the blocks, is
+        positive."""
         g = np.zeros((3, 3, 4))
         g[0, 0, 0] = 1.0
         c = CoeffSeq2D(L=2 * np.pi, a=np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]]))
@@ -264,10 +266,12 @@ class TestCornerProof:
         A = table(r, np.linspace(0, c.L, 5))
         eps = r.rounding_bound
         for zero_tol, sign in ((1 - 3 * eps, 1), (1 - eps, 0)):
-            coarse, proven = adm._corner_proof(r, A, c.L / 4, zero_tol)
-            assert coarse.all() and proven.shape == (5, 5)
+            proven = adm._corner_proof(r, A, c.L / 4, zero_tol)
+            assert proven.shape == (5, 5)
             assert_far_row_and_column_repeat(proven)
             assert (proven == sign).all(), zero_tol
+            fine = adm._fine_pass(r, 4, 0, zero_tol)
+            assert (fine.level == sign).all() and fine.coarse.all()
 
     def test_bound_is_sharp_on_a_cosine(self):
         """u = t + cos(x1) on the cell [4 pi / 5, 6 pi / 5] around the
@@ -283,18 +287,21 @@ class TestCornerProof:
             r = Realization2D(coeffs=CoeffSeq2D(L=L, a=np.ones((2, 2))),
                               g=g, seed=0)
             assert r.hessian_bounds == (1, 0)
-            coarse, proven = adm._corner_proof(r, A, L / 5, 0.0)
-            assert coarse.all()
+            proven = adm._corner_proof(r, A, L / 5, 0.0)
             assert (proven[2] == sign).all() and (proven[[0, 4]] == 1).all()
 
     def test_nan_field_never_decided(self):
+        """No cell of a NaN field is decided, its fine pass's coarse grid
+        is negative throughout, and its outcome is Degenerate."""
         r = nan_2d()
         A = table(r, np.linspace(0, r.coeffs.L, 70))  # two bands
         for delta in (0.0, 1e-3, 0.1):
-            coarse, proven = adm._corner_proof(r, A, delta, 0.0)
+            proven = adm._corner_proof(r, A, delta, 0.0)
             assert proven.shape == (70, 70) and not proven.any()
             assert_far_row_and_column_repeat(proven)
-            assert not coarse.any()
+        fine = adm._fine_pass(r, 4, 1, 0.0)
+        assert not fine.level.any() and not fine.coarse.any()
+        assert adm.validate_2d(r, 4, 1, fine=fine).status == "Degenerate"
 
     @pytest.mark.parametrize("seed", range(4))
     def test_decided_points_keep_their_sign(self, seed):

@@ -145,6 +145,27 @@ class TestPatternCov:
         expect = np.array([[r0, rh, rd], [rh, r0, rh], [rd, rh, r0]])
         assert np.allclose(cov.entries, expect, rtol=1e-12)
 
+    @pytest.mark.parametrize("pts", [[0.7], [0.0, 0.5], [0.0, 0.3, 1.1]])
+    def test_1d_stencils_of_every_size(self, pts):
+        """A 1D stencil of n points, as a flat list or as a column, gives
+        the n x n matrix of the covariance at its pairwise lags."""
+        from nodalcheck.fields import covariance
+        lags = np.subtract.outer(pts, pts)
+        for points in (pts, np.array(pts)[:, None]):
+            cov = pattern_cov(COEFFS, L, points)
+            assert cov.n == len(pts)
+            assert np.allclose(cov.entries, covariance(COEFFS, lags),
+                               rtol=1e-12)
+
+    def test_2_point_1d_orthant(self):
+        """Two points: P(Z_1, Z_2 >= 0) = 1/4 + asin(rho) / (2 pi)."""
+        from nodalcheck.fields import covariance
+        cov = pattern_cov(COEFFS, L, [0.0, 0.5])
+        rho = covariance(COEFFS, 0.5) / covariance(COEFFS, 0.0)
+        q = OrthantQuery(signs=(1, 1), cov=cov)
+        assert orthant_exact_small(q) == pytest.approx(
+            0.25 + math.asin(rho) / (2 * math.pi), rel=1e-12)
+
     def test_translation_invariant(self):
         pts = PATTERNS["square"].points(0.4)
         a = pattern_cov(COEFFS_2D, L, pts)
